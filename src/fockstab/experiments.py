@@ -26,7 +26,7 @@ from .errors import AmbiguousSteadyStateError, ConfigError, NumericalValidityErr
 from .fock import diagonal_density, fock_density, uniform_density
 from .kraus import KrausSet, analytic_kraus, apply_map, bands, extract_kraus, walther_kraus
 from .lyapunov import build_weights, ladder_top, validate_theta2, window_top
-from .thermal import ThermalParams, build_reduced, steady_population_correction, steady_state
+from .thermal import ThermalParams, build_reduced, reservoir_step, steady_population_correction, steady_state
 
 PHI_GRID_POINTS = 64
 THETA2_GRID_POINTS = 64
@@ -501,6 +501,15 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     r = steady_state(build_reduced(p1, tp, d1), tp.p_at)
     sdev = float(np.abs(np.diag(rho_ss).real - r).max())
     checks.append(("reduced_vs_full_steady", sdev < 1e-6, f"max dev {sdev:.2e}"))
+
+    # the populations-only kernels drop the coherences of a coherent start;
+    # the dense route carries them, and they must not feed the populations
+    rho = random_density(k0.dim, rng)
+    _, diag, trace = kernels.evolve(g, e, m, rho, tp.gamma_minus, tp.gamma_plus, tp.p_at, 50)
+    for _ in range(50):
+        rho = reservoir_step(rho, k0, tp)
+    pdev = float(np.abs(diag[-1] / trace[-1] - np.diag(rho).real).max())
+    checks.append(("population_engine", pdev < 1e-12, f"max dev {pdev:.2e}"))
 
     return checks
 

@@ -1,13 +1,20 @@
 """Hot iteration kernels: banded channel application and environment step.
 
-All channels here are one-band ladder channels (see `kraus.bands`), so one
-cycle costs O(dim^2) instead of the O(dim^3) of dense Kraus application. Long
-runs (10^3 to 10^5 cycles) spend essentially all their time in these loops,
-which therefore exist twice: an njit-compiled version and a pure-numpy
-fallback with identical semantics. The numba path is used unless it is
-unavailable or the environment variable FOCKSTAB_NO_NUMBA is set to a
-non-empty value; `active_backend()` reports the selection, and
-benchmarks/bench_kernels.py compares the two.
+All channels here are one-band ladder channels (see `kraus.bands`): M_g
+raises the photon number by one, M_e is diagonal and M_m lowers it by one.
+The environment step maps each matrix diagonal to itself as well. A cycle
+therefore sends the population diagonal diag(rho) to a new diagonal through
+a closed tridiagonal birth-death chain, and the coherences never feed it.
+Every recorded output (fidelity, V, trace, populations, stationary fidelity)
+is a function of that diagonal, so the two iteration kernels `evolve` and
+`evolve_to_fixed_point` carry only the complex diagonal vector and cost O(dim)
+per cycle. They apply, entry by entry, exactly the arithmetic that the
+full-matrix cycle `thermal_step((1-p) rho + p channel_step(rho))` applies on
+its diagonal, so their results are bit-identical to iterating that
+composition and reading the diagonal.
+
+`channel_step` and `thermal_step` are the full-matrix one-step kernels, used
+where coherences matter (sampled atom presence, self-checks).
 
 Index conventions (dim = D, 0-based levels):
     g[n] = <n+1|M_g|n>, g[D-1] = 0 (truncated top row)
@@ -20,31 +27,22 @@ Index conventions (dim = D, 0-based levels):
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = "FOCKSTAB_NO_NUMBA"
 
-
-def _numba_requested() -> bool:
-    return not os.environ.get(_ENV_FLAG, "")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def channel_step_numpy(g: np.ndarray, e: np.ndarray, m: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def channel_step(g: np.ndarray, e: np.ndarray, m: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """rho -> M_g rho M_g^dag + M_e rho M_e^dag + M_m rho M_m^dag (banded)."""
+    rho = np.asarray(rho, dtype=np.complex128)
     out = (e[:, None] * rho) * e.conj()[None, :]
     out[1:, 1:] += (g[:-1, None] * rho[:-1, :-1]) * g.conj()[None, :-1]
     out[:-1, :-1] += (m[1:, None] * rho[1:, 1:]) * m.conj()[None, 1:]
     return out
 
 
-def thermal_step_numpy(rho: np.ndarray, gm: float, gp: float) -> np.ndarray:
+def thermal_step(rho: np.ndarray, gm: float, gp: float) -> np.ndarray:
     """First-order photon loss/gain step (no sanitization)."""
+    rho = np.asarray(rho, dtype=np.complex128)
     dim = rho.shape[0]
     n = np.arange(dim, dtype=np.float64)
     out = rho * (1.0 - 0.5 * gm * (n[:, None] + n[None, :]) - 0.5 * gp * (n[:, None] + n[None, :] + 2.0))
@@ -54,169 +52,54 @@ def thermal_step_numpy(rho: np.ndarray, gm: float, gp: float) -> np.ndarray:
     return out
 
 
-def _cycle_numpy(g, e, m, rho, gm, gp, p_at):
-    mixed = channel_step_numpy(g, e, m, rho)
-    if p_at != 1.0:
-        mixed = (1.0 - p_at) * rho + p_at * mixed
-    if gm != 0.0 or gp != 0.0:
-        mixed = thermal_step_numpy(mixed, gm, gp)
-    return mixed
+# aliases of the one-step kernels, kept for existing callers
+channel_step_numpy = channel_step
+thermal_step_numpy = thermal_step
 
-
-def evolve_numpy(g, e, m, rho0, gm, gp, p_at, n_steps):
-    dim = rho0.shape[0]
-    diag = np.empty((n_steps + 1, dim), dtype=np.float64)
-    trace = np.empty(n_steps + 1, dtype=np.float64)
-    rho = rho0.astype(np.complex128, copy=True)
-    diag[0] = np.diag(rho).real
-    trace[0] = diag[0].sum()
-    for k in range(1, n_steps + 1):
-        rho = _cycle_numpy(g, e, m, rho, gm, gp, p_at)
-        diag[k] = np.diag(rho).real
-        trace[k] = diag[k].sum()
-    return rho, diag, trace
-
-
-def evolve_to_fixed_point_numpy(g, e, m, rho0, gm, gp, p_at, tol, max_steps):
-    rho = rho0.astype(np.complex128, copy=True)
-    rho /= np.trace(rho).real
-    delta = math.inf
-    for k in range(1, max_steps + 1):
-        nxt = _cycle_numpy(g, e, m, rho, gm, gp, p_at)
-        nxt /= np.trace(nxt).real
-        delta = float(np.abs(nxt - rho).max())
-        rho = nxt
-        if delta < tol:
-            return rho, k, delta
-    return rho, max_steps, delta
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_HAVE_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _cycle_jit(g, e, m, rho, gm, gp, p_at, out):  # pragma: no cover - jitted
-        dim = rho.shape[0]
-        for i in range(dim):
-            for j in range(dim):
-                acc = e[i] * rho[i, j] * np.conj(e[j])
-                if i >= 1 and j >= 1:
-                    acc += g[i - 1] * rho[i - 1, j - 1] * np.conj(g[j - 1])
-                if i + 1 < dim and j + 1 < dim:
-                    acc += m[i + 1] * rho[i + 1, j + 1] * np.conj(m[j + 1])
-                out[i, j] = (1.0 - p_at) * rho[i, j] + p_at * acc
-        if gm != 0.0 or gp != 0.0:
-            for i in range(dim):
-                for j in range(dim):
-                    v = out[i, j] * (1.0 - 0.5 * gm * (i + j) - 0.5 * gp * (i + j + 2))
-                    if i + 1 < dim and j + 1 < dim:
-                        v += gm * math.sqrt((i + 1.0) * (j + 1.0)) * out[i + 1, j + 1]
-                    if i >= 1 and j >= 1:
-                        v += gp * math.sqrt(float(i) * float(j)) * out[i - 1, j - 1]
-                    rho[i, j] = v
-        else:
-            for i in range(dim):
-                for j in range(dim):
-                    rho[i, j] = out[i, j]
-
-    @njit(cache=True)
-    def _evolve_jit(g, e, m, rho0, gm, gp, p_at, n_steps):  # pragma: no cover - jitted
-        dim = rho0.shape[0]
-        diag = np.empty((n_steps + 1, dim), dtype=np.float64)
-        trace = np.empty(n_steps + 1, dtype=np.float64)
-        rho = rho0.copy()
-        scratch = np.empty_like(rho)
-        t = 0.0
-        for n in range(dim):
-            diag[0, n] = rho[n, n].real
-            t += rho[n, n].real
-        trace[0] = t
-        for k in range(1, n_steps + 1):
-            _cycle_jit(g, e, m, rho, gm, gp, p_at, scratch)
-            t = 0.0
-            for n in range(dim):
-                diag[k, n] = rho[n, n].real
-                t += rho[n, n].real
-            trace[k] = t
-        return rho, diag, trace
-
-    @njit(cache=True)
-    def _fixed_point_jit(g, e, m, rho0, gm, gp, p_at, tol, max_steps):  # pragma: no cover - jitted
-        dim = rho0.shape[0]
-        rho = rho0.copy()
-        t = 0.0
-        for n in range(dim):
-            t += rho[n, n].real
-        for i in range(dim):
-            for j in range(dim):
-                rho[i, j] /= t
-        scratch = np.empty_like(rho)
-        prev = np.empty_like(rho)
-        delta = 1e300
-        steps = max_steps
-        for k in range(1, max_steps + 1):
-            for i in range(dim):
-                for j in range(dim):
-                    prev[i, j] = rho[i, j]
-            _cycle_jit(g, e, m, rho, gm, gp, p_at, scratch)
-            t = 0.0
-            for n in range(dim):
-                t += rho[n, n].real
-            delta = 0.0
-            for i in range(dim):
-                for j in range(dim):
-                    rho[i, j] /= t
-                    dv = abs(rho[i, j] - prev[i, j])
-                    if dv > delta:
-                        delta = dv
-            if delta < tol:
-                steps = k
-                break
-        return rho, steps, delta
-
-
-# ---------------------------------------------------------------------------
-# dispatching API
-# ---------------------------------------------------------------------------
 
 def active_backend() -> str:
-    """Either "numba" or "numpy", fixed at import time."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """The array library the kernels run on; always "numpy"."""
+    return "numpy"
 
 
-def channel_step(g: np.ndarray, e: np.ndarray, m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Single banded channel application on the active backend."""
-    if _HAVE_NUMBA:
-        out = np.empty_like(rho, dtype=np.complex128)
-        work = rho.astype(np.complex128, copy=True)
-        _cycle_jit(g, e, m, work, 0.0, 0.0, 1.0, out)
-        return work
-    return channel_step_numpy(g, e, m, np.asarray(rho, dtype=np.complex128))
+def _population_cycle(g, e, m, gm, gp, p_at):
+    """The diagonal of one full-matrix cycle, as a function d -> d'.
 
+    Bands are conjugated and the environment coefficients are formed once
+    here; each entry then sees the same operations, in the same order, as the
+    diagonal entry of `thermal_step((1-p) rho + p channel_step(rho))`.
+    """
+    g = np.asarray(g, dtype=np.complex128)
+    e = np.asarray(e, dtype=np.complex128)
+    m = np.asarray(m, dtype=np.complex128)
+    g_lo, gc_lo = g[:-1], g[:-1].conj()
+    m_hi, mc_hi = m[1:], m[1:].conj()
+    ec = e.conj()
+    mixing = p_at != 1.0
+    keep = 1.0 - p_at
+    environment = gm != 0.0 or gp != 0.0
+    if environment:
+        n = np.arange(len(e), dtype=np.float64)
+        factor = 1.0 - 0.5 * gm * (n + n) - 0.5 * gp * (n + n + 2.0)
+        root = np.sqrt(n + 1.0)
+        rr = root[:-1] * root[:-1]
+        down = gm * rr
+        up = gp * rr
 
-def thermal_step(rho: np.ndarray, gm: float, gp: float) -> np.ndarray:
-    """Single environment step (no sanitization) on the active backend."""
-    if _HAVE_NUMBA:
-        work = rho.astype(np.complex128, copy=True)
-        out = np.empty_like(work)
-        zero = np.zeros(rho.shape[0], dtype=np.complex128)
-        one = np.ones(rho.shape[0], dtype=np.complex128)
-        # identity channel (e = 1, g = m = 0) followed by the thermal update
-        _cycle_jit(zero, one, zero, work, gm, gp, 1.0, out)
-        return work
-    return thermal_step_numpy(np.asarray(rho, dtype=np.complex128), gm, gp)
+    def cycle(d: np.ndarray) -> np.ndarray:
+        out = (e * d) * ec
+        out[1:] += (g_lo * d[:-1]) * gc_lo
+        out[:-1] += (m_hi * d[1:]) * mc_hi
+        if mixing:
+            out = keep * d + p_at * out
+        if environment:
+            nxt = out * factor
+            nxt[:-1] += down * out[1:]
+            nxt[1:] += up * out[:-1]
+            out = nxt
+        return out
+
+    return cycle
 
 
 def evolve(
@@ -231,15 +114,24 @@ def evolve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterate n_steps cycles, recording the population diagonal and raw trace.
 
-    No per-step renormalization: a decaying trace exposes exactly the
+    Returns (final state, diag of shape (n_steps+1, dim), trace). Only the
+    diagonal of rho0 is propagated: the final state is diagonal, because for
+    these one-band channels the coherences never feed the populations. No
+    per-step renormalization: a decaying trace exposes exactly the
     population lost through the truncated top level.
     """
-    args = (np.ascontiguousarray(g), np.ascontiguousarray(e), np.ascontiguousarray(m),
-            np.ascontiguousarray(rho0, dtype=np.complex128), float(gm), float(gp),
-            float(p_at), int(n_steps))
-    if _HAVE_NUMBA:
-        return _evolve_jit(*args)
-    return evolve_numpy(*args)
+    n_steps = int(n_steps)
+    cycle = _population_cycle(g, e, m, float(gm), float(gp), float(p_at))
+    d = np.diag(np.asarray(rho0, dtype=np.complex128)).copy()
+    diag = np.empty((n_steps + 1, len(d)), dtype=np.float64)
+    trace = np.empty(n_steps + 1, dtype=np.float64)
+    diag[0] = d.real
+    trace[0] = diag[0].sum()
+    for k in range(1, n_steps + 1):
+        d = cycle(d)
+        diag[k] = d.real
+        trace[k] = diag[k].sum()
+    return np.diag(d), diag, trace
 
 
 def evolve_to_fixed_point(
@@ -254,10 +146,20 @@ def evolve_to_fixed_point(
     max_steps: int = 1_000_000,
 ) -> tuple[np.ndarray, int, float]:
     """Iterate with per-step trace renormalization until the max-norm change
-    of the state falls below tol; returns (state, steps, last change)."""
-    args = (np.ascontiguousarray(g), np.ascontiguousarray(e), np.ascontiguousarray(m),
-            np.ascontiguousarray(rho0, dtype=np.complex128), float(gm), float(gp),
-            float(p_at), float(tol), int(max_steps))
-    if _HAVE_NUMBA:
-        return _fixed_point_jit(*args)
-    return evolve_to_fixed_point_numpy(*args)
+    of the populations falls below tol; returns (state, steps, last change).
+
+    As in `evolve`, only the diagonal of rho0 is carried and the returned
+    state is diagonal.
+    """
+    cycle = _population_cycle(g, e, m, float(gm), float(gp), float(p_at))
+    d = np.diag(np.asarray(rho0, dtype=np.complex128)).copy()
+    d /= d.sum().real
+    delta = math.inf
+    for k in range(1, int(max_steps) + 1):
+        nxt = cycle(d)
+        nxt /= nxt.sum().real
+        delta = float(np.abs(nxt - d).max())
+        d = nxt
+        if delta < tol:
+            return np.diag(d), k, delta
+    return np.diag(d), int(max_steps), delta

@@ -1,14 +1,18 @@
-"""The njit kernels and their numpy fallbacks must agree with each other and
-with the dense operator route to rounding."""
+"""The populations-only iteration kernels must reproduce, bit for bit, the
+diagonal of the full-matrix cycle built from the one-step kernels, and the
+one-step kernels must agree with the dense operator route to rounding."""
+
+import math
 
 import numpy as np
 import pytest
 
 from fockstab import kernels
-from fockstab.dynamics import make_params
+from fockstab.dynamics import make_params, trapping_theta1
+from fockstab.errors import AmbiguousSteadyStateError
 from fockstab.fock import annihilation, fock_density, number_op, random_density
 from fockstab.kraus import analytic_kraus, bands
-from fockstab.thermal import ThermalParams, cavity_thermal
+from fockstab.thermal import ThermalParams, cavity_thermal, reduced_from_channel, steady_state
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +35,54 @@ def dense_thermal(rho, gm, gp):
     n_op = number_op(dim)
     out = rho - 0.5 * gm * (n_op @ rho + rho @ n_op - 2 * a @ rho @ a.conj().T)
     return out - 0.5 * gp * ((n_op + np.eye(dim)) @ rho + rho @ (n_op + np.eye(dim)) - 2 * a.conj().T @ rho @ a)
+
+
+def random_bands(dim, rng):
+    """Arbitrary complex one-band vectors, scaled so the map is non-expansive
+    and absolute tolerances stay meaningful."""
+    g, e, m = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(3))
+    g[-1] = 0.0
+    m[0] = 0.0
+    for band in (g, e, m):
+        band /= 2.0 * np.abs(band).max()
+    return g, e, m
+
+
+def full_matrix_cycle(g, e, m, rho, gm, gp, p_at):
+    """One cycle on the whole density matrix, composed from the one-step kernels."""
+    mixed = kernels.channel_step(g, e, m, rho)
+    if p_at != 1.0:
+        mixed = (1.0 - p_at) * rho + p_at * mixed
+    if gm != 0.0 or gp != 0.0:
+        mixed = kernels.thermal_step(mixed, gm, gp)
+    return mixed
+
+
+def full_matrix_evolve(g, e, m, rho0, gm, gp, p_at, n_steps):
+    rho = rho0.astype(np.complex128, copy=True)
+    diag = [np.diag(rho).real]
+    for _ in range(n_steps):
+        rho = full_matrix_cycle(g, e, m, rho, gm, gp, p_at)
+        diag.append(np.diag(rho).real)
+    diag = np.array(diag)
+    return rho, diag, np.array([row.sum() for row in diag])
+
+
+def full_matrix_fixed_point(g, e, m, rho0, gm, gp, p_at, tol, max_steps):
+    """Renormalized full-matrix iteration; convergence is judged on the
+    populations, as in `kernels.evolve_to_fixed_point`. From a state without
+    coherences they stay exactly zero, so this is also the full-matrix change."""
+    rho = rho0.astype(np.complex128, copy=True)
+    rho /= np.trace(rho).real
+    delta = math.inf
+    for k in range(1, max_steps + 1):
+        nxt = full_matrix_cycle(g, e, m, rho, gm, gp, p_at)
+        nxt /= np.trace(nxt).real
+        delta = float(np.abs(np.diag(nxt - rho)).max())
+        rho = nxt
+        if delta < tol:
+            return rho, k, delta
+    return rho, max_steps, delta
 
 
 def test_backend_reported():
@@ -56,16 +108,17 @@ def test_thermal_step_against_dense():
     assert np.abs(kernels.thermal_step_numpy(rho, tp.gamma_minus, tp.gamma_plus) - ref).max() < 1e-14
 
 
-def test_evolve_backends_agree(channel):
+def test_evolve_matches_full_matrix_cycle(channel):
     k, (g, e, m) = channel
     rng = np.random.default_rng(2)
     rho0 = random_density(27, rng)
     tp = cavity_thermal()
     out_a, diag_a, tr_a = kernels.evolve(g, e, m, rho0, tp.gamma_minus, tp.gamma_plus, 0.3, 50)
-    out_b, diag_b, tr_b = kernels.evolve_numpy(g, e, m, rho0, tp.gamma_minus, tp.gamma_plus, 0.3, 50)
-    assert np.abs(out_a - out_b).max() < 1e-13
-    assert np.abs(diag_a - diag_b).max() < 1e-13
-    assert np.abs(tr_a - tr_b).max() < 1e-13
+    out_b, diag_b, tr_b = full_matrix_evolve(g, e, m, rho0, tp.gamma_minus, tp.gamma_plus, 0.3, 50)
+    assert np.array_equal(diag_a, diag_b)
+    assert np.array_equal(tr_a, tr_b)
+    # the returned state carries the populations only
+    assert np.array_equal(out_a, np.diag(np.diag(out_b)))
     assert diag_a.shape == (51, 27)
     assert tr_a[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -83,18 +136,19 @@ def test_evolve_matches_stepwise_dense(channel):
     assert trace[-1] == pytest.approx(np.trace(ref).real, abs=1e-13)
 
 
-def test_fixed_point_backends_agree(channel):
+def test_fixed_point_matches_full_matrix_cycle(channel):
     _, (g, e, m) = channel
     tp = cavity_thermal()
     rho0 = fock_density(2, 27)
     out_a, steps_a, delta_a = kernels.evolve_to_fixed_point(
         g, e, m, rho0, tp.gamma_minus, tp.gamma_plus, 0.3, tol=1e-10, max_steps=50_000
     )
-    out_b, steps_b, delta_b = kernels.evolve_to_fixed_point_numpy(
+    out_b, steps_b, delta_b = full_matrix_fixed_point(
         g, e, m, rho0, tp.gamma_minus, tp.gamma_plus, 0.3, 1e-10, 50_000
     )
-    assert delta_a < 1e-10 and delta_b < 1e-10
-    assert np.abs(out_a - out_b).max() < 1e-10
+    assert delta_a < 1e-10
+    assert (steps_a, delta_a) == (steps_b, delta_b)
+    assert np.array_equal(out_a, out_b)
     assert np.trace(out_a).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -122,20 +176,13 @@ def test_kernels_agree_on_arbitrary_band_vectors(seed):
     # bands is not assumed anywhere in them
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(4, 30))
-    g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    e = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    m = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    g[-1] = 0.0
-    m[0] = 0.0
-    # keep the map non-expansive so absolute tolerances stay meaningful
-    for band in (g, e, m):
-        band /= 2.0 * np.abs(band).max()
+    g, e, m = random_bands(dim, rng)
     rho = random_density(dim, rng)
     gm, gp, pat = 1e-3, 1e-4, float(rng.uniform(0.1, 1.0))
     out_j, diag_j, tr_j = kernels.evolve(g, e, m, rho, gm, gp, pat, 20)
-    out_n, diag_n, tr_n = kernels.evolve_numpy(g, e, m, rho, gm, gp, pat, 20)
-    assert np.abs(out_j - out_n).max() < 1e-12
-    assert np.abs(diag_j - diag_n).max() < 1e-12
+    _, diag_n, tr_n = full_matrix_evolve(g, e, m, rho, gm, gp, pat, 20)
+    assert np.array_equal(diag_j, diag_n)
+    assert np.array_equal(tr_j, tr_n)
     # dense oracle for the same map
     mg = np.diag(g[:-1], -1)
     me = np.diag(e)
@@ -146,4 +193,71 @@ def test_kernels_agree_on_arbitrary_band_vectors(seed):
             mg @ ref @ mg.conj().T + me @ ref @ me.conj().T + mm @ ref @ mm.conj().T
         )
         ref = dense_thermal(mixed, gm, gp)
-    assert np.abs(out_j - ref).max() < 1e-11
+    # the coherences of rho do not feed the populations
+    assert np.abs(out_j - np.diag(np.diag(ref))).max() < 1e-11
+    assert np.abs(diag_j[-1] - np.diag(ref).real).max() < 1e-11
+    assert abs(tr_j[-1] - np.trace(ref).real) < 1e-11
+
+
+def test_population_engine_is_bit_identical_to_full_matrix_cycle():
+    # random complex bands, coherent and Fock starts, and the three kinds of
+    # cycle: bare channel, the cavity environment at p_at = 0.3, random rates
+    rng = np.random.default_rng(11)
+    cavity = cavity_thermal()
+    for draw in range(60):
+        dim = int(rng.integers(4, 61))
+        g, e, m = random_bands(dim, rng)
+        if rng.random() < 0.5:
+            rho = random_density(dim, rng)
+        else:
+            rho = fock_density(int(rng.integers(dim)), dim)
+        gm, gp, pat = [
+            (0.0, 0.0, 1.0),
+            (cavity.gamma_minus, cavity.gamma_plus, 0.3),
+            (rng.uniform(0.0, 1e-3), rng.uniform(0.0, 1e-4), rng.uniform(0.05, 1.0)),
+        ][draw % 3]
+        n_steps = int(rng.integers(1, 200))
+        _, diag, trace = kernels.evolve(g, e, m, rho, gm, gp, pat, n_steps)
+        _, diag_ref, trace_ref = full_matrix_evolve(g, e, m, rho, gm, gp, pat, n_steps)
+        assert np.array_equal(diag, diag_ref), draw
+        assert np.array_equal(trace, trace_ref), draw
+        out, steps, delta = kernels.evolve_to_fixed_point(g, e, m, rho, gm, gp, pat, tol=1e-10, max_steps=2000)
+        out_ref, steps_ref, delta_ref = full_matrix_fixed_point(g, e, m, rho, gm, gp, pat, 1e-10, 2000)
+        assert (steps, delta) == (steps_ref, delta_ref), draw
+        assert np.array_equal(np.diag(out), np.diag(out_ref)), draw
+
+
+def test_fixed_point_matches_reduced_steady_state_over_random_physics():
+    # the cavity of the paper (kappa = 10/s, n_th = 0.05) widened on every
+    # axis, theta2 around the optimum 3pi/(4 sqrt(nbar)), any phase; tol is
+    # 1e-12 because the stopping rule bounds the error only by tol / gap and
+    # broken trapping (theta1 error) leaves gaps down to 1e-5 per cycle
+    rng = np.random.default_rng(12)
+    draws, ambiguous = 20, 0
+    for _ in range(draws):
+        nbar = int(rng.integers(1, 7))
+        dim = 9 * (nbar + 1)
+        params = make_params(
+            nbar,
+            theta2=float(rng.uniform(0.5, 1.0)) * math.pi / math.sqrt(nbar),
+            theta1=(1.0 + float(rng.uniform(-0.03, 0.03))) * trapping_theta1(nbar),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        tp = ThermalParams(
+            kappa=float(rng.uniform(5.0, 20.0)),
+            n_th=float(rng.uniform(0.0, 0.1)),
+            Ts=60e-6,
+            p_at=float(rng.uniform(0.1, 1.0)),
+        )
+        k = analytic_kraus(params, dim)
+        try:
+            ref = steady_state(reduced_from_channel(k, tp), tp.p_at)
+        except AmbiguousSteadyStateError:
+            ambiguous += 1
+            continue
+        out, _, delta = kernels.evolve_to_fixed_point(
+            *bands(k), fock_density(nbar, dim), tp.gamma_minus, tp.gamma_plus, tp.p_at, tol=1e-12
+        )
+        assert delta < 1e-12
+        assert np.abs(np.diag(out).real - ref).max() < 1e-6
+    assert ambiguous < draws // 2
