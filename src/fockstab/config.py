@@ -85,8 +85,6 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.nbar < 1:
-            raise ConfigError(f"nbar must be >= 1, got {self.nbar}")
         if self.steps is not None and self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.channel not in (None, "numeric", "analytic"):

@@ -4,8 +4,10 @@ Joint operators act on atom (x) field with atom levels ordered (g, e, m) and
 joint index x*dim + n, so a (3*dim, 3*dim) matrix splits into nine dim x dim
 field blocks. The interaction couples only |g,n+1>, |e,n>, |m,n-1|, so every
 joint Hamiltonian built here is block-diagonal over those triples (pairs or
-singletons at the truncation edges); propagators are computed exactly by
-Hermitian eigendecomposition of each small block.
+singletons at the truncation edges). `composite_propagator` works on the
+stacked (dim, 3, 3) triples directly, one Hermitian eigendecomposition per
+pulse segment; the dense route (`build_hjc`, `propagate`) is kept as the
+oracle that tests and `fockstab validate` pin it to.
 
 The control u shifts the middle atomic level: u = -delta_g makes the (g, e)
 transition resonant, u = +delta_m makes (e, m) resonant. One reservoir cycle
@@ -248,19 +250,72 @@ def propagate(h: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
+def ladder_hamiltonians(u: float, params: ReservoirParams, field_dim: int) -> np.ndarray:
+    """The ladder-block restrictions of `build_hjc`, shape (field_dim, 3, 3).
+
+    Block n is the Hamiltonian on (|g,n+1>, |e,n>, |m,n-1>) in that order.
+    The members outside the truncation, |m,-1> (its coupling sqrt(0) is
+    exactly 0) and |g,dim> (its coupling is set to 0), stay in the stack as
+    decoupled placeholders at their bare energies. The singletons |g,0> and
+    |m,dim-1> are not included.
+    """
+    if field_dim < params.nbar + 2:
+        raise ConfigError(f"field_dim {field_dim} too small for nbar {params.nbar}")
+    d = field_dim
+    n = np.arange(d, dtype=np.float64)
+    up = 0.5j * params.omega * np.sqrt(n + 1.0)  # <g,n+1| H |e,n>
+    up[-1] = 0.0
+    down = 0.5j * params.omega * np.sqrt(n)  # <e,n| H |m,n-1>
+    h = np.zeros((d, 3, 3), dtype=np.complex128)
+    h[:, G, G] = -(params.delta_g + u)
+    h[:, M, M] = params.delta_m - u
+    h[:, G, E] = up
+    h[:, E, G] = up.conj()
+    h[:, E, M] = down
+    h[:, M, E] = down.conj()
+    return h
+
+
+def _ladder_scatter(field_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint (row, col) indices of every ladder-block entry, and the mask of
+    the entries that exist (neither index a placeholder), each (dim, 3, 3)."""
+    d = field_dim
+    n = np.arange(d)
+    idx = np.stack([G * d + n + 1, E * d + n, M * d + n - 1], axis=1)
+    exists = np.ones((d, 3), dtype=bool)
+    exists[-1, G] = False
+    exists[0, M] = False
+    rows = np.broadcast_to(idx[:, :, None], (d, 3, 3))
+    cols = np.broadcast_to(idx[:, None, :], (d, 3, 3))
+    return rows, cols, exists[:, :, None] & exists[:, None, :]
+
+
 def composite_propagator(params: ReservoirParams, field_dim: int) -> np.ndarray:
     """Propagator of the full three-segment cycle, in time order.
 
     delta_m is first adjusted so the accumulated middle-segment phase equals
-    params.phi; the segment propagators are then multiplied latest-first.
+    params.phi. Each segment diagonalizes the stacked ladder blocks at once;
+    the block propagators and the two singleton phases are multiplied
+    latest-first and scattered into the dense (3*dim, 3*dim) result.
     """
     eff = phase_adjusted(params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         schedule = control_schedule(eff)
-    u_total = np.eye(3 * field_dim, dtype=np.complex128)
+    d = field_dim
+    blocks = None
+    phase_g = phase_m = 1.0
     for duration, u_val in schedule.segments:
-        u_total = propagate(build_hjc(u_val, eff, field_dim), duration) @ u_total
+        w, v = np.linalg.eigh(ladder_hamiltonians(u_val, eff, d))
+        seg = (v * np.exp(-1j * w * duration)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        blocks = seg if blocks is None else seg @ blocks
+        phase_g = np.exp(1j * (eff.delta_g + u_val) * duration) * phase_g
+        phase_m = np.exp(-1j * (eff.delta_m - u_val) * duration) * phase_m
+    u_total = np.zeros((3 * d, 3 * d), dtype=np.complex128)
+    rows, cols, exists = _ladder_scatter(d)
+    u_total[rows[exists], cols[exists]] = blocks[exists]
+    u_total[G * d, G * d] = phase_g
+    u_total[M * d + d - 1, M * d + d - 1] = phase_m
     return u_total
 
 

@@ -21,7 +21,16 @@ import numpy as np
 
 from . import kernels
 from .config import ExperimentConfig, default_theta2
-from .dynamics import ReservoirParams, composite_propagator, make_params, trapping_theta1
+from .dynamics import (
+    ReservoirParams,
+    build_hjc,
+    composite_propagator,
+    control_schedule,
+    make_params,
+    phase_adjusted,
+    propagate,
+    trapping_theta1,
+)
 from .errors import AmbiguousSteadyStateError, ConfigError, NumericalValidityError
 from .fock import diagonal_density, fock_density, uniform_density
 from .kraus import KrausSet, analytic_kraus, apply_map, bands, extract_kraus, walther_kraus
@@ -281,10 +290,12 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     reduced-dynamics eigenvector, baseline after 4 s, and +/-2% pulse-area errors."""
     rows = []
     for nbar in sorted(cfg.nbars):
-        # cfg.theta2 was resolved for cfg.nbar; it only transfers to the sweep
-        # entry of that same level, every other entry gets its own default
+        # cfg.theta2 and cfg.dim were resolved for cfg.nbar; they only transfer
+        # to the sweep entry of that same level, every other entry gets its own
+        # defaults
         theta2 = cfg.theta2 if nbar == cfg.nbar else default_theta2("steady", nbar)
-        sub = replace(cfg, nbar=nbar, theta2=theta2, dim=None, init=None).resolved()
+        dim = cfg.dim if nbar == cfg.nbar else None
+        sub = replace(cfg, nbar=nbar, theta2=theta2, dim=dim, init=None).resolved()
         t0 = time.perf_counter()
         phi, phi_info = resolve_phi(sub)
         params = reservoir_params(sub, phi=phi)
@@ -511,7 +522,31 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     pdev = float(np.abs(diag[-1] / trace[-1] - np.diag(rho).real).max())
     checks.append(("population_engine", pdev < 1e-12, f"max dev {pdev:.2e}"))
 
+    nb = int(rng.integers(1, 9))
+    pb = make_params(
+        nb,
+        theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nb),
+        theta1=trapping_theta1(nb) * (1.0 + float(rng.uniform(-0.03, 0.03))),
+        phi=float(rng.uniform(0, 2 * math.pi)),
+    )
+    db = 9 * (nb + 1)
+    bdev = float(np.abs(composite_propagator(pb, db) - _dense_composite(pb, db)).max())
+    checks.append(("block_propagator", bdev < 1e-13, f"nbar {nb}, max dev {bdev:.2e}"))
+
     return checks
+
+
+def _dense_composite(params: ReservoirParams, dim: int) -> np.ndarray:
+    """Cycle propagator through the dense route: one full joint propagator
+    per segment, multiplied latest-first."""
+    eff = phase_adjusted(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        schedule = control_schedule(eff)
+    u = np.eye(3 * dim, dtype=np.complex128)
+    for duration, u_val in schedule.segments:
+        u = propagate(build_hjc(u_val, eff, dim), duration) @ u
+    return u
 
 
 def _thermal_dense(rho: np.ndarray, tp: ThermalParams) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fockstab.dynamics import (
     composite_propagator,
     control_schedule,
     ladder_blocks,
+    ladder_hamiltonians,
     make_params,
     phase_adjusted,
     propagate,
@@ -19,6 +21,7 @@ from fockstab.dynamics import (
     unitarity_defect,
 )
 from fockstab.errors import ConfigError
+from fockstab.kraus import bands, extract_kraus
 
 OMEGA = 2 * math.pi * 50e3
 
@@ -203,3 +206,63 @@ def test_segment_propagator_commutes_with_block_projectors():
             if i == j:
                 continue
             assert np.abs(u[np.ix_(idx_a, idx_b)]).max() < 1e-12
+
+
+def _dense_composite(p, d):
+    """The dense route: one full joint propagator per segment, latest first."""
+    eff = phase_adjusted(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        schedule = control_schedule(eff)
+    u = np.eye(3 * d, dtype=np.complex128)
+    for t, u_val in schedule.segments:
+        u = propagate(build_hjc(u_val, eff, d), t) @ u
+    return u
+
+
+def test_ladder_hamiltonians_restrict_build_hjc():
+    p = make_params(2, theta2=0.8)
+    d = 10
+    for u_val in (-p.delta_g, p.delta_m, 0.3 * p.delta_m):
+        h = build_hjc(u_val, p, d)
+        hb = ladder_hamiltonians(u_val, p, d)
+        assert hb.shape == (d, 3, 3)
+        for n, idx in enumerate(ladder_blocks(d)[1:-1]):
+            # edge blocks drop the placeholder member: |m,-1> at n = 0, |g,dim> at n = dim-1
+            keep = [k for k in range(3) if not (n == 0 and k == M) and not (n == d - 1 and k == G)]
+            assert np.array_equal(hb[n][np.ix_(keep, keep)], h[np.ix_(idx, idx)])
+        assert hb[0, E, M] == 0.0 and hb[0, M, E] == 0.0
+        assert hb[d - 1, G, E] == 0.0 and hb[d - 1, E, G] == 0.0
+
+
+def test_block_composite_matches_dense_route_over_random_draws():
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        nbar = int(rng.integers(1, 9))
+        d = int(rng.integers(nbar + 2, 9 * (nbar + 1) + 10))
+        theta1 = trapping_theta1(nbar) * (1.0 + rng.uniform(-0.03, 0.03))
+        if rng.random() < 0.15:
+            theta2, phi = 0.0, 0.0
+        else:
+            theta2 = rng.uniform(0.05, 3.0) / math.sqrt(nbar)
+            phi = rng.uniform(0.0, 2 * math.pi)
+        delta_ratio = float(rng.choice([30.0, 100.0, 1000.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # delta_ratio 30 after the phase shift
+            p = make_params(nbar, theta2, theta1=theta1, delta_ratio=delta_ratio, phi=phi)
+            u = composite_propagator(p, d)
+            ref = _dense_composite(p, d)
+        assert np.abs(u - ref).max() <= 1e-14
+        assert unitarity_defect(u) <= 1e-13
+        on_block = np.zeros(u.shape, dtype=bool)
+        for idx in ladder_blocks(d):
+            on_block[np.ix_(idx, idx)] = True
+        assert np.all(u[~on_block] == 0.0)
+        for got, want in zip(bands(extract_kraus(u)), bands(extract_kraus(ref))):
+            assert np.abs(got - want).max() <= 1e-14
+
+
+def test_composite_rejects_too_small_field_dim():
+    p = make_params(4, theta2=0.5)
+    with pytest.raises(ConfigError, match="too small"):
+        composite_propagator(p, 5)

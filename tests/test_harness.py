@@ -327,3 +327,18 @@ def test_control_schedule_rejects_nonpositive_durations():
 
     with pytest.raises(ConfigError):
         ControlSchedule(((0.0, 1.0),))
+
+
+def test_steady_sweep_honours_dim_for_the_configured_level(tmp_path):
+    from fockstab.thermal import build_reduced, steady_state
+
+    out = tmp_path / "steady.json"
+    argv = ["steady", "--nbar", "2", "--nbars", "2", "--dim", "40", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    row = json.loads(out.read_text())["records"][0]
+    cfg = resolved(scenario="steady", nbar=2, dim=40)
+    params = ex.reservoir_params(cfg, phi=row["phi_used"])
+    tp = ex.thermal_params(cfg)
+    assert row["fid_reduced"] == float(steady_state(build_reduced(params, tp, 40), cfg.pat)[2])
+    # the default truncation (27 levels) gives a different value, so the flag was not ignored
+    assert row["fid_reduced"] != float(steady_state(build_reduced(params, tp, 27), cfg.pat)[2])
