@@ -17,6 +17,7 @@ theta1 again (pulse areas in radians).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -276,18 +277,46 @@ def ladder_hamiltonians(u: float, params: ReservoirParams, field_dim: int) -> np
     return h
 
 
-def _ladder_scatter(field_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Joint (row, col) indices of every ladder-block entry, and the mask of
-    the entries that exist (neither index a placeholder), each (dim, 3, 3)."""
+@dataclass(frozen=True)
+class LadderIndex:
+    """Where the ladder blocks of one field_dim sit in the joint (3*dim, 3*dim) index.
+
+    rows and cols hold the joint (row, col) of every entry of the (dim, 3, 3)
+    block stack; exists marks the entries whose members both exist (neither
+    is the placeholder |g,dim> or |m,-1>, whose indices alias other levels).
+    pattern marks every joint entry a ladder-preserving operator may fill:
+    the existing block entries and the diagonal of the two singletons, whose
+    joint indices are g0 (|g,0>) and m_top (|m,dim-1>). All arrays are
+    read-only, since one instance is shared by every caller.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    exists: np.ndarray
+    pattern: np.ndarray
+    g0: int
+    m_top: int
+
+
+@functools.lru_cache(maxsize=64)
+def ladder_scatter(field_dim: int) -> LadderIndex:
+    """The (cached) LadderIndex of field_dim."""
     d = field_dim
     n = np.arange(d)
     idx = np.stack([G * d + n + 1, E * d + n, M * d + n - 1], axis=1)
-    exists = np.ones((d, 3), dtype=bool)
-    exists[-1, G] = False
-    exists[0, M] = False
+    member = np.ones((d, 3), dtype=bool)
+    member[-1, G] = False
+    member[0, M] = False
     rows = np.broadcast_to(idx[:, :, None], (d, 3, 3))
     cols = np.broadcast_to(idx[:, None, :], (d, 3, 3))
-    return rows, cols, exists[:, :, None] & exists[:, None, :]
+    exists = member[:, :, None] & member[:, None, :]
+    g0, m_top = G * d, M * d + d - 1
+    pattern = np.zeros((3 * d, 3 * d), dtype=bool)
+    pattern[rows[exists], cols[exists]] = True
+    pattern[g0, g0] = pattern[m_top, m_top] = True
+    for a in (exists, pattern):
+        a.flags.writeable = False
+    return LadderIndex(rows, cols, exists, pattern, g0, m_top)
 
 
 def composite_propagator(params: ReservoirParams, field_dim: int) -> np.ndarray:
@@ -312,10 +341,10 @@ def composite_propagator(params: ReservoirParams, field_dim: int) -> np.ndarray:
         phase_g = np.exp(1j * (eff.delta_g + u_val) * duration) * phase_g
         phase_m = np.exp(-1j * (eff.delta_m - u_val) * duration) * phase_m
     u_total = np.zeros((3 * d, 3 * d), dtype=np.complex128)
-    rows, cols, exists = _ladder_scatter(d)
-    u_total[rows[exists], cols[exists]] = blocks[exists]
-    u_total[G * d, G * d] = phase_g
-    u_total[M * d + d - 1, M * d + d - 1] = phase_m
+    lad = ladder_scatter(d)
+    u_total[lad.rows[lad.exists], lad.cols[lad.exists]] = blocks[lad.exists]
+    u_total[lad.g0, lad.g0] = phase_g
+    u_total[lad.m_top, lad.m_top] = phase_m
     return u_total
 
 

@@ -30,10 +30,11 @@ from .dynamics import (
     phase_adjusted,
     propagate,
     trapping_theta1,
+    unitarity_defect,
 )
 from .errors import AmbiguousSteadyStateError, ConfigError, NumericalValidityError
 from .fock import diagonal_density, fock_density, uniform_density
-from .kraus import KrausSet, analytic_kraus, apply_map, bands, extract_kraus, walther_kraus
+from .kraus import KrausSet, analytic_kraus, apply_map, bands, extract_kraus, ladder_defects, walther_kraus
 from .lyapunov import build_weights, ladder_top, validate_theta2, window_top
 from .thermal import ThermalParams, build_reduced, reservoir_step, steady_population_correction, steady_state
 
@@ -530,8 +531,19 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
         phi=float(rng.uniform(0, 2 * math.pi)),
     )
     db = 9 * (nb + 1)
-    bdev = float(np.abs(composite_propagator(pb, db) - _dense_composite(pb, db)).max())
+    ub = composite_propagator(pb, db)
+    bdev = float(np.abs(ub - _dense_composite(pb, db)).max())
     checks.append(("block_propagator", bdev < 1e-13, f"nbar {nb}, max dev {bdev:.2e}"))
+
+    atom = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    atom /= np.linalg.norm(atom)
+    unitarity, completeness = ladder_defects(ub, atom)
+    kb = extract_kraus(ub, atom)
+    ldev = max(
+        abs(unitarity - unitarity_defect(ub)),
+        abs(completeness - KrausSet.from_operators(kb.m_g, kb.m_e, kb.m_m).completeness_defect),
+    )
+    checks.append(("ladder_extraction", ldev < 1e-14, f"nbar {nb}, max dev {ldev:.2e}"))
 
     return checks
 

@@ -52,11 +52,6 @@ def thermal_step(rho: np.ndarray, gm: float, gp: float) -> np.ndarray:
     return out
 
 
-# aliases of the one-step kernels, kept for existing callers
-channel_step_numpy = channel_step
-thermal_step_numpy = thermal_step
-
-
 def active_backend() -> str:
     """The array library the kernels run on; always "numpy"."""
     return "numpy"

@@ -96,7 +96,6 @@ def test_channel_step_against_dense(channel):
         rho = random_density(27, rng)
         ref = dense_channel(k, rho)
         assert np.abs(kernels.channel_step(g, e, m, rho) - ref).max() < 1e-13
-        assert np.abs(kernels.channel_step_numpy(g, e, m, rho) - ref).max() < 1e-13
 
 
 def test_thermal_step_against_dense():
@@ -105,7 +104,6 @@ def test_thermal_step_against_dense():
     rho = random_density(20, rng)
     ref = dense_thermal(rho, tp.gamma_minus, tp.gamma_plus)
     assert np.abs(kernels.thermal_step(rho, tp.gamma_minus, tp.gamma_plus) - ref).max() < 1e-14
-    assert np.abs(kernels.thermal_step_numpy(rho, tp.gamma_minus, tp.gamma_plus) - ref).max() < 1e-14
 
 
 def test_evolve_matches_full_matrix_cycle(channel):

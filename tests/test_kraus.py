@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fockstab.dynamics import composite_propagator, make_params
+from fockstab.dynamics import composite_propagator, ladder_scatter, make_params, trapping_theta1, unitarity_defect
 from fockstab.errors import ConfigError
 from fockstab.fock import fock_density, random_density, support_in
 from fockstab.kraus import (
@@ -14,6 +15,7 @@ from fockstab.kraus import (
     bands,
     extract_kraus,
     kraus_deviation,
+    ladder_defects,
     transition_rates,
     walther_kraus,
 )
@@ -114,6 +116,56 @@ def test_extract_rejects_nonunitary():
     bad[0, 0] = 0.9
     with pytest.raises(ValueError, match="unitarity"):
         extract_kraus(bad)
+
+
+def test_ladder_extraction_matches_dense_route_over_random_draws():
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        nbar = int(rng.integers(1, 9))
+        dim = int(rng.integers(nbar + 2, 9 * (nbar + 1) + 10))
+        p = make_params(
+            nbar,
+            theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar),
+            theta1=trapping_theta1(nbar) * (1.0 + float(rng.uniform(-0.03, 0.03))),
+            phi=float(rng.uniform(0, 2 * math.pi)),
+            delta_ratio=float(rng.choice([30.0, 100.0, 1000.0])),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            u = composite_propagator(p, dim)
+        if rng.random() < 0.5:
+            atom = ATOM_E
+        else:
+            atom = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            atom /= np.linalg.norm(atom)
+        k = extract_kraus(u, atom)
+        for x, op in enumerate((k.m_g, k.m_e, k.m_m)):
+            want = sum(atom[y] * u[x * dim : (x + 1) * dim, y * dim : (y + 1) * dim] for y in range(3))
+            assert np.array_equal(op, want)
+        dense = KrausSet.from_operators(k.m_g, k.m_e, k.m_m)
+        assert abs(k.completeness_defect - dense.completeness_defect) <= 1e-15
+        unitarity, completeness = ladder_defects(u, atom)
+        assert completeness == k.completeness_defect
+        assert abs(unitarity - unitarity_defect(u)) <= 1e-15
+
+        # scale one in-block entry of weight >= 0.1, so that a relative
+        # change of 1e-8 moves its block's Gram by well over unitary_tol
+        lad = ladder_scatter(dim)
+        rows, cols = lad.rows[lad.exists], lad.cols[lad.exists]
+        j = int(rng.choice(np.flatnonzero(np.abs(u[rows, cols]) >= 0.1)))
+        bad = u.copy()
+        bad[rows[j], cols[j]] *= 1.0 + 1e-8
+        with pytest.raises(ValueError, match="unitarity"):
+            extract_kraus(bad, atom)
+        bad = u.copy()
+        bad[rows[j], cols[j]] *= 1.0 + 1e-13
+        extract_kraus(bad, atom)
+        off_r, off_c = np.nonzero(~lad.pattern)
+        j = int(rng.integers(len(off_r)))
+        bad = u.copy()
+        bad[off_r[j], off_c[j]] += 1e-14
+        with pytest.raises(ValueError, match="outside the ladder blocks"):
+            extract_kraus(bad, atom)
 
 
 def test_numeric_converges_to_analytic_with_detuning():
