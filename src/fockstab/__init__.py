@@ -10,7 +10,7 @@ iteration kernels (`kernels`) and the experiment runners plus CLI
 
 __version__ = "0.1.0"
 
-from .dynamics import ReservoirParams, composite_propagator, make_params, trapping_theta1
+from .dynamics import LadderPropagator, ReservoirParams, composite_propagator, make_params, trapping_theta1
 from .fock import annihilation, creation, fidelity, fock_density, number_function, sanitize
 from .kraus import KrausSet, analytic_kraus, apply_map, extract_kraus, walther_kraus
 from .lyapunov import LyapunovWeights, build_weights, evaluate_v, lyapunov_decrement, validate_theta2
@@ -18,6 +18,7 @@ from .thermal import ReducedDynamics, ThermalParams, build_reduced, decoherence_
 
 __all__ = [
     "__version__",
+    "LadderPropagator",
     "ReservoirParams",
     "composite_propagator",
     "make_params",

@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import SCENARIOS, ExperimentConfig
+from .config import SCENARIOS, ExperimentConfig, parse_nbars
 from .errors import ConfigError, NumericalValidityError
 from . import experiments, output
 
@@ -74,7 +74,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if value is not None:
             overrides[name] = value
     if "nbars" in overrides:
-        overrides["nbars"] = tuple(int(x) for x in str(overrides["nbars"]).split(","))
+        overrides["nbars"] = parse_nbars(overrides["nbars"])
     return replace(base, **overrides).resolved()
 
 

@@ -96,9 +96,10 @@ class ExperimentConfig:
         if self.nbars is not None and len(self.nbars) == 0:
             raise ConfigError("nbars grid must not be empty")
         if self.dim is not None and self.init is not None:
-            for idx in _init_levels(self.init):
-                if idx >= self.dim:
-                    raise ConfigError(f"initial state level {idx} does not fit dim {self.dim}")
+            kind, values = parse_init(self.init)
+            top = len(values) - 1 if kind == "diag" else max(values, default=0)
+            if top >= self.dim:
+                raise ConfigError(f"initial state level {top} does not fit dim {self.dim}")
 
     def to_dict(self) -> dict[str, Any]:
         d = asdict(self)
@@ -113,7 +114,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "nbars" in data and data["nbars"] is not None:
             data = dict(data)
-            data["nbars"] = tuple(int(n) for n in data["nbars"])
+            data["nbars"] = parse_nbars(data["nbars"])
         return ExperimentConfig(**data)
 
     @staticmethod
@@ -148,16 +149,34 @@ def default_init(scenario: str, nbar: int) -> str:
     return "vacuum"
 
 
-def _init_levels(init: str) -> list[int]:
-    """Levels referenced by an initial-state descriptor (for bounds checks)."""
+def parse_init(init: str) -> tuple[str, tuple]:
+    """Kind and values of an initial-state descriptor.
+
+    vacuum -> ("vacuum", ()), fock:K -> ("fock", (K,)),
+    uniform:LO:HI -> ("uniform", (LO, HI)), diag:P0,P1,... -> ("diag", (P0, P1, ...)).
+    Raises ConfigError for an unknown kind or malformed values.
+    """
     kind, _, rest = init.partition(":")
-    if kind == "vacuum":
-        return [0]
-    if kind == "fock":
-        return [int(rest)]
-    if kind == "uniform":
-        lo, _, hi = rest.partition(":")
-        return [int(lo), int(hi)]
-    if kind == "diag":
-        return [len(rest.split(",")) - 1]
+    try:
+        if kind == "vacuum":
+            return kind, ()
+        if kind == "fock":
+            return kind, (int(rest),)
+        if kind == "uniform":
+            lo, _, hi = rest.partition(":")
+            return kind, (int(lo), int(hi))
+        if kind == "diag":
+            return kind, tuple(float(x) for x in rest.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"malformed initial state descriptor {init!r}: {exc}") from exc
     raise ConfigError(f"unknown initial state descriptor {init!r}")
+
+
+def parse_nbars(values: Any) -> tuple[int, ...]:
+    """Sweep levels from a comma-separated string or a sequence of integers."""
+    if isinstance(values, str):
+        values = values.split(",")
+    try:
+        return tuple(int(n) for n in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"nbars must be a list of integers, got {values!r}") from exc

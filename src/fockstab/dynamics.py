@@ -6,8 +6,9 @@ field blocks. The interaction couples only |g,n+1>, |e,n>, |m,n-1|, so every
 joint Hamiltonian built here is block-diagonal over those triples (pairs or
 singletons at the truncation edges). `composite_propagator` works on the
 stacked (dim, 3, 3) triples directly, one Hermitian eigendecomposition per
-pulse segment; the dense route (`build_hjc`, `propagate`) is kept as the
-oracle that tests and `fockstab validate` pin it to.
+pulse segment, and returns them as a `LadderPropagator`; the dense route
+(`build_hjc`, `propagate`, `LadderPropagator.dense`) is kept as the oracle
+that tests and `fockstab validate` pin it to.
 
 The control u shifts the middle atomic level: u = -delta_g makes the (g, e)
 transition resonant, u = +delta_m makes (e, m) resonant. One reservoir cycle
@@ -17,7 +18,6 @@ theta1 again (pulse areas in radians).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -277,75 +277,74 @@ def ladder_hamiltonians(u: float, params: ReservoirParams, field_dim: int) -> np
     return h
 
 
-@dataclass(frozen=True)
-class LadderIndex:
-    """Where the ladder blocks of one field_dim sit in the joint (3*dim, 3*dim) index.
+def ladder_members(field_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Field levels of the ladder-block members and which block entries exist.
 
-    rows and cols hold the joint (row, col) of every entry of the (dim, 3, 3)
-    block stack; exists marks the entries whose members both exist (neither
-    is the placeholder |g,dim> or |m,-1>, whose indices alias other levels).
-    pattern marks every joint entry a ladder-preserving operator may fill:
-    the existing block entries and the diagonal of the two singletons, whose
-    joint indices are g0 (|g,0>) and m_top (|m,dim-1>). All arrays are
-    read-only, since one instance is shared by every caller.
+    levels[n] = (n+1, n, n-1) are the levels of (|g,n+1>, |e,n>, |m,n-1>).
+    exists[n, i, j] is False where member i or j is a placeholder outside
+    the truncation: |g,dim> (levels[dim-1, G] = dim) or |m,-1> (levels[0, M] = -1).
+    """
+    d = field_dim
+    levels = np.arange(d)[:, None] + 1 - np.arange(3)
+    member = (levels >= 0) & (levels < d)
+    return levels, member[:, :, None] & member[:, None, :]
+
+
+@dataclass(frozen=True)
+class LadderPropagator:
+    """A ladder-preserving joint propagator, held as its blocks.
+
+    blocks[n] (shape (dim, 3, 3)) acts on (|g,n+1>, |e,n>, |m,n-1>) in that
+    order; phase_g0 and phase_m_top are the singletons |g,0> and |m,dim-1>.
+    Rows and columns of the placeholder members (see `ladder_members`) carry
+    no meaning and are never read. Every other joint entry is zero, so the
+    operator cannot hold weight off the ladder. `dense()` gives the
+    (3*dim, 3*dim) matrix for the dense oracle.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    exists: np.ndarray
-    pattern: np.ndarray
-    g0: int
-    m_top: int
+    blocks: np.ndarray
+    phase_g0: complex
+    phase_m_top: complex
+
+    @property
+    def dim(self) -> int:
+        return self.blocks.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """The joint (3*dim, 3*dim) matrix, zero off the ladder blocks and singletons."""
+        d = self.dim
+        levels, exists = ladder_members(d)
+        joint = levels + d * np.arange(3)
+        rows = np.broadcast_to(joint[:, :, None], exists.shape)
+        cols = np.broadcast_to(joint[:, None, :], exists.shape)
+        u = np.zeros((3 * d, 3 * d), dtype=np.complex128)
+        u[rows[exists], cols[exists]] = self.blocks[exists]
+        u[G * d, G * d] = self.phase_g0
+        u[M * d + d - 1, M * d + d - 1] = self.phase_m_top
+        return u
 
 
-@functools.lru_cache(maxsize=64)
-def ladder_scatter(field_dim: int) -> LadderIndex:
-    """The (cached) LadderIndex of field_dim."""
-    d = field_dim
-    n = np.arange(d)
-    idx = np.stack([G * d + n + 1, E * d + n, M * d + n - 1], axis=1)
-    member = np.ones((d, 3), dtype=bool)
-    member[-1, G] = False
-    member[0, M] = False
-    rows = np.broadcast_to(idx[:, :, None], (d, 3, 3))
-    cols = np.broadcast_to(idx[:, None, :], (d, 3, 3))
-    exists = member[:, :, None] & member[:, None, :]
-    g0, m_top = G * d, M * d + d - 1
-    pattern = np.zeros((3 * d, 3 * d), dtype=bool)
-    pattern[rows[exists], cols[exists]] = True
-    pattern[g0, g0] = pattern[m_top, m_top] = True
-    for a in (exists, pattern):
-        a.flags.writeable = False
-    return LadderIndex(rows, cols, exists, pattern, g0, m_top)
-
-
-def composite_propagator(params: ReservoirParams, field_dim: int) -> np.ndarray:
+def composite_propagator(params: ReservoirParams, field_dim: int) -> LadderPropagator:
     """Propagator of the full three-segment cycle, in time order.
 
     delta_m is first adjusted so the accumulated middle-segment phase equals
     params.phi. Each segment diagonalizes the stacked ladder blocks at once;
     the block propagators and the two singleton phases are multiplied
-    latest-first and scattered into the dense (3*dim, 3*dim) result.
+    latest-first.
     """
     eff = phase_adjusted(params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         schedule = control_schedule(eff)
-    d = field_dim
     blocks = None
     phase_g = phase_m = 1.0
     for duration, u_val in schedule.segments:
-        w, v = np.linalg.eigh(ladder_hamiltonians(u_val, eff, d))
+        w, v = np.linalg.eigh(ladder_hamiltonians(u_val, eff, field_dim))
         seg = (v * np.exp(-1j * w * duration)[:, None, :]) @ v.conj().swapaxes(1, 2)
         blocks = seg if blocks is None else seg @ blocks
         phase_g = np.exp(1j * (eff.delta_g + u_val) * duration) * phase_g
         phase_m = np.exp(-1j * (eff.delta_m - u_val) * duration) * phase_m
-    u_total = np.zeros((3 * d, 3 * d), dtype=np.complex128)
-    lad = ladder_scatter(d)
-    u_total[lad.rows[lad.exists], lad.cols[lad.exists]] = blocks[lad.exists]
-    u_total[lad.g0, lad.g0] = phase_g
-    u_total[lad.m_top, lad.m_top] = phase_m
-    return u_total
+    return LadderPropagator(blocks, phase_g, phase_m)
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from . import kernels
-from .config import ExperimentConfig, default_theta2
+from .config import ExperimentConfig, default_theta2, parse_init
 from .dynamics import (
     ReservoirParams,
     build_hjc,
@@ -100,17 +100,14 @@ def build_channel(cfg: ExperimentConfig, params: ReservoirParams, dim: int | Non
 
 
 def initial_state(cfg: ExperimentConfig) -> np.ndarray:
-    kind, _, rest = cfg.init.partition(":")
+    kind, values = parse_init(cfg.init)
     if kind == "vacuum":
         return fock_density(0, cfg.dim)
     if kind == "fock":
-        return fock_density(int(rest), cfg.dim)
+        return fock_density(values[0], cfg.dim)
     if kind == "uniform":
-        lo, _, hi = rest.partition(":")
-        return uniform_density(int(lo), int(hi), cfg.dim)
-    if kind == "diag":
-        return diagonal_density(np.array([float(x) for x in rest.split(",")]), cfg.dim)
-    raise ConfigError(f"unknown initial state descriptor {cfg.init!r}")
+        return uniform_density(*values, cfg.dim)
+    return diagonal_density(np.array(values), cfg.dim)
 
 
 def _v_series(cfg: ExperimentConfig, diag: np.ndarray) -> np.ndarray:
@@ -253,18 +250,22 @@ def run_trajectory(cfg: ExperimentConfig) -> RunRecord:
 
 
 def _sampled_evolution(g, e, m, rho0, tp: ThermalParams, steps: int, seed: int | None):
-    """Bernoulli atom presence per cycle (visual mode, excluded from acceptance)."""
+    """Bernoulli atom presence per cycle (visual mode, excluded from acceptance).
+
+    Each cycle is the populations-only cycle with p_at = 1 when an atom is
+    drawn and p_at = 0 when none is, so it reproduces bit for bit the
+    diagonal and trace of the full-matrix `channel_step`/`thermal_step` route.
+    """
     rng = np.random.default_rng(seed)
-    dim = rho0.shape[0]
-    diag = np.empty((steps + 1, dim))
+    with_atom = kernels._population_cycle(g, e, m, tp.gamma_minus, tp.gamma_plus, 1.0)
+    without = kernels._population_cycle(g, e, m, tp.gamma_minus, tp.gamma_plus, 0.0)
+    d = np.diag(np.asarray(rho0, dtype=np.complex128)).copy()
+    diag = np.empty((steps + 1, len(d)))
     trace = np.empty(steps + 1)
-    rho = rho0.copy()
-    diag[0], trace[0] = np.diag(rho).real, np.trace(rho).real
+    diag[0], trace[0] = d.real, d.sum().real
     for k_step in range(1, steps + 1):
-        if rng.random() < tp.p_at:
-            rho = kernels.channel_step(g, e, m, rho)
-        rho = kernels.thermal_step(rho, tp.gamma_minus, tp.gamma_plus)
-        diag[k_step], trace[k_step] = np.diag(rho).real, np.trace(rho).real
+        d = (with_atom if rng.random() < tp.p_at else without)(d)
+        diag[k_step], trace[k_step] = d.real, d.sum().real
     return diag, trace
 
 
@@ -532,7 +533,7 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     )
     db = 9 * (nb + 1)
     ub = composite_propagator(pb, db)
-    bdev = float(np.abs(ub - _dense_composite(pb, db)).max())
+    bdev = float(np.abs(ub.dense() - _dense_composite(pb, db)).max())
     checks.append(("block_propagator", bdev < 1e-13, f"nbar {nb}, max dev {bdev:.2e}"))
 
     atom = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -540,7 +541,7 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     unitarity, completeness = ladder_defects(ub, atom)
     kb = extract_kraus(ub, atom)
     ldev = max(
-        abs(unitarity - unitarity_defect(ub)),
+        abs(unitarity - unitarity_defect(ub.dense())),
         abs(completeness - KrausSet.from_operators(kb.m_g, kb.m_e, kb.m_m).completeness_defect),
     )
     checks.append(("ladder_extraction", ldev < 1e-14, f"nbar {nb}, max dev {ldev:.2e}"))

@@ -79,8 +79,8 @@ def diagonal_density(populations: np.ndarray, dim: int) -> np.ndarray:
     p = np.asarray(populations, dtype=np.float64)
     if p.ndim != 1 or len(p) > dim:
         raise ConfigError(f"population vector of length {len(p)} does not fit dim {dim}")
-    if np.any(p < 0):
-        raise ConfigError("populations must be nonnegative")
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise ConfigError("populations must be finite and nonnegative")
     s = p.sum()
     if s <= 0:
         raise ConfigError("populations must not all vanish")

@@ -14,7 +14,8 @@ its diagonal, so their results are bit-identical to iterating that
 composition and reading the diagonal.
 
 `channel_step` and `thermal_step` are the full-matrix one-step kernels, used
-where coherences matter (sampled atom presence, self-checks).
+where coherences matter (`thermal.decoherence_step`, self-checks) and as the
+reference the population engine is pinned to.
 
 Index conventions (dim = D, 0-based levels):
     g[n] = <n+1|M_g|n>, g[D-1] = 0 (truncated top row)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import G, M, ReservoirParams, ladder_scatter
+from .dynamics import G, M, LadderPropagator, ReservoirParams, ladder_members
 from .errors import ConfigError
 from .fock import annihilation, creation, number_function, sanitize
 
@@ -53,34 +53,26 @@ class KrausSet:
         return KrausSet(m_g, m_e, m_m, defect)
 
 
-def ladder_defects(u: np.ndarray, atom: np.ndarray = ATOM_E) -> tuple[float, float]:
+def ladder_defects(u: LadderPropagator, atom: np.ndarray = ATOM_E) -> tuple[float, float]:
     """Unitarity and completeness defects of a joint propagator, read off its ladder blocks.
 
     Returns (max|U^dag U - I|, max|sum_x M_x^dag M_x - I|) for the channel
-    `extract_kraus` reads with this atom state, without a dense product: once
-    U is known to vanish off the ladder pattern, U^dag U is the stack of 3x3
-    Grams G_n = B_n^dag B_n plus the singletons' |phase|^2, and
-    sum_x M_x^dag M_x = A^dag (U^dag U) A with A = atom (x) I is the
-    atom-weighted sum of those Grams. Raises ValueError if U has any nonzero
-    entry off the ladder pattern.
+    `extract_kraus` reads with this atom state, without a dense product:
+    U^dag U is the stack of 3x3 Grams G_n = B_n^dag B_n plus the singletons'
+    |phase|^2, and sum_x M_x^dag M_x = A^dag (U^dag U) A with A = atom (x) I
+    is the atom-weighted sum of those Grams.
     """
-    d = u.shape[0] // 3
+    d = u.dim
     atom = np.asarray(atom, dtype=np.complex128)
-    lad = ladder_scatter(d)
-    off = u[~lad.pattern]
-    if off.any():
-        raise ValueError(
-            f"propagator has weight {np.abs(off).max():.3e} outside the ladder blocks"
-        )
+    levels, exists = ladder_members(d)
     # placeholder rows and columns become identity, so their Gram entries are exact
-    blocks = np.where(lad.exists, u[lad.rows, lad.cols], np.eye(3))
+    blocks = np.where(exists, u.blocks, np.eye(3))
     gram = blocks.conj().swapaxes(1, 2) @ blocks
-    phase2 = np.abs(u[[lad.g0, lad.m_top], [lad.g0, lad.m_top]]) ** 2
+    phase2 = np.abs(np.array([u.phase_g0, u.phase_m_top])) ** 2
     unitarity = max(float(np.abs(gram - np.eye(3)).max()), float(np.abs(phase2 - 1.0).max()))
-    # block n holds levels (n+1, n, n-1); one level of padding on each side
-    # takes the placeholders' out-of-range levels
+    # one level of padding on each side takes the placeholders' out-of-range levels
     weight = atom.conj()[:, None] * atom[None, :]
-    padded = np.arange(d)[:, None] + 2 - np.arange(3)
+    padded = levels + 1
     total = np.zeros((d + 2, d + 2), dtype=np.complex128)
     np.add.at(total, (padded[:, :, None], padded[:, None, :]), weight * gram)
     total[1, 1] += weight[G, G] * phase2[0]
@@ -89,29 +81,30 @@ def ladder_defects(u: np.ndarray, atom: np.ndarray = ATOM_E) -> tuple[float, flo
     return unitarity, completeness
 
 
-def extract_kraus(u: np.ndarray, atom: np.ndarray = ATOM_E, unitary_tol: float = 1e-10) -> KrausSet:
+def extract_kraus(u: LadderPropagator, atom: np.ndarray = ATOM_E, unitary_tol: float = 1e-10) -> KrausSet:
     """Read the field channel off a joint propagator and an initial atom state.
 
-    M_x[n', n] = <x, n'| U |atom, n> for x in (g, e, m). U must vanish off
-    its ladder blocks, as every propagator built here does; both defects come
-    from `ladder_defects`, and `KrausSet.from_operators` is their dense oracle.
+    M_x[n', n] = <x, n'| U |atom, n> for x in (g, e, m): block entry (x, y)
+    of block n, weighted by atom[y], lands on levels (n+1-x, n+1-y), and the
+    singletons on M_g[0, 0] and M_m[dim-1, dim-1]. Both defects come from
+    `ladder_defects`; the dense formula on `u.dense()` and
+    `KrausSet.from_operators` are their oracle.
     """
-    if u.shape[0] % 3 != 0 or u.shape[0] != u.shape[1]:
-        raise ConfigError(f"joint propagator shape {u.shape} is not (3d, 3d)")
-    d = u.shape[0] // 3
     atom = np.asarray(atom, dtype=np.complex128)
     if atom.shape != (3,) or abs(np.linalg.norm(atom) - 1.0) > 1e-12:
         raise ConfigError("atom state must be a unit-norm 3-vector")
     defect, completeness = ladder_defects(u, atom)
     if defect > unitary_tol:
         raise ValueError(f"propagator unitarity defect {defect:.3e} exceeds {unitary_tol:.1e}")
-    ops = []
-    for x in range(3):
-        m = np.zeros((d, d), dtype=np.complex128)
-        for y in range(3):
-            m += atom[y] * u[x * d : (x + 1) * d, y * d : (y + 1) * d]
-        ops.append(m)
-    return KrausSet(*ops, completeness)
+    d = u.dim
+    # padded levels as in `ladder_defects`; atom first and added onto zeros,
+    # so each entry rounds, and signs its zeros, as the dense sum over y of
+    # atom[y] * U[x, y] does
+    padded = ladder_members(d)[0] + 1
+    ops = np.zeros((3, d + 2, d + 2), dtype=np.complex128)
+    ops[np.arange(3)[:, None], padded[:, :, None], padded[:, None, :]] += atom * u.blocks
+    ops[[G, M], [1, d], [1, d]] += atom[[G, M]] * np.array([u.phase_g0, u.phase_m_top])
+    return KrausSet(*ops[:, 1:-1, 1:-1].copy(), completeness)
 
 
 def _alpha(theta1: float, n: np.ndarray | float) -> np.ndarray | float:

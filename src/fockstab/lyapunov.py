@@ -33,31 +33,23 @@ def ladder_top(nbar: int) -> int:
 
 
 def validate_theta2(theta2: float, nbar: int, tol: float = THETA2_TOL) -> bool:
-    """True iff theta2 avoids every resonance k*pi/sqrt(n), n = 1..4*nbar+3.
+    """True iff theta2 > 0 avoids every resonance k*pi/sqrt(n), n = 1..4*nbar+3.
 
     At a resonance some transition rate vanishes and the weight recurrence
-    loses strict monotonicity. The scan covers all k with k*pi/sqrt(n) within
-    tol of theta2.
+    loses strict monotonicity.
     """
-    if theta2 <= 0:
-        return False
-    top = window_top(nbar)
-    for n in range(1, top + 1):
-        kmax = math.ceil(theta2 * math.sqrt(top) / math.pi) + 1
-        for k in range(1, kmax + 1):
-            if abs(theta2 - k * math.pi / math.sqrt(n)) < tol:
-                return False
-    return True
+    return theta2 > 0 and _offending_resonance(theta2, nbar, tol) is None
 
 
-def _offending_resonance(theta2: float, nbar: int, tol: float) -> tuple[int, int]:
+def _offending_resonance(theta2: float, nbar: int, tol: float) -> tuple[int, int] | None:
+    """The first (n, k) with k*pi/sqrt(n) within tol of theta2, n = 1..4*nbar+3, or None."""
     top = window_top(nbar)
+    kmax = math.ceil(theta2 * math.sqrt(top) / math.pi) + 1
     for n in range(1, top + 1):
-        kmax = math.ceil(theta2 * math.sqrt(top) / math.pi) + 1
         for k in range(1, kmax + 1):
             if abs(theta2 - k * math.pi / math.sqrt(n)) < tol:
                 return n, k
-    raise AssertionError("no resonance found")  # callers check validate_theta2 first
+    return None
 
 
 @dataclass(frozen=True)
@@ -119,11 +111,13 @@ def build_weights(
         dim = plateau + 1
     if dim <= plateau:
         raise ConfigError(f"dim {dim} must exceed the plateau level {plateau}")
-    if not validate_theta2(theta2, nbar, tol):
-        n, k = _offending_resonance(theta2, nbar, tol)
+    if theta2 <= 0:
+        raise ConfigError(f"theta2 must be positive for a certificate, got {theta2}")
+    resonance = _offending_resonance(theta2, nbar, tol)
+    if resonance is not None:
         raise ConfigError(
             f"theta2 = {theta2:.12g} is within {tol:.1e} of the resonance "
-            f"k*pi/sqrt(n) with (n, k) = ({n}, {k})"
+            f"k*pi/sqrt(n) with (n, k) = {resonance}"
         )
 
     f = np.zeros(dim, dtype=np.float64)

@@ -99,8 +99,10 @@ def record_as_json(record: RunRecord) -> dict[str, Any]:
 
 def emit_record(cfg: ExperimentConfig, record: RunRecord, stream: TextIO | None = None) -> None:
     """Write one run in the configured format to cfg.out (or the stream)."""
-    header, rows = record_table(cfg, record)
-    _emit(cfg, stream, header, rows, [record_as_json(record)], record.summary)
+    if cfg.fmt == "json":
+        _emit(cfg, stream, write_json, [record_as_json(record)], record.summary)
+    else:
+        _emit(cfg, stream, write_csv, *record_table(cfg, record))
 
 
 def emit_rows(
@@ -110,23 +112,19 @@ def emit_rows(
     stream: TextIO | None = None,
 ) -> None:
     """Write a sweep table in the configured format to cfg.out (or the stream)."""
-    header, data = sweep_table(rows)
-    _emit(cfg, stream, header, data, list(rows), summary or {})
+    if cfg.fmt == "json":
+        _emit(cfg, stream, write_json, list(rows), summary or {})
+    else:
+        _emit(cfg, stream, write_csv, *sweep_table(rows))
 
 
-def _emit(cfg, stream, header, data, records, summary) -> None:
-    own = False
+def _emit(cfg, stream, write, *payload) -> None:
+    """Run write(stream, cfg, *payload) on the stream, stdout or a fresh cfg.out file."""
+    own = stream is None and cfg.out is not None
     if stream is None:
-        if cfg.out is None:
-            stream = sys.stdout
-        else:
-            stream = open(cfg.out, "w", encoding="utf-8", newline="\n")
-            own = True
+        stream = open(cfg.out, "w", encoding="utf-8", newline="\n") if own else sys.stdout
     try:
-        if cfg.fmt == "json":
-            write_json(stream, cfg, records, summary)
-        else:
-            write_csv(stream, cfg, header, data)
+        write(stream, cfg, *payload)
     finally:
         if own:
             stream.close()

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .dynamics import ReservoirParams
 from .errors import AmbiguousSteadyStateError, ConfigError, PerturbationInvalidError, StepValidityError
 from .fock import sanitize
@@ -79,17 +80,8 @@ def decoherence_step(rho: np.ndarray, tp: ThermalParams) -> np.ndarray:
     The trace changes only through the dropped top-level excitation,
     by at most gamma_plus * dim * rho[dim-1, dim-1].
     """
-    dim = rho.shape[0]
-    tp.check_step_validity(dim)
-    n = np.arange(dim, dtype=np.float64)
-    gm, gp = tp.gamma_minus, tp.gamma_plus
-    out = rho * (1.0 - 0.5 * gm * (n[:, None] + n[None, :]) - 0.5 * gp * (n[:, None] + n[None, :] + 2.0))
-    # a rho adag lifts the (i+1, j+1) entry down with weight sqrt((i+1)(j+1));
-    # adag rho a pushes the (i-1, j-1) entry up with weight sqrt(i j).
-    root = np.sqrt(n + 1.0)
-    out[: dim - 1, : dim - 1] += gm * np.outer(root[: dim - 1], root[: dim - 1]) * rho[1:, 1:]
-    out[1:, 1:] += gp * np.outer(root[: dim - 1], root[: dim - 1]) * rho[: dim - 1, : dim - 1]
-    return sanitize(out).rho
+    tp.check_step_validity(rho.shape[0])
+    return sanitize(kernels.thermal_step(rho, tp.gamma_minus, tp.gamma_plus)).rho
 
 
 def reservoir_step(rho: np.ndarray, k: KrausSet, tp: ThermalParams) -> np.ndarray:

@@ -21,7 +21,7 @@ from fockstab.dynamics import (
     unitarity_defect,
 )
 from fockstab.errors import ConfigError
-from fockstab.kraus import bands, extract_kraus
+from fockstab.kraus import KrausSet, bands, extract_kraus
 
 OMEGA = 2 * math.pi * 50e3
 
@@ -145,14 +145,14 @@ def test_propagate_preserves_block_structure():
 
 def test_composite_unitarity():
     p = make_params(3, theta2=1 / math.sqrt(3))
-    u = composite_propagator(p, 36)
+    u = composite_propagator(p, 36).dense()
     assert unitarity_defect(u) < 1e-10
 
 
 def test_composite_single_segment_when_theta2_zero():
     p = make_params(2, theta2=0.0)
     d = 18
-    u = composite_propagator(p, d)
+    u = composite_propagator(p, d).dense()
     ref = propagate(build_hjc(-p.delta_g, p, d), 2 * p.theta1 / p.omega)
     assert np.abs(u - ref).max() < 1e-12
 
@@ -161,7 +161,7 @@ def test_composite_target_element_near_unimodular():
     # after phase tuning the target-level survival amplitude is 1 + O(omega/delta)
     p = make_params(3, theta2=1 / math.sqrt(3))
     d = 36
-    u = composite_propagator(p, d)
+    u = composite_propagator(p, d).dense()
     amp = abs(u[E * d + 3, E * d + 3])
     assert abs(amp - 1.0) < 5 * p.omega / p.delta_bar
 
@@ -185,8 +185,8 @@ def test_phase_with_zero_theta2_requires_zero_phi():
 def test_truncation_independence_of_interior_blocks():
     p = make_params(2, theta2=0.9)
     d = 14
-    u_small = composite_propagator(p, d)
-    u_big = composite_propagator(p, 2 * d)
+    u_small = composite_propagator(p, d).dense()
+    u_big = composite_propagator(p, 2 * d).dense()
     for x in (G, E, M):
         for n in range(d // 2 - 1):
             for n2 in range(d // 2 - 1):
@@ -250,15 +250,18 @@ def test_block_composite_matches_dense_route_over_random_draws():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # delta_ratio 30 after the phase shift
             p = make_params(nbar, theta2, theta1=theta1, delta_ratio=delta_ratio, phi=phi)
-            u = composite_propagator(p, d)
+            lad = composite_propagator(p, d)
             ref = _dense_composite(p, d)
+        u = lad.dense()
         assert np.abs(u - ref).max() <= 1e-14
         assert unitarity_defect(u) <= 1e-13
         on_block = np.zeros(u.shape, dtype=bool)
         for idx in ladder_blocks(d):
             on_block[np.ix_(idx, idx)] = True
         assert np.all(u[~on_block] == 0.0)
-        for got, want in zip(bands(extract_kraus(u)), bands(extract_kraus(ref))):
+        column = ref[:, E * d : (E + 1) * d]  # the ATOM_E channel of the dense route
+        ref_kraus = KrausSet.from_operators(column[:d], column[d : 2 * d], column[2 * d :])
+        for got, want in zip(bands(extract_kraus(lad)), bands(ref_kraus)):
             assert np.abs(got - want).max() <= 1e-14
 
 

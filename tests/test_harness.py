@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,6 +219,47 @@ def test_cli_exit_codes():
     assert main(["converge", "--nbar", "0"]) == 2
     assert main(["trajectory", "--kappa", "1e6", "--steps", "5"]) == 3
     assert main(["converge", "--config", "/nonexistent/path.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--init", "fock:abc"],
+        ["converge", "--init", "diag:"],
+        ["converge", "--init", "uniform:3"],
+        ["converge", "--init", "blob"],
+        ["converge", "--phi", "0", "--init", "diag:1,nan"],
+        ["steady", "--nbars", "1,x"],
+    ],
+)
+def test_cli_malformed_input_exits_with_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_config_values_raise_config_error():
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"scenario": "steady", "nbars": [1, "x"]})
+    with pytest.raises(ConfigError):
+        resolved(scenario="converge", init="fock:")
+    assert ExperimentConfig.from_dict({"scenario": "steady", "nbars": [3, 1]}).nbars == (3, 1)
+
+
+def test_emit_builds_only_the_written_payload(monkeypatch):
+    cfg = resolved(scenario="converge", nbar=1, steps=5, phi=0.0)
+    rec = ex.run_convergence(cfg)
+
+    def unused(*args):
+        raise AssertionError("built the payload of the other format")
+
+    monkeypatch.setattr(output, "record_as_json", unused)
+    output.emit_record(cfg, rec, stream=io.StringIO())
+    monkeypatch.undo()
+    monkeypatch.setattr(output, "record_table", unused)
+    monkeypatch.setattr(output, "sweep_table", unused)
+    as_json = replace(cfg, fmt="json")
+    output.emit_record(as_json, rec, stream=io.StringIO())
+    output.emit_rows(as_json, [{"phi": 0.0, "fidelity": 1.0}], stream=io.StringIO())
 
 
 def test_cli_validate_subcommand(capsys):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fockstab import kernels
+from fockstab import experiments, kernels
 from fockstab.dynamics import make_params, trapping_theta1
 from fockstab.errors import AmbiguousSteadyStateError
 from fockstab.fock import annihilation, fock_density, number_op, random_density
@@ -223,6 +223,46 @@ def test_population_engine_is_bit_identical_to_full_matrix_cycle():
         out_ref, steps_ref, delta_ref = full_matrix_fixed_point(g, e, m, rho, gm, gp, pat, 1e-10, 2000)
         assert (steps, delta) == (steps_ref, delta_ref), draw
         assert np.array_equal(np.diag(out), np.diag(out_ref)), draw
+
+
+def full_matrix_sampled(g, e, m, rho0, gm, gp, p_at, n_steps, seed):
+    """Sampled atom presence on the whole density matrix: the channel when an
+    atom is drawn, then the environment step in every cycle."""
+    rng = np.random.default_rng(seed)
+    rho = rho0.astype(np.complex128, copy=True)
+    diag, trace = [np.diag(rho).real], [np.trace(rho).real]
+    for _ in range(n_steps):
+        if rng.random() < p_at:
+            rho = kernels.channel_step(g, e, m, rho)
+        rho = kernels.thermal_step(rho, gm, gp)
+        diag.append(np.diag(rho).real)
+        trace.append(np.trace(rho).real)
+    return np.array(diag), np.array(trace)
+
+
+def test_sampled_evolution_is_bit_identical_to_full_matrix_route(channel):
+    # the physical channel and random bands; no environment, the cavity and
+    # random rates; coherent and Fock starts
+    _, physical = channel
+    rng = np.random.default_rng(12)
+    cavity = cavity_thermal()
+    for draw in range(12):
+        dim = 27 if draw % 2 == 0 else int(rng.integers(4, 61))
+        g, e, m = physical if draw % 2 == 0 else random_bands(dim, rng)
+        rho = random_density(dim, rng) if rng.random() < 0.5 else fock_density(int(rng.integers(dim)), dim)
+        kappa, n_th, p_at = [
+            (0.0, 0.0, float(rng.uniform(0.05, 1.0))),
+            (cavity.kappa, cavity.n_th, 0.3),
+            (float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.05, 1.0))),
+        ][draw % 3]
+        tp = ThermalParams(kappa=kappa, n_th=n_th, Ts=60e-6, p_at=p_at)
+        n_steps, seed = int(rng.integers(1, 400)), int(rng.integers(2**31))
+        diag, trace = experiments._sampled_evolution(g, e, m, rho, tp, n_steps, seed)
+        diag_ref, trace_ref = full_matrix_sampled(
+            g, e, m, rho, tp.gamma_minus, tp.gamma_plus, p_at, n_steps, seed
+        )
+        assert diag.tobytes() == diag_ref.tobytes(), draw
+        assert trace.tobytes() == trace_ref.tobytes(), draw
 
 
 def test_fixed_point_matches_reduced_steady_state_over_random_physics():

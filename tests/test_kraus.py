@@ -1,10 +1,18 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fockstab.dynamics import composite_propagator, ladder_scatter, make_params, trapping_theta1, unitarity_defect
+from fockstab.dynamics import (
+    LadderPropagator,
+    composite_propagator,
+    ladder_members,
+    make_params,
+    trapping_theta1,
+    unitarity_defect,
+)
 from fockstab.errors import ConfigError
 from fockstab.fock import fock_density, random_density, support_in
 from fockstab.kraus import (
@@ -96,9 +104,25 @@ def test_rates_sum_with_survival_probability():
         assert d + e + surv == pytest.approx(1.0, abs=1e-12)
 
 
+def identity_propagator(d):
+    return LadderPropagator(np.tile(np.eye(3, dtype=complex), (d, 1, 1)), 1.0 + 0j, 1.0 + 0j)
+
+
+def dense_operators(u, atom):
+    """The channel by the dense formula M_x = sum_y atom[y] U[x-block, y-block]."""
+    d = u.shape[0] // 3
+    ops = []
+    for x in range(3):
+        m = np.zeros((d, d), dtype=np.complex128)
+        for y in range(3):
+            m += atom[y] * u[x * d : (x + 1) * d, y * d : (y + 1) * d]
+        ops.append(m)
+    return ops
+
+
 def test_extract_identity_propagator():
     d = 8
-    k = extract_kraus(np.eye(3 * d, dtype=complex), ATOM_E)
+    k = extract_kraus(identity_propagator(d), ATOM_E)
     assert np.abs(k.m_e - np.eye(d)).max() == 0.0
     assert np.abs(k.m_g).max() == 0.0
     assert np.abs(k.m_m).max() == 0.0
@@ -112,60 +136,77 @@ def test_extract_completeness_numeric(nbar):
 
 
 def test_extract_rejects_nonunitary():
-    bad = np.eye(9, dtype=complex)
-    bad[0, 0] = 0.9
+    bad = replace(identity_propagator(3), phase_g0=0.9 + 0j)
     with pytest.raises(ValueError, match="unitarity"):
         extract_kraus(bad)
+
+
+def random_draw(rng):
+    """A cycle propagator at random physics, and ATOM_E or a random atom state."""
+    nbar = int(rng.integers(1, 9))
+    dim = int(rng.integers(nbar + 2, 9 * (nbar + 1) + 10))
+    p = make_params(
+        nbar,
+        theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar),
+        theta1=trapping_theta1(nbar) * (1.0 + float(rng.uniform(-0.03, 0.03))),
+        phi=float(rng.uniform(0, 2 * math.pi)),
+        delta_ratio=float(rng.choice([30.0, 100.0, 1000.0])),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        u = composite_propagator(p, dim)
+    if rng.random() < 0.5:
+        atom = ATOM_E
+    else:
+        atom = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        atom /= np.linalg.norm(atom)
+    return u, atom
 
 
 def test_ladder_extraction_matches_dense_route_over_random_draws():
     rng = np.random.default_rng(2024)
     for _ in range(120):
-        nbar = int(rng.integers(1, 9))
-        dim = int(rng.integers(nbar + 2, 9 * (nbar + 1) + 10))
-        p = make_params(
-            nbar,
-            theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar),
-            theta1=trapping_theta1(nbar) * (1.0 + float(rng.uniform(-0.03, 0.03))),
-            phi=float(rng.uniform(0, 2 * math.pi)),
-            delta_ratio=float(rng.choice([30.0, 100.0, 1000.0])),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            u = composite_propagator(p, dim)
-        if rng.random() < 0.5:
-            atom = ATOM_E
-        else:
-            atom = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            atom /= np.linalg.norm(atom)
+        u, atom = random_draw(rng)
+        dense_u = u.dense()
         k = extract_kraus(u, atom)
-        for x, op in enumerate((k.m_g, k.m_e, k.m_m)):
-            want = sum(atom[y] * u[x * dim : (x + 1) * dim, y * dim : (y + 1) * dim] for y in range(3))
+        for op, want in zip((k.m_g, k.m_e, k.m_m), dense_operators(dense_u, atom)):
             assert np.array_equal(op, want)
         dense = KrausSet.from_operators(k.m_g, k.m_e, k.m_m)
         assert abs(k.completeness_defect - dense.completeness_defect) <= 1e-15
         unitarity, completeness = ladder_defects(u, atom)
         assert completeness == k.completeness_defect
-        assert abs(unitarity - unitarity_defect(u)) <= 1e-15
+        assert abs(unitarity - unitarity_defect(dense_u)) <= 1e-15
 
         # scale one in-block entry of weight >= 0.1, so that a relative
         # change of 1e-8 moves its block's Gram by well over unitary_tol
-        lad = ladder_scatter(dim)
-        rows, cols = lad.rows[lad.exists], lad.cols[lad.exists]
-        j = int(rng.choice(np.flatnonzero(np.abs(u[rows, cols]) >= 0.1)))
-        bad = u.copy()
-        bad[rows[j], cols[j]] *= 1.0 + 1e-8
+        _, exists = ladder_members(u.dim)
+        entries = np.argwhere(exists & (np.abs(u.blocks) >= 0.1))
+        j = tuple(entries[rng.integers(len(entries))])
+        blocks = u.blocks.copy()
+        blocks[j] *= 1.0 + 1e-8
         with pytest.raises(ValueError, match="unitarity"):
-            extract_kraus(bad, atom)
-        bad = u.copy()
-        bad[rows[j], cols[j]] *= 1.0 + 1e-13
-        extract_kraus(bad, atom)
-        off_r, off_c = np.nonzero(~lad.pattern)
-        j = int(rng.integers(len(off_r)))
-        bad = u.copy()
-        bad[off_r[j], off_c[j]] += 1e-14
-        with pytest.raises(ValueError, match="outside the ladder blocks"):
-            extract_kraus(bad, atom)
+            extract_kraus(replace(u, blocks=blocks), atom)
+        blocks = u.blocks.copy()
+        blocks[j] *= 1.0 + 1e-13
+        extract_kraus(replace(u, blocks=blocks), atom)
+
+
+def test_extraction_ignores_placeholder_rows_and_columns():
+    # |g,dim> and |m,-1> lie outside the truncation: whatever their block
+    # rows and columns hold must not reach the operators or the defects
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        u, atom = random_draw(rng)
+        _, exists = ladder_members(u.dim)
+        blocks = u.blocks.copy()
+        noise = rng.standard_normal(blocks.shape) + 1j * rng.standard_normal(blocks.shape)
+        blocks[~exists] = noise[~exists]
+        noisy = replace(u, blocks=blocks)
+        k, kn = extract_kraus(u, atom), extract_kraus(noisy, atom)
+        for op, op_noisy in zip((k.m_g, k.m_e, k.m_m), (kn.m_g, kn.m_e, kn.m_m)):
+            assert np.array_equal(op, op_noisy)
+        assert ladder_defects(noisy, atom) == ladder_defects(u, atom)
+        assert np.array_equal(noisy.dense(), u.dense())
 
 
 def test_numeric_converges_to_analytic_with_detuning():

@@ -42,6 +42,13 @@ def test_build_weights_rejects_resonance_naming_pair():
         build_weights(1, math.pi / math.sqrt(3), 0.5, dim=18)
 
 
+@pytest.mark.parametrize("theta2", [0.0, -0.4])
+def test_build_weights_rejects_nonpositive_theta2(theta2):
+    # no resonance to name: the certificate needs a middle pulse at all
+    with pytest.raises(ConfigError, match="positive"):
+        build_weights(2, theta2)
+
+
 def test_weight_anchors():
     for nbar, theta2 in ((1, 1.0), (3, 0.9), (8, 2.9 / math.sqrt(8))):
         w = build_weights(nbar, theta2, 0.5, dim=9 * (nbar + 1))
