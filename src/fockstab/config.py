@@ -173,10 +173,13 @@ def parse_init(init: str) -> tuple[str, tuple]:
 
 
 def parse_nbars(values: Any) -> tuple[int, ...]:
-    """Sweep levels from a comma-separated string or a sequence of integers."""
+    """Sweep levels from a comma-separated string or a sequence of integers (2.0 passes, 2.7 is refused)."""
     if isinstance(values, str):
         values = values.split(",")
     try:
-        return tuple(int(n) for n in values)
-    except (TypeError, ValueError) as exc:
+        levels = tuple(int(n) for n in values)
+        if not all(isinstance(v, str) or n == v for n, v in zip(levels, values)):
+            raise ValueError("fractional level")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"nbars must be a list of integers, got {values!r}") from exc
+    return levels

@@ -1,110 +1,134 @@
 """Kraus channels induced on the field by one atom-field interaction.
 
 A channel is the triple (M_g, M_e, M_m) acting on the field alone: applying
-the joint propagator to |u_at> (x) |psi> and reading off the atomic components
-gives U |psi>|u_at> = M_g|psi>|g> + M_e|psi>|e> + M_m|psi>|m>. The analytic
-channel for the three-segment cycle and the resonant two-level baseline are
-both one-band operators: M_g raises by one level, M_e is diagonal, M_m lowers
-by one level. `bands` exposes that structure for the fast iteration kernels.
+the joint propagator to |e> (x) |psi> (the atom enters excited) and reading
+off the atomic components gives U |psi>|e> = M_g|psi>|g> + M_e|psi>|e> +
+M_m|psi>|m>. Every channel built here (the numeric cycle channel, its
+large-detuning closed form and the resonant two-level baseline) is one-band:
+M_g raises by one level, M_e is diagonal, M_m lowers by one level. A
+`KrausSet` stores only those bands, from the builders to the iteration
+kernels; the dense operators are built on demand for the dense oracle
+(`apply_map`, `kraus_deviation` and the tests).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import G, M, LadderPropagator, ReservoirParams, ladder_members
+from .dynamics import E, G, M, LadderPropagator, ReservoirParams, ladder_members
 from .errors import ConfigError
-from .fock import annihilation, creation, number_function, sanitize
-
-ATOM_G = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
-ATOM_E = np.array([0.0, 1.0, 0.0], dtype=np.complex128)
-ATOM_M = np.array([0.0, 0.0, 1.0], dtype=np.complex128)
+from .fock import sanitize
 
 COMPLETENESS_APPLY_TOL = 1e-6
+OFF_BAND_TOL = 1e-12
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Channel operators with their completeness defect ||sum M^dag M - I||max.
+    """A one-band channel: its bands and its completeness defect ||sum M^dag M - I||max.
 
+    g[n] = <n+1|M_g|n> (g[dim-1] = 0, the raised top level is truncated),
+    e[n] = <n|M_e|n> and m[n] = <n-1|M_m|n> (m[0] = 0), stored as read-only
+    copies. m_g, m_e and m_m are the dense operators, built on first access.
     The defect is recorded at construction rather than asserted, so that
     deliberately truncated or perturbed channels can still be built and
     studied; `apply_map` refuses defects above COMPLETENESS_APPLY_TOL.
     """
 
-    m_g: np.ndarray
-    m_e: np.ndarray
-    m_m: np.ndarray
+    g: np.ndarray
+    e: np.ndarray
+    m: np.ndarray
     completeness_defect: float
+
+    def __post_init__(self) -> None:
+        for name in ("g", "e", "m"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=np.complex128)))
 
     @property
     def dim(self) -> int:
-        return self.m_e.shape[0]
+        return self.e.shape[0]
+
+    @cached_property
+    def m_g(self) -> np.ndarray:
+        return _read_only(np.diag(self.g[:-1], -1))
+
+    @cached_property
+    def m_e(self) -> np.ndarray:
+        return _read_only(np.diag(self.e))
+
+    @cached_property
+    def m_m(self) -> np.ndarray:
+        return _read_only(np.diag(self.m[1:], 1))
 
     @staticmethod
     def from_operators(m_g: np.ndarray, m_e: np.ndarray, m_m: np.ndarray) -> "KrausSet":
+        """The channel of three dense operators, with the dense sum M^dag M as its defect.
+
+        Raises if any operator has weight off its band above OFF_BAND_TOL,
+        which the bands would silently drop.
+        """
         if not (m_g.shape == m_e.shape == m_m.shape) or m_g.shape[0] != m_g.shape[1]:
             raise ConfigError("Kraus operators must be square matrices of one shared dim")
+        g, m = np.append(np.diagonal(m_g, -1), 0.0), np.insert(np.diagonal(m_m, 1), 0, 0.0)
+        k = KrausSet(g, np.diagonal(m_e), m, 0.0)
+        for name, op, band in (("M_g", m_g, k.m_g), ("M_e", m_e, k.m_e), ("M_m", m_m, k.m_m)):
+            stray = float(np.abs(op - band).max())
+            if stray > OFF_BAND_TOL:
+                raise ValueError(f"{name} has off-band weight {stray:.3e} > {OFF_BAND_TOL:.1e}")
         total = m_g.conj().T @ m_g + m_e.conj().T @ m_e + m_m.conj().T @ m_m
         defect = float(np.abs(total - np.eye(m_g.shape[0])).max())
-        return KrausSet(m_g, m_e, m_m, defect)
+        return replace(k, completeness_defect=defect)
 
 
-def ladder_defects(u: LadderPropagator, atom: np.ndarray = ATOM_E) -> tuple[float, float]:
+def _with_band_defect(g: np.ndarray, e: np.ndarray, m: np.ndarray) -> KrausSet:
+    """A channel from its bands, with the defect of the diagonal sum M^dag M."""
+    total = (g.conj() * g + e.conj() * e) + m.conj() * m
+    return KrausSet(g, e, m, float(np.abs(total - 1.0).max()))
+
+
+def ladder_defects(u: LadderPropagator) -> tuple[float, float]:
     """Unitarity and completeness defects of a joint propagator, read off its ladder blocks.
 
     Returns (max|U^dag U - I|, max|sum_x M_x^dag M_x - I|) for the channel
-    `extract_kraus` reads with this atom state, without a dense product:
-    U^dag U is the stack of 3x3 Grams G_n = B_n^dag B_n plus the singletons'
-    |phase|^2, and sum_x M_x^dag M_x = A^dag (U^dag U) A with A = atom (x) I
-    is the atom-weighted sum of those Grams.
+    `extract_kraus` reads, without a dense product: U^dag U is the stack of
+    3x3 Grams G_n = B_n^dag B_n plus the singletons' |phase|^2, and
+    sum_x M_x^dag M_x is diagonal with entry n the Gram entry G_n[E, E] of
+    the E column.
     """
-    d = u.dim
-    atom = np.asarray(atom, dtype=np.complex128)
-    levels, exists = ladder_members(d)
+    _, exists = ladder_members(u.dim)
     # placeholder rows and columns become identity, so their Gram entries are exact
     blocks = np.where(exists, u.blocks, np.eye(3))
     gram = blocks.conj().swapaxes(1, 2) @ blocks
     phase2 = np.abs(np.array([u.phase_g0, u.phase_m_top])) ** 2
     unitarity = max(float(np.abs(gram - np.eye(3)).max()), float(np.abs(phase2 - 1.0).max()))
-    # one level of padding on each side takes the placeholders' out-of-range levels
-    weight = atom.conj()[:, None] * atom[None, :]
-    padded = levels + 1
-    total = np.zeros((d + 2, d + 2), dtype=np.complex128)
-    np.add.at(total, (padded[:, :, None], padded[:, None, :]), weight * gram)
-    total[1, 1] += weight[G, G] * phase2[0]
-    total[d, d] += weight[M, M] * phase2[1]
-    completeness = float(np.abs(total[1:-1, 1:-1] - np.eye(d)).max())
-    return unitarity, completeness
+    return unitarity, float(np.abs(gram[:, E, E] - 1.0).max())
 
 
-def extract_kraus(u: LadderPropagator, atom: np.ndarray = ATOM_E, unitary_tol: float = 1e-10) -> KrausSet:
-    """Read the field channel off a joint propagator and an initial atom state.
+def extract_kraus(u: LadderPropagator, unitary_tol: float = 1e-10) -> KrausSet:
+    """Read the field channel of an atom entering in |e> off a joint propagator.
 
-    M_x[n', n] = <x, n'| U |atom, n> for x in (g, e, m): block entry (x, y)
-    of block n, weighted by atom[y], lands on levels (n+1-x, n+1-y), and the
-    singletons on M_g[0, 0] and M_m[dim-1, dim-1]. Both defects come from
-    `ladder_defects`; the dense formula on `u.dense()` and
-    `KrausSet.from_operators` are their oracle.
+    M_x[n', n] = <x, n'| U |e, n> is the E column of the ladder blocks:
+    g[n] = B_n[G, E], e[n] = B_n[E, E] and m[n] = B_n[M, E], with g[dim-1]
+    and m[0] zero because |g,dim> and |m,-1> are placeholders outside the
+    truncation. Both defects come from `ladder_defects`; the dense formula on
+    `u.dense()` and `KrausSet.from_operators` are their oracle.
     """
-    atom = np.asarray(atom, dtype=np.complex128)
-    if atom.shape != (3,) or abs(np.linalg.norm(atom) - 1.0) > 1e-12:
-        raise ConfigError("atom state must be a unit-norm 3-vector")
-    defect, completeness = ladder_defects(u, atom)
+    defect, completeness = ladder_defects(u)
     if defect > unitary_tol:
         raise ValueError(f"propagator unitarity defect {defect:.3e} exceeds {unitary_tol:.1e}")
-    d = u.dim
-    # padded levels as in `ladder_defects`; atom first and added onto zeros,
-    # so each entry rounds, and signs its zeros, as the dense sum over y of
-    # atom[y] * U[x, y] does
-    padded = ladder_members(d)[0] + 1
-    ops = np.zeros((3, d + 2, d + 2), dtype=np.complex128)
-    ops[np.arange(3)[:, None], padded[:, :, None], padded[:, None, :]] += atom * u.blocks
-    ops[[G, M], [1, d], [1, d]] += atom[[G, M]] * np.array([u.phase_g0, u.phase_m_top])
-    return KrausSet(*ops[:, 1:-1, 1:-1].copy(), completeness)
+    column = u.blocks[:, :, E].copy()
+    column[-1, G] = 0.0
+    column[0, M] = 0.0
+    return KrausSet(*column.T, completeness)
 
 
 def _alpha(theta1: float, n: np.ndarray | float) -> np.ndarray | float:
@@ -133,25 +157,20 @@ def analytic_kraus(params: ReservoirParams, dim: int) -> KrausSet:
     """
     if dim < params.nbar + 2:
         raise ConfigError(f"dim {dim} too small for nbar {params.nbar}")
-    th1, th2, phi = params.theta1, params.theta2, params.phi
-    eip = np.exp(1j * phi)
-
-    def g_diag(n: int) -> complex:
-        return (eip + math.cos(_beta(th2, n))) * math.sin(_alpha(th1, n)) / (2.0 * math.sqrt(n + 1.0))
-
-    def e_diag(n: int) -> complex:
-        half = 0.5 * _alpha(th1, n)
-        return math.cos(half) ** 2 * math.cos(_beta(th2, n)) - eip * math.sin(half) ** 2
-
-    def m_diag(n: int) -> complex:
-        # sin(beta_n)/sqrt(n) has the removable limit theta2/2 at n = 0.
-        frac = 0.5 * th2 if n == 0 else math.sin(_beta(th2, n)) / math.sqrt(n)
-        return -frac * math.cos(0.5 * _alpha(th1, n))
-
-    m_g = creation(dim) @ number_function(g_diag, dim)
-    m_e = number_function(e_diag, dim)
-    m_m = annihilation(dim) @ number_function(m_diag, dim)
-    return KrausSet.from_operators(m_g, m_e, m_m)
+    th1, th2 = params.theta1, params.theta2
+    eip = np.exp(1j * params.phi)
+    # bands of adag f_g(N), f_e(N), -a f_m(N): g[n] = sqrt(n+1) f_g(n), m[n] = sqrt(n) f_m(n),
+    # left unsimplified so that they round as the operator products do
+    g, e, m = np.zeros((3, dim), dtype=np.complex128)
+    for n in range(dim):
+        alpha, beta = _alpha(th1, n), _beta(th2, n)
+        half = 0.5 * alpha
+        e[n] = math.cos(half) ** 2 * math.cos(beta) - eip * math.sin(half) ** 2
+        if n + 1 < dim:
+            g[n] = math.sqrt(n + 1.0) * ((eip + math.cos(beta)) * math.sin(alpha) / (2.0 * math.sqrt(n + 1.0)))
+        if n > 0:
+            m[n] = math.sqrt(n) * (-(math.sin(beta) / math.sqrt(n)) * math.cos(half))
+    return _with_band_defect(g, e, m)
 
 
 def walther_kraus(nbar: int, theta_r: float, dim: int) -> KrausSet:
@@ -163,20 +182,12 @@ def walther_kraus(nbar: int, theta_r: float, dim: int) -> KrausSet:
     """
     if dim < nbar + 2:
         raise ConfigError(f"dim {dim} too small for nbar {nbar}")
-
-    def g_diag(n: int) -> complex:
-        # sin(theta_r sqrt(n)/2)/sqrt(n) -> theta_r/2 at n = 0.
-        if n == 0:
-            return 0.5 * theta_r
-        return math.sin(0.5 * theta_r * math.sqrt(n)) / math.sqrt(n)
-
-    def e_diag(n: int) -> complex:
-        return math.cos(0.5 * theta_r * math.sqrt(n + 1.0))
-
-    m_g = number_function(g_diag, dim) @ creation(dim)
-    m_e = number_function(e_diag, dim)
-    m_m = np.zeros((dim, dim), dtype=np.complex128)
-    return KrausSet.from_operators(m_g, m_e, m_m)
+    # the band of f(N) adag: g[n] = f(n+1) sqrt(n+1), left unsimplified as in `analytic_kraus`
+    g = np.zeros(dim, dtype=np.complex128)
+    for n in range(1, dim):
+        g[n - 1] = math.sin(0.5 * theta_r * math.sqrt(n)) / math.sqrt(n) * math.sqrt(n)
+    e = np.array([math.cos(0.5 * theta_r * math.sqrt(n + 1.0)) for n in range(dim)], dtype=np.complex128)
+    return _with_band_defect(g, e, np.zeros(dim, dtype=np.complex128))
 
 
 def apply_map(k: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -211,28 +222,9 @@ def transition_rates(params: ReservoirParams, n: int) -> tuple[float, float]:
     return d_n, e_n
 
 
-def bands(k: KrausSet, off_band_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-band representation (g, e, m) of a ladder channel.
-
-    g[n] = <n+1|M_g|n> (g[dim-1] = 0 is the truncated top row), e[n] = <n|M_e|n>,
-    m[n] = <n-1|M_m|n> (m[0] = 0). Raises if any operator has weight off its
-    band, which would make the banded iteration kernels silently wrong.
-    """
-    d = k.dim
-    g = np.zeros(d, dtype=np.complex128)
-    e = np.diag(k.m_e).copy()
-    m = np.zeros(d, dtype=np.complex128)
-    g[: d - 1] = k.m_g[np.arange(1, d), np.arange(d - 1)]
-    m[1:] = k.m_m[np.arange(d - 1), np.arange(1, d)]
-    for name, op, band in (
-        ("M_g", k.m_g, np.diag(g[: d - 1], -1)),
-        ("M_e", k.m_e, np.diag(e)),
-        ("M_m", k.m_m, np.diag(m[1:], 1)),
-    ):
-        stray = float(np.abs(op - band).max())
-        if stray > off_band_tol:
-            raise ValueError(f"{name} has off-band weight {stray:.3e} > {off_band_tol:.1e}")
-    return g, e, m
+def bands(k: KrausSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored bands (g, e, m) of a channel, with the conventions of `KrausSet`."""
+    return k.g, k.e, k.m
 
 
 def align_phase(op: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -259,7 +259,7 @@ def test_block_composite_matches_dense_route_over_random_draws():
         for idx in ladder_blocks(d):
             on_block[np.ix_(idx, idx)] = True
         assert np.all(u[~on_block] == 0.0)
-        column = ref[:, E * d : (E + 1) * d]  # the ATOM_E channel of the dense route
+        column = ref[:, E * d : (E + 1) * d]  # the E-column channel of the dense route
         ref_kraus = KrausSet.from_operators(column[:d], column[d : 2 * d], column[2 * d :])
         for got, want in zip(bands(extract_kraus(lad)), bands(ref_kraus)):
             assert np.abs(got - want).max() <= 1e-14

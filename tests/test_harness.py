@@ -238,11 +238,28 @@ def test_cli_malformed_input_exits_with_config_error(argv, capsys):
 
 
 def test_malformed_config_values_raise_config_error():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"scenario": "steady", "nbars": [1, "x"]})
+    # a fractional level is refused, not truncated to another level
+    for nbars in ([1, "x"], [2.7], [float("inf")]):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"scenario": "steady", "nbars": nbars})
     with pytest.raises(ConfigError):
         resolved(scenario="converge", init="fock:")
-    assert ExperimentConfig.from_dict({"scenario": "steady", "nbars": [3, 1]}).nbars == (3, 1)
+    for nbars, want in (([3, 1], (3, 1)), ([2.0], (2,)), ([2], (2,)), ("1,2", (1, 2))):
+        got = ExperimentConfig.from_dict({"scenario": "steady", "nbars": nbars}).nbars
+        assert got == want and all(type(n) is int for n in got)
+
+
+@pytest.mark.parametrize("runner", [ex.run_convergence, ex.run_trajectory])
+def test_initial_state_checked_before_phase_tuning(runner, monkeypatch):
+    def untouchable(cfg):
+        raise AssertionError("phase tuning ran before the initial state was checked")
+
+    monkeypatch.setattr(ex, "tune_phase", untouchable)
+    scenario = "converge" if runner is ex.run_convergence else "trajectory"
+    cfg = resolved(scenario=scenario, nbar=2, init="diag:1,-1")
+    assert cfg.phi is None and cfg.channel == "numeric"
+    with pytest.raises(ConfigError):
+        runner(cfg)
 
 
 def test_emit_builds_only_the_written_payload(monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fockstab.dynamics import (
+    E,
     LadderPropagator,
     composite_propagator,
     ladder_members,
@@ -14,9 +15,8 @@ from fockstab.dynamics import (
     unitarity_defect,
 )
 from fockstab.errors import ConfigError
-from fockstab.fock import fock_density, random_density, support_in
+from fockstab.fock import annihilation, creation, fock_density, number_function, random_density, support_in
 from fockstab.kraus import (
-    ATOM_E,
     KrausSet,
     analytic_kraus,
     apply_map,
@@ -108,21 +108,15 @@ def identity_propagator(d):
     return LadderPropagator(np.tile(np.eye(3, dtype=complex), (d, 1, 1)), 1.0 + 0j, 1.0 + 0j)
 
 
-def dense_operators(u, atom):
-    """The channel by the dense formula M_x = sum_y atom[y] U[x-block, y-block]."""
+def dense_operators(u):
+    """The channel by the dense formula M_x = U[x-block, E-block]."""
     d = u.shape[0] // 3
-    ops = []
-    for x in range(3):
-        m = np.zeros((d, d), dtype=np.complex128)
-        for y in range(3):
-            m += atom[y] * u[x * d : (x + 1) * d, y * d : (y + 1) * d]
-        ops.append(m)
-    return ops
+    return [u[x * d : (x + 1) * d, E * d : (E + 1) * d] for x in range(3)]
 
 
 def test_extract_identity_propagator():
     d = 8
-    k = extract_kraus(identity_propagator(d), ATOM_E)
+    k = extract_kraus(identity_propagator(d))
     assert np.abs(k.m_e - np.eye(d)).max() == 0.0
     assert np.abs(k.m_g).max() == 0.0
     assert np.abs(k.m_m).max() == 0.0
@@ -142,7 +136,7 @@ def test_extract_rejects_nonunitary():
 
 
 def random_draw(rng):
-    """A cycle propagator at random physics, and ATOM_E or a random atom state."""
+    """A cycle propagator at random physics."""
     nbar = int(rng.integers(1, 9))
     dim = int(rng.integers(nbar + 2, 9 * (nbar + 1) + 10))
     p = make_params(
@@ -154,26 +148,20 @@ def random_draw(rng):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        u = composite_propagator(p, dim)
-    if rng.random() < 0.5:
-        atom = ATOM_E
-    else:
-        atom = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        atom /= np.linalg.norm(atom)
-    return u, atom
+        return composite_propagator(p, dim)
 
 
 def test_ladder_extraction_matches_dense_route_over_random_draws():
     rng = np.random.default_rng(2024)
     for _ in range(120):
-        u, atom = random_draw(rng)
+        u = random_draw(rng)
         dense_u = u.dense()
-        k = extract_kraus(u, atom)
-        for op, want in zip((k.m_g, k.m_e, k.m_m), dense_operators(dense_u, atom)):
+        k = extract_kraus(u)
+        for op, want in zip((k.m_g, k.m_e, k.m_m), dense_operators(dense_u)):
             assert np.array_equal(op, want)
-        dense = KrausSet.from_operators(k.m_g, k.m_e, k.m_m)
+        dense = KrausSet.from_operators(*dense_operators(dense_u))
         assert abs(k.completeness_defect - dense.completeness_defect) <= 1e-15
-        unitarity, completeness = ladder_defects(u, atom)
+        unitarity, completeness = ladder_defects(u)
         assert completeness == k.completeness_defect
         assert abs(unitarity - unitarity_defect(dense_u)) <= 1e-15
 
@@ -185,10 +173,10 @@ def test_ladder_extraction_matches_dense_route_over_random_draws():
         blocks = u.blocks.copy()
         blocks[j] *= 1.0 + 1e-8
         with pytest.raises(ValueError, match="unitarity"):
-            extract_kraus(replace(u, blocks=blocks), atom)
+            extract_kraus(replace(u, blocks=blocks))
         blocks = u.blocks.copy()
         blocks[j] *= 1.0 + 1e-13
-        extract_kraus(replace(u, blocks=blocks), atom)
+        extract_kraus(replace(u, blocks=blocks))
 
 
 def test_extraction_ignores_placeholder_rows_and_columns():
@@ -196,17 +184,96 @@ def test_extraction_ignores_placeholder_rows_and_columns():
     # rows and columns hold must not reach the operators or the defects
     rng = np.random.default_rng(77)
     for _ in range(40):
-        u, atom = random_draw(rng)
+        u = random_draw(rng)
         _, exists = ladder_members(u.dim)
         blocks = u.blocks.copy()
         noise = rng.standard_normal(blocks.shape) + 1j * rng.standard_normal(blocks.shape)
         blocks[~exists] = noise[~exists]
         noisy = replace(u, blocks=blocks)
-        k, kn = extract_kraus(u, atom), extract_kraus(noisy, atom)
-        for op, op_noisy in zip((k.m_g, k.m_e, k.m_m), (kn.m_g, kn.m_e, kn.m_m)):
-            assert np.array_equal(op, op_noisy)
-        assert ladder_defects(noisy, atom) == ladder_defects(u, atom)
+        k, kn = extract_kraus(u), extract_kraus(noisy)
+        for band, band_noisy in zip(bands(k), bands(kn)):
+            assert np.array_equal(band, band_noisy)
+        assert ladder_defects(noisy) == ladder_defects(u)
         assert np.array_equal(noisy.dense(), u.dense())
+
+
+def analytic_operators(p, dim):
+    """The closed-form cycle channel as dense operators adag f_g(N), f_e(N), -a f_m(N)."""
+    eip = np.exp(1j * p.phi)
+
+    def alpha(n):
+        return p.theta1 * math.sqrt(n + 1.0)
+
+    def beta(n):
+        return 0.5 * p.theta2 * math.sqrt(n)
+
+    def f_g(n):
+        return (eip + math.cos(beta(n))) * math.sin(alpha(n)) / (2.0 * math.sqrt(n + 1.0))
+
+    def f_e(n):
+        return math.cos(0.5 * alpha(n)) ** 2 * math.cos(beta(n)) - eip * math.sin(0.5 * alpha(n)) ** 2
+
+    def f_m(n):
+        frac = 0.5 * p.theta2 if n == 0 else math.sin(beta(n)) / math.sqrt(n)
+        return frac * math.cos(0.5 * alpha(n))
+
+    a = annihilation(dim)
+    return creation(dim) @ number_function(f_g, dim), number_function(f_e, dim), -(a @ number_function(f_m, dim))
+
+
+def walther_operators(theta_r, dim):
+    """The resonant baseline as dense operators f_g(N) adag, f_e(N), 0."""
+
+    def f_g(n):
+        return 0.5 * theta_r if n == 0 else math.sin(0.5 * theta_r * math.sqrt(n)) / math.sqrt(n)
+
+    def f_e(n):
+        return math.cos(0.5 * theta_r * math.sqrt(n + 1.0))
+
+    zero = np.zeros((dim, dim), dtype=np.complex128)
+    return number_function(f_g, dim) @ creation(dim), number_function(f_e, dim), zero
+
+
+def test_closed_form_bands_match_operator_formulas_over_random_draws():
+    rng = np.random.default_rng(606)
+    for draw in range(60):
+        nbar = int(rng.integers(1, 9))
+        dim = int(rng.integers(nbar + 2, 9 * (nbar + 1) + 10))
+        theta1 = trapping_theta1(nbar) * (1.0 + float(rng.uniform(-0.03, 0.03)))
+        theta2 = 0.0 if draw % 10 == 0 else float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar)
+        phi = float(rng.uniform(0, 2 * math.pi))
+        p = make_params(nbar, theta2=theta2, theta1=theta1, phi=phi if theta2 else 0.0)
+        for k, ops in (
+            (analytic_kraus(p, dim), analytic_operators(p, dim)),
+            (walther_kraus(nbar, 2.0 * theta1, dim), walther_operators(2.0 * theta1, dim)),
+        ):
+            ref = KrausSet.from_operators(*ops)
+            for band, want in zip(bands(k), bands(ref)):
+                assert np.array_equal(band, want)
+            assert abs(k.completeness_defect - ref.completeness_defect) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "scheme, channel", [("symmetric", "numeric"), ("symmetric", "analytic"), ("walther", "numeric"), ("walther", "analytic")]
+)
+def test_production_run_builds_no_dense_operator(scheme, channel, monkeypatch):
+    from fockstab import experiments as ex
+    from fockstab.config import ExperimentConfig
+
+    built = []
+    build = ex.build_channel
+    monkeypatch.setattr(ex, "build_channel", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
+    cfg = ExperimentConfig(scenario="converge", nbar=2, scheme=scheme, channel=channel, phi=0.4, steps=20).resolved()
+    ex.run_convergence(cfg)
+    (k,) = built
+    assert not {"m_g", "m_e", "m_m"} & set(vars(k))
+    for band in bands(k):
+        assert not band.flags.writeable
+        with pytest.raises(ValueError):
+            band[0] = 1.0
+    # the dense operators are built on demand and then cached, read-only too
+    assert k.m_e is k.m_e and not k.m_e.flags.writeable
+    assert np.array_equal(np.diag(k.m_e), k.e)
 
 
 def test_numeric_converges_to_analytic_with_detuning():
@@ -276,7 +343,7 @@ def test_apply_map_dim_mismatch():
 def test_apply_map_refuses_large_defect():
     d = 10
     half = np.eye(d, dtype=complex) * math.sqrt(0.5)
-    k = KrausSet.from_operators(half, np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex))
+    k = KrausSet.from_operators(np.zeros((d, d), dtype=complex), half, np.zeros((d, d), dtype=complex))
     with pytest.raises(ValueError, match="completeness"):
         apply_map(k, fock_density(0, d))
 
@@ -322,15 +389,17 @@ def test_bands_roundtrip_and_off_band_guard():
     assert np.abs(np.diag(g[:-1], -1) - k.m_g).max() == 0.0
     assert np.abs(np.diag(e) - k.m_e).max() == 0.0
     assert np.abs(np.diag(m[1:], 1) - k.m_m).max() == 0.0
-    spoiled = KrausSet(k.m_g.copy(), k.m_e + 1e-6 * np.eye(27, k=3), k.m_m, k.completeness_defect)
     with pytest.raises(ValueError, match="off-band"):
-        bands(spoiled)
+        KrausSet.from_operators(k.m_g, k.m_e + 1e-6 * np.eye(27, k=3), k.m_m)
 
 
 def test_extracted_channel_is_banded():
     p = make_params(2, theta2=0.9)
-    k = extract_kraus(composite_propagator(p, 27))
-    bands(k)  # raises if any off-band weight appears
+    u = composite_propagator(p, 27)
+    # from_operators raises if the dense route's channel has off-band weight
+    dense = KrausSet.from_operators(*dense_operators(u.dense()))
+    for band, want in zip(bands(extract_kraus(u)), bands(dense)):
+        assert np.array_equal(band, want)
 
 
 def test_numeric_channel_keeps_state_in_window():
@@ -342,17 +411,6 @@ def test_numeric_channel_keeps_state_in_window():
     for _ in range(200):
         rho = apply_map(k, rho)
     assert support_in(rho, 0, window_top(nbar), 1e-4)
-
-
-def test_extract_completeness_any_atom():
-    rng = np.random.default_rng(31)
-    p = make_params(2, theta2=0.9)
-    u = composite_propagator(p, 27)
-    for _ in range(3):
-        atom = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        atom /= np.linalg.norm(atom)
-        k = extract_kraus(u, atom)
-        assert k.completeness_defect < 1e-10
 
 
 def test_walther_numeric_single_segment_channel():
