@@ -120,14 +120,12 @@ def evolve(
     cycle = _population_cycle(g, e, m, float(gm), float(gp), float(p_at))
     d = np.diag(np.asarray(rho0, dtype=np.complex128)).copy()
     diag = np.empty((n_steps + 1, len(d)), dtype=np.float64)
-    trace = np.empty(n_steps + 1, dtype=np.float64)
     diag[0] = d.real
-    trace[0] = diag[0].sum()
     for k in range(1, n_steps + 1):
         d = cycle(d)
         diag[k] = d.real
-        trace[k] = diag[k].sum()
-    return np.diag(d), diag, trace
+    # one row-wise reduction after the loop; each row sums exactly as diag[k].sum()
+    return np.diag(d), diag, diag.sum(axis=1)
 
 
 def evolve_to_fixed_point(

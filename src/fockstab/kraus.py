@@ -32,7 +32,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """A one-band channel: its bands and its completeness defect ||sum M^dag M - I||max.
 
@@ -42,6 +42,7 @@ class KrausSet:
     The defect is recorded at construction rather than asserted, so that
     deliberately truncated or perturbed channels can still be built and
     studied; `apply_map` refuses defects above COMPLETENESS_APPLY_TOL.
+    Equality and hashing are by identity: array fields have no truth value.
     """
 
     g: np.ndarray

@@ -4,13 +4,24 @@ CSV files start with '#'-prefixed metadata lines (config echo and tool
 version), then a header row and data rows with floats printed to 12
 significant digits. Identical configs therefore produce byte-identical files;
 wall-clock timings live only in the JSON summary, never in CSV.
+
+Both table builders return the header and an iterable of finished text lines,
+which `write_csv` writes as they come. A run's rows are formatted straight
+from its arrays: the columns are stacked into one float64 array, and each row
+goes through one `%` template ("%d," then "%.12g" per column), which prints
+every float exactly as `_fmt` does. The array is converted one row at a time,
+so no boxed copy of the whole table is ever held. Sweep rows are dicts of
+mixed types and go through `_fmt` cell by cell; the header is the union of
+their keys in first-seen order, and a row without a key gets an empty cell.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Sequence, TextIO
+from typing import Any, Iterable, Sequence, TextIO
+
+import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
@@ -40,35 +51,27 @@ def _metadata_lines(cfg: ExperimentConfig) -> list[str]:
     return [f"# config: {echo}", f"# version: {__version__}"]
 
 
-def record_table(cfg: ExperimentConfig, record: RunRecord) -> tuple[list[str], list[list[Any]]]:
-    """Per-step rows: step, time, fidelity, V, trace, then the full diagonal."""
-    dim = record.diag.shape[1]
-    header = ["step", "time_s", "fidelity", "v", "trace"] + [f"p{n}" for n in range(dim)]
-    rows = []
-    for k in range(record.diag.shape[0]):
-        rows.append(
-            [k, k * cfg.ts, float(record.fidelity[k]), float(record.v[k]), float(record.trace[k])]
-            + [float(x) for x in record.diag[k]]
-        )
-    return header, rows
+def record_table(cfg: ExperimentConfig, record: RunRecord) -> tuple[list[str], Iterable[str]]:
+    """Per-step lines: step, time, fidelity, V, trace, then the full diagonal."""
+    n, dim = record.diag.shape
+    header = ["step", "time_s", "fidelity", "v", "trace"] + [f"p{k}" for k in range(dim)]
+    # k * ts in float64 is the same product as Python's int * float
+    table = np.column_stack([np.arange(n) * cfg.ts, record.fidelity, record.v, record.trace, record.diag])
+    line = "%d," + ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return header, (line % (k, *row) for k, row in enumerate(map(np.ndarray.tolist, table)))
 
 
-def sweep_table(rows: Sequence[dict[str, Any]]) -> tuple[list[str], list[list[Any]]]:
-    header = list(rows[0].keys()) if rows else []
-    return header, [[r.get(h) for h in header] for r in rows]
+def sweep_table(rows: Sequence[dict[str, Any]]) -> tuple[list[str], list[str]]:
+    """Sweep lines under the union of the rows' keys; a missing key is an empty cell."""
+    header = list(dict.fromkeys(h for r in rows for h in r))
+    return header, [",".join(_fmt(r[h]) if h in r else "" for h in header) + "\n" for r in rows]
 
 
-def write_csv(
-    stream: TextIO,
-    cfg: ExperimentConfig,
-    header: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-) -> None:
+def write_csv(stream: TextIO, cfg: ExperimentConfig, header: Sequence[str], lines: Iterable[str]) -> None:
     for line in _metadata_lines(cfg):
         stream.write(line + "\n")
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    stream.writelines(lines)
 
 
 def write_json(

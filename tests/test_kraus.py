@@ -302,6 +302,14 @@ def test_walther_entries_and_completeness():
     assert k.completeness_defect < 1e-12
 
 
+def test_channels_compare_by_identity_and_hash():
+    a, b = walther_kraus(1, 3.0, 6), walther_kraus(1, 3.0, 6)
+    assert np.array_equal(a.g, b.g) and np.array_equal(a.e, b.e) and np.array_equal(a.m, b.m)
+    assert a != b and not (a == b)
+    assert a == a
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_walther_drives_population_upward():
     # started above the target, everything accumulates at the next dark level
     nbar = 1

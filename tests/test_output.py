@@ -1,0 +1,98 @@
+import io
+import math
+from pathlib import Path
+
+import numpy as np
+
+from fockstab import experiments as ex
+from fockstab import output
+from fockstab.cli import build_parser, config_from_args
+from fockstab.config import ExperimentConfig
+from fockstab.output import _fmt
+
+DATA = Path(__file__).parent / "data"
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, 1e-5, 1e-4, 1e16, 1e17, 0.1, 1 / 3, 123456789012.5, 999999999999.5]
+
+
+def cli_config(argv):
+    return config_from_args(build_parser().parse_args(argv))
+
+
+def emitted(cfg, emit, *payload):
+    buf = io.StringIO()
+    emit(cfg, *payload, stream=buf)
+    return buf.getvalue()
+
+
+def boxed_lines(ts, record):
+    """The per-value route: every cell boxed into a Python scalar and passed to _fmt."""
+    lines = []
+    for k in range(record.diag.shape[0]):
+        row = [k, k * ts, float(record.fidelity[k]), float(record.v[k]), float(record.trace[k])]
+        lines.append(",".join(_fmt(v) for v in row + [float(x) for x in record.diag[k]]) + "\n")
+    return lines
+
+
+def random_bit_floats(rng, shape):
+    return rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+
+
+def test_trajectory_csv_matches_golden_file():
+    name = "trajectory_nbar2_dim12_steps200_phi0.3.csv"
+    cfg = cli_config(["trajectory", "--nbar", "2", "--dim", "12", "--steps", "200", "--phi", "0.3"])
+    text = emitted(cfg, output.emit_record, ex.run_trajectory(cfg))
+    assert text.encode("utf-8") == (DATA / name).read_bytes()
+
+
+def test_record_rows_match_per_value_formatting_on_special_and_random_floats():
+    rng = np.random.default_rng(2024)
+    n, dim = 400, 9
+    cols = [random_bit_floats(rng, n) for _ in range(3)] + [random_bit_floats(rng, (n, dim))]
+    for col in cols[:3]:
+        col[: len(SPECIALS)] = SPECIALS
+    cols[3][: len(SPECIALS), 0] = SPECIALS
+    record = ex.RunRecord(fidelity=cols[0], v=cols[1], trace=cols[2], diag=cols[3])
+    cfg = ExperimentConfig(scenario="trajectory", nbar=2, steps=n - 1).resolved()
+    header, lines = output.record_table(cfg, record)
+    assert header == ["step", "time_s", "fidelity", "v", "trace"] + [f"p{k}" for k in range(dim)]
+    assert list(lines) == boxed_lines(cfg.ts, record)
+
+
+def test_twelve_digit_template_equals_fmt_on_random_bit_patterns():
+    values = np.concatenate([SPECIALS, random_bit_floats(np.random.default_rng(7), 200_000)]).tolist()
+    assert ["%.12g" % v for v in values] == [_fmt(v) for v in values]
+
+
+def test_sweep_table_formats_each_type_exactly():
+    rows = [
+        {"x": 0.1, "n": 3, "ok": True, "note": None, "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
+         "zero": -0.0, "path": [1.0, 2, False, 1 / 3]},
+        {"x": 1e-07, "n": -4, "ok": False, "note": "a b", "nan": 2.0, "inf": 1e300, "ninf": -1e-300,
+         "zero": 0.0, "path": []},
+    ]
+    cfg = ExperimentConfig(scenario="sweep-theta2", nbar=2).resolved()
+    lines = emitted(cfg, output.emit_rows, rows).splitlines(keepends=True)
+    assert lines[0].startswith("# config: ") and lines[1].startswith("# version: ")
+    assert lines[2:] == [
+        "x,n,ok,note,nan,inf,ninf,zero,path\n",
+        "0.1,3,1,None,nan,inf,-inf,-0,1;2;0;0.333333333333\n",
+        "1e-07,-4,0,a b,2,1e+300,-1e-300,0,\n",
+    ]
+
+
+def test_ragged_sweep_rows_get_the_union_header_and_empty_cells():
+    # the robustness table mixes decay rows and stationary rows
+    rows = [
+        {"case": "walther_theta_err", "theta1_err": -0.02, "p_at": 0.3, "fid_0p1s": 0.5},
+        {"case": "symmetric_theta1_err", "theta1_err": 0.0, "p_at": 0.3, "fid_steady": 0.9, "fid_change": 0.0},
+        {"case": "phase_offset", "phi_offset": 0.25, "p_at": 0.3, "fid_steady": 0.8, "fid_change": -0.1},
+    ]
+    header, lines = output.sweep_table(rows)
+    assert header == ["case", "theta1_err", "p_at", "fid_0p1s", "fid_steady", "fid_change", "phi_offset"]
+    assert lines == [
+        "walther_theta_err,-0.02,0.3,0.5,,,\n",
+        "symmetric_theta1_err,0,0.3,,0.9,0,\n",
+        "phase_offset,,0.3,,0.8,-0.1,0.25\n",
+    ]
+    assert output.sweep_table([]) == ([], [])
