@@ -109,13 +109,15 @@ def run(cfg: ExperimentConfig) -> int:
 
     if cfg.scenario == "tune-phase":
         phi_opt, fid, table = experiments.tune_phase(cfg)
-        output.emit_rows(cfg, table, summary={"phi_opt": phi_opt, "fidelity": fid})
+        summary = {"phi_opt": phi_opt, "fidelity": fid, "ill_conditioned": experiments.ill_conditioned(table)}
+        output.emit_rows(cfg, table, summary=summary)
         print(f"phi_opt: {phi_opt:.6f} rad  fidelity: {fid:.6f}", file=sys.stderr)
         return 0
 
     if cfg.scenario == "sweep-theta2":
         theta2_opt, table = experiments.optimize_theta2(cfg)
-        output.emit_rows(cfg, table, summary={"theta2_opt": theta2_opt})
+        summary = {"theta2_opt": theta2_opt, "ill_conditioned": experiments.ill_conditioned(table)}
+        output.emit_rows(cfg, table, summary=summary)
         print(f"theta2_opt: {theta2_opt:.6f} rad", file=sys.stderr)
         return 0
 

@@ -27,4 +27,6 @@ class PerturbationInvalidError(NumericalValidityError):
 
 
 class AmbiguousSteadyStateError(NumericalValidityError):
-    """The unit eigenvalue of the reduced step map is not simple."""
+    """No certified stationary vector: the leading eigenvalue of the cycle
+    matrix is not separated from the rest of its spectrum, or its eigenvector
+    fails the sign or residual check."""

@@ -11,7 +11,10 @@ is a function of that diagonal, so the two iteration kernels `evolve` and
 per cycle. They apply, entry by entry, exactly the arithmetic that the
 full-matrix cycle `thermal_step((1-p) rho + p channel_step(rho))` applies on
 its diagonal, so their results are bit-identical to iterating that
-composition and reading the diagonal.
+composition and reading the diagonal. `step_matrix` writes the same cycle
+as a real (dim, dim) matrix; its Perron vector (`thermal.stationary`) is every
+stationary population the program reports, and `evolve_to_fixed_point` stays
+as the independent iteration oracle for it.
 
 `channel_step` and `thermal_step` are the full-matrix one-step kernels, used
 where coherences matter (`thermal.decoherence_step`, self-checks) and as the
@@ -63,7 +66,9 @@ def _population_cycle(g, e, m, gm, gp, p_at):
 
     Bands are conjugated and the environment coefficients are formed once
     here; each entry then sees the same operations, in the same order, as the
-    diagonal entry of `thermal_step((1-p) rho + p channel_step(rho))`.
+    diagonal entry of `thermal_step((1-p) rho + p channel_step(rho))`. The
+    levels run along the last axis, so a (batch, dim) stack of diagonals
+    advances row by row with the same arithmetic.
     """
     g = np.asarray(g, dtype=np.complex128)
     e = np.asarray(e, dtype=np.complex128)
@@ -84,18 +89,36 @@ def _population_cycle(g, e, m, gm, gp, p_at):
 
     def cycle(d: np.ndarray) -> np.ndarray:
         out = (e * d) * ec
-        out[1:] += (g_lo * d[:-1]) * gc_lo
-        out[:-1] += (m_hi * d[1:]) * mc_hi
+        out[..., 1:] += (g_lo * d[..., :-1]) * gc_lo
+        out[..., :-1] += (m_hi * d[..., 1:]) * mc_hi
         if mixing:
             out = keep * d + p_at * out
         if environment:
             nxt = out * factor
-            nxt[:-1] += down * out[1:]
-            nxt[1:] += up * out[:-1]
+            nxt[..., :-1] += down * out[..., 1:]
+            nxt[..., 1:] += up * out[..., :-1]
             out = nxt
         return out
 
     return cycle
+
+
+def step_matrix(
+    g: np.ndarray,
+    e: np.ndarray,
+    m: np.ndarray,
+    gm: float,
+    gp: float,
+    p_at: float,
+) -> np.ndarray:
+    """The real (dim, dim) matrix M of one population cycle, d' = M d.
+
+    Column n is the cycle applied to the unit population on level n, computed
+    by one batched call of the engine's own cycle on the identity, so M is
+    exactly the map that `evolve` iterates.
+    """
+    cycle = _population_cycle(g, e, m, float(gm), float(gp), float(p_at))
+    return cycle(np.eye(len(e), dtype=np.complex128)).real.T
 
 
 def evolve(
@@ -143,7 +166,10 @@ def evolve_to_fixed_point(
     of the populations falls below tol; returns (state, steps, last change).
 
     As in `evolve`, only the diagonal of rho0 is carried and the returned
-    state is diagonal.
+    state is diagonal. The stopping rule bounds the distance to the fixed
+    point only by about tol / spectral gap, so this is an oracle for tests
+    and `fockstab validate`; runs solve `step_matrix` with
+    `thermal.stationary` instead.
     """
     cycle = _population_cycle(g, e, m, float(gm), float(gp), float(p_at))
     d = np.diag(np.asarray(rho0, dtype=np.complex128)).copy()

@@ -32,6 +32,9 @@ from .fock import sanitize
 from .kraus import KrausSet, apply_map, bands, transition_rates
 
 STEP_LIMIT = 0.5
+STATIONARY_GAP_TOL = 1e-13
+STATIONARY_RESIDUAL_ULPS = 64
+STATIONARY_SHIFT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ class ReducedDynamics:
         return _tridiag(self.b_main, self.b_down, self.b_up)
 
     def step_matrix(self, p_at: float) -> np.ndarray:
-        """B ((1 - p_at) I + p_at A)."""
+        """B ((1 - p_at) I + p_at A): the cycle matrix whose `stationary`
+        vector is the trapping-rate model's long-run populations."""
         dim = self.dim
         return self.b_matrix() @ ((1.0 - p_at) * np.eye(dim) + p_at * self.a_matrix())
 
@@ -181,18 +185,64 @@ def reduced_from_channel(k: KrausSet, tp: ThermalParams) -> ReducedDynamics:
     return reduced_from_rates(np.abs(m) ** 2, np.abs(g) ** 2, tp)
 
 
+def stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Stationary populations of the cycle matrix m, with its spectral gap.
+
+    The long-run populations of r' = m r are the Perron vector of m: the
+    eigenvector of the eigenvalue lam1 with the largest real part, normalized
+    to sum 1. m may be substochastic (population leaks through the truncated
+    top level), so lam1 can sit just below 1 and the vector is the
+    quasi-stationary one that renormalized iteration converges to. The gap
+    lam1 - max|lam_other| sets how fast that iteration forgets its start; it
+    is returned so callers can flag slowly mixing chains.
+
+    Raises AmbiguousSteadyStateError when the gap is at rounding level (two
+    closed classes, as in a channel without environment), when an entry is
+    clearly negative, or when the residual |m v - lam1 v|_1 exceeds rounding.
+    """
+    lam, vecs = np.linalg.eig(m)
+    top = int(np.argmax(lam.real))
+    lam1 = float(lam[top].real)
+    gap = lam1 - float(np.abs(np.delete(lam, top)).max())
+    if gap < STATIONARY_GAP_TOL:
+        raise AmbiguousSteadyStateError(
+            f"leading eigenvalue {lam1:.15f} is not separated: spectral gap {gap:.3e}"
+        )
+    # two steps of inverse iteration from the eigensolver's vector, shifted
+    # just above the Perron root, where (sigma I - m)^-1 is entrywise
+    # positive: they remove the solver's absolute error (measured up to 3.5e-8
+    # on slowly mixing chains, in entries that should be tiny and positive).
+    # The offset stays well inside the gap and far above the rounding of lam1.
+    sigma = lam1 + max(STATIONARY_SHIFT * gap, STATIONARY_GAP_TOL)
+    shifted = sigma * np.eye(len(lam)) - m
+    r = np.abs((vecs[:, top] / vecs[:, top].sum()).real)
+    for _ in range(2):
+        r = np.linalg.solve(shifted, r)
+        r /= r.sum()
+    # the comparisons are written to fail on NaN as well
+    if not r.min() >= -1e-10:
+        raise AmbiguousSteadyStateError(f"stationary vector has negative entry {r.min():.3e}")
+    residual = float(np.abs(m @ r - lam1 * r).sum())
+    bound = STATIONARY_RESIDUAL_ULPS * len(r) * np.finfo(np.float64).eps * float(np.abs(m).sum(axis=0).max())
+    if not residual <= bound:
+        raise AmbiguousSteadyStateError(f"eigenvector residual {residual:.3e} exceeds rounding ({bound:.3e})")
+    return r, gap
+
+
 def steady_state(
     rd: ReducedDynamics,
     p_at: float,
     gap_tol: float = 1e-10,
     power_tol: float = 1e-12,
 ) -> np.ndarray:
-    """Stationary population vector of the reduced cycle map.
+    """Stationary population vector of the reduced cycle map (oracle).
 
     Solves (B A_eff - I) r = 0 with the normalization row appended (a
     deterministic least-squares problem), verifies the unit eigenvalue is
     simple, and cross-checks the solution as a fixed point of normalized
-    power iteration to below power_tol.
+    power iteration to below power_tol. It refuses any gap below 1e-7.
+    Production runs use `stationary`; this independent route is kept for the
+    tests, `fockstab validate` and the benchmark's checks.
     """
     m = rd.step_matrix(p_at)
     dim = m.shape[0]

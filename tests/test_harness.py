@@ -117,6 +117,7 @@ def test_tune_phase_stable_under_dim_doubling():
 def test_steady_sweep_row_contents():
     rows = ex.run_steady_sweep(resolved(scenario="steady", nbars=(2,)))
     (row,) = rows
+    assert "stationarity_steps" not in row and 0.0 < row["spectral_gap"] < 1.0
     assert row["fid_steady"] > row["fid_walther_4s"]
     assert abs(row["fid_steady"] - row["fid_reduced"]) < 0.02
     assert abs(row["fid_perturbative"] - row["fid_reduced"]) <= 5 * row["x1"] ** 2
@@ -219,6 +220,9 @@ def test_cli_exit_codes():
     assert main(["converge", "--nbar", "0"]) == 2
     assert main(["trajectory", "--kappa", "1e6", "--steps", "5"]) == 3
     assert main(["converge", "--config", "/nonexistent/path.json"]) == 2
+    # without an environment the robustness chains keep two closed classes,
+    # so their stationary fidelity is refused rather than made up
+    assert main(["robustness", "--kappa", "0"]) == 3
 
 
 @pytest.mark.parametrize(
@@ -389,7 +393,7 @@ def test_control_schedule_rejects_nonpositive_durations():
 
 
 def test_steady_sweep_honours_dim_for_the_configured_level(tmp_path):
-    from fockstab.thermal import build_reduced, steady_state
+    from fockstab.thermal import build_reduced, stationary
 
     out = tmp_path / "steady.json"
     argv = ["steady", "--nbar", "2", "--nbars", "2", "--dim", "40", "--format", "json", "--out", str(out)]
@@ -398,6 +402,59 @@ def test_steady_sweep_honours_dim_for_the_configured_level(tmp_path):
     cfg = resolved(scenario="steady", nbar=2, dim=40)
     params = ex.reservoir_params(cfg, phi=row["phi_used"])
     tp = ex.thermal_params(cfg)
-    assert row["fid_reduced"] == float(steady_state(build_reduced(params, tp, 40), cfg.pat)[2])
+    assert row["fid_reduced"] == float(stationary(build_reduced(params, tp, 40).step_matrix(cfg.pat))[0][2])
     # the default truncation (27 levels) gives a different value, so the flag was not ignored
-    assert row["fid_reduced"] != float(steady_state(build_reduced(params, tp, 27), cfg.pat)[2])
+    assert row["fid_reduced"] != float(stationary(build_reduced(params, tp, 27).step_matrix(cfg.pat))[0][2])
+
+
+def test_production_runs_reach_no_stationary_oracle(tmp_path, monkeypatch):
+    # every production stationary quantity is a Perron solve of a step
+    # matrix; iteration, the reduced-chain solver and the channel-to-chain
+    # reader are oracles only
+    from fockstab import kernels, thermal
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("a production run reached a stationary oracle")
+
+    for module in (ex, kernels, thermal):
+        for name in ("steady_state", "evolve_to_fixed_point", "steady_fidelity", "reduced_from_channel"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, oracle)
+    cavity = ["--kappa", "10", "--nth", "0.05", "--pat", "0.3"]
+    for argv in (
+        ["tune-phase", "--nbar", "2", *cavity],
+        ["steady", "--nbars", "2"],
+        ["robustness"],
+        ["sweep-theta2"],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0, argv
+
+
+def test_tune_grid_has_no_swallowed_phases(tmp_path):
+    # the nbar-1 grid at x = 3pi/4 in the cavity: 44 of its 64 phases were
+    # once refused and written as fidelity 0.0, though every gap is >= 1e-5
+    out = tmp_path / "tune.json"
+    argv = ["tune-phase", "--nbar", "1", "--theta2", repr(0.75 * math.pi),
+            "--kappa", "10", "--nth", "0.05", "--pat", "0.3", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    rows = doc["records"]
+    assert len(rows) == 64
+    assert all(0.0 < r["fidelity"] < 1.0 for r in rows)
+    assert min(r["spectral_gap"] for r in rows) > 1e-5
+    assert doc["summary"]["ill_conditioned"] == 0
+
+
+@pytest.mark.parametrize("nbar, ill", [(3, 0), (8, 10)])
+def test_sweep_theta2_answers_every_grid_point(nbar, ill, tmp_path):
+    # small theta2 leaves little transport: such points were once written as
+    # NaN; now each has a fidelity, and the slowly mixing ones are counted
+    out = tmp_path / "sweep.json"
+    assert main(["sweep-theta2", "--nbar", str(nbar), "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    fids = [r["fid_verified"] for r in doc["records"]]
+    assert all(-1e-10 < f < 1.0 for f in fids)
+    gaps = [r["spectral_gap"] for r in doc["records"]]
+    assert doc["summary"]["ill_conditioned"] == sum(g < ex.ILL_CONDITIONED_GAP for g in gaps) == ill
+    assert doc["summary"]["theta2_opt"] == doc["records"][int(np.argmax(fids))]["theta2"]
+

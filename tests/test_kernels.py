@@ -12,7 +12,7 @@ from fockstab.dynamics import make_params, trapping_theta1
 from fockstab.errors import AmbiguousSteadyStateError
 from fockstab.fock import annihilation, fock_density, number_op, random_density
 from fockstab.kraus import analytic_kraus, bands
-from fockstab.thermal import ThermalParams, cavity_thermal, reduced_from_channel, steady_state
+from fockstab.thermal import ThermalParams, cavity_thermal, reduced_from_channel, stationary, steady_state
 
 
 @pytest.fixture(scope="module")
@@ -267,12 +267,16 @@ def test_sampled_evolution_is_bit_identical_to_full_matrix_route(channel):
 
 def test_fixed_point_matches_reduced_steady_state_over_random_physics():
     # the cavity of the paper (kappa = 10/s, n_th = 0.05) widened on every
-    # axis, theta2 around the optimum 3pi/(4 sqrt(nbar)), any phase; tol is
-    # 1e-12 because the stopping rule bounds the error only by tol / gap and
-    # broken trapping (theta1 error) leaves gaps down to 1e-5 per cycle
+    # axis, theta2 around the optimum 3pi/(4 sqrt(nbar)), any phase. Every
+    # draw is answered by the Perron solve of the engine's step matrix, and
+    # one engine cycle of the answer, renormalized, leaves it in place. It is
+    # pinned to the reduced chain wherever `steady_state` answers, and to
+    # renormalized iteration at tol 1e-12 wherever that converges: the
+    # stopping rule bounds the iteration's error only by about tol / gap, and
+    # broken trapping (theta1 error) leaves gaps down to 2e-7 per cycle
     rng = np.random.default_rng(12)
-    draws, ambiguous = 20, 0
-    for _ in range(draws):
+    refused = converged = 0
+    for draw in range(20):
         nbar = int(rng.integers(1, 7))
         dim = 9 * (nbar + 1)
         params = make_params(
@@ -288,14 +292,41 @@ def test_fixed_point_matches_reduced_steady_state_over_random_physics():
             p_at=float(rng.uniform(0.1, 1.0)),
         )
         k = analytic_kraus(params, dim)
+        g, e, m = bands(k)
+        cavity = (tp.gamma_minus, tp.gamma_plus, tp.p_at)
+        r, gap = stationary(kernels.step_matrix(g, e, m, *cavity))
+        assert gap > 0.0 and r.min() > -1e-10, draw
+        _, diag, trace = kernels.evolve(g, e, m, np.diag(r), *cavity, 1)
+        assert np.abs(diag[1] / trace[1] - r).max() <= 1e-13, draw
         try:
             ref = steady_state(reduced_from_channel(k, tp), tp.p_at)
         except AmbiguousSteadyStateError:
-            ambiguous += 1
-            continue
-        out, _, delta = kernels.evolve_to_fixed_point(
-            *bands(k), fock_density(nbar, dim), tp.gamma_minus, tp.gamma_plus, tp.p_at, tol=1e-12
-        )
-        assert delta < 1e-12
-        assert np.abs(np.diag(out).real - ref).max() < 1e-6
-    assert ambiguous < draws // 2
+            refused += 1
+        else:
+            assert np.abs(r - ref).max() < 1e-6, draw
+        out, _, delta = kernels.evolve_to_fixed_point(g, e, m, fock_density(nbar, dim), *cavity, tol=1e-12)
+        if delta < 1e-12:
+            converged += 1
+            assert np.abs(np.diag(out).real - r).max() <= 2e-12 / gap, draw
+    # the draws steady_state refuses are answered too; one of them (nbar 6,
+    # gap 2.4e-7) also exhausts the iteration's step cap
+    assert (refused, converged) == (4, 19)
+
+
+def test_step_matrix_is_the_cycle_applied_to_unit_vectors(channel):
+    # physical and random bands; bare channel, the cavity at p_at = 0.3 and
+    # random rates: column n is exactly the engine's cycle of level n
+    _, physical = channel
+    rng = np.random.default_rng(13)
+    cavity = cavity_thermal()
+    for draw in range(12):
+        dim = 27 if draw % 2 == 0 else int(rng.integers(4, 61))
+        g, e, m = physical if draw % 2 == 0 else random_bands(dim, rng)
+        rates = [
+            (0.0, 0.0, 1.0),
+            (cavity.gamma_minus, cavity.gamma_plus, 0.3),
+            (rng.uniform(0.0, 1e-3), rng.uniform(0.0, 1e-4), rng.uniform(0.05, 1.0)),
+        ][draw % 3]
+        cycle = kernels._population_cycle(g, e, m, *rates)
+        ref = np.column_stack([cycle(unit).real for unit in np.eye(dim, dtype=np.complex128)])
+        assert np.array_equal(kernels.step_matrix(g, e, m, *rates), ref), draw

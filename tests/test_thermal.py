@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockstab import kernels
 from fockstab.dynamics import make_params
 from fockstab.errors import (
     AmbiguousSteadyStateError,
@@ -11,7 +12,7 @@ from fockstab.errors import (
     StepValidityError,
 )
 from fockstab.fock import annihilation, fock_density, number_op, random_density
-from fockstab.kraus import analytic_kraus, apply_map
+from fockstab.kraus import analytic_kraus, apply_map, bands
 from fockstab.thermal import (
     ThermalParams,
     build_reduced,
@@ -19,6 +20,7 @@ from fockstab.thermal import (
     decoherence_step,
     reduced_from_channel,
     reservoir_step,
+    stationary,
     steady_population_correction,
     steady_state,
 )
@@ -161,10 +163,17 @@ def test_steady_state_without_environment_is_target():
     with pytest.raises(AmbiguousSteadyStateError):
         # the second dark level makes the unit eigenvalue degenerate on this dim
         steady_state(rd, 1.0)
+    with pytest.raises(AmbiguousSteadyStateError):
+        stationary(rd.step_matrix(1.0))
+    with pytest.raises(AmbiguousSteadyStateError):
+        # the channel's own cycle matrix has the same two closed classes
+        stationary(kernels.step_matrix(*bands(analytic_kraus(make_params(nbar, theta2=1.3), dim)), 0.0, 0.0, 1.0))
     # restricted below the second dark level the target is the unique fixed point
     rd_win = build_reduced(make_params(nbar, theta2=1.3), ThermalParams(0.0, 0.0, 60e-6), 16)
     r = steady_state(rd_win, 1.0)
     assert r[nbar] == pytest.approx(1.0, abs=1e-9)
+    r, gap = stationary(rd_win.step_matrix(1.0))
+    assert r[nbar] == pytest.approx(1.0, abs=1e-12) and gap > 1e-3
 
 
 def test_steady_state_properties():
@@ -175,6 +184,10 @@ def test_steady_state_properties():
     assert r.sum() == pytest.approx(1.0, abs=1e-12)
     assert r.min() > -1e-10
     assert r[nbar] > 0.5
+    perron, gap = stationary(rd.step_matrix(tp.p_at))
+    assert perron.sum() == pytest.approx(1.0, abs=1e-14)
+    assert 0.0 < gap < 1.0
+    assert np.abs(perron - r).max() < 1e-9
 
 
 def test_steady_fidelity_degrades_with_coupling():
