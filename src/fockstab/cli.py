@@ -91,12 +91,7 @@ def run(cfg: ExperimentConfig) -> int:
         return 0 if all(ok for _, ok, _ in checks) else 3
 
     if cfg.scenario in ("converge", "trajectory", "ladder"):
-        runner = {
-            "converge": experiments.run_convergence,
-            "trajectory": experiments.run_trajectory,
-            "ladder": experiments.ladder_check,
-        }[cfg.scenario]
-        record = runner(cfg)
+        record = experiments.run_record(cfg)
         output.emit_record(cfg, record)
         if cfg.out is not None:
             _print_summary(record.summary)

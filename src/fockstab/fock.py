@@ -17,6 +17,8 @@ from .errors import ConfigError, DegenerateStateError
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
+# a trace below this signals truncation leakage, not drift
+TRACE_FLOOR = 1e-6
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -103,16 +105,11 @@ def random_density(dim: int, rng: np.random.Generator, lo: int = 0, hi: int | No
     return rho
 
 
-def check_density(
-    rho: np.ndarray,
-    herm_tol: float = HERM_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> None:
+def check_density(rho: np.ndarray) -> None:
     """Raise if rho violates the density-matrix invariants.
 
-    Hermitian within herm_tol (entrywise), trace within trace_tol of 1,
-    smallest eigenvalue >= -psd_tol. Eigenvalues in [-psd_tol, 0) are
+    Hermitian within HERM_TOL (entrywise), trace within TRACE_TOL of 1,
+    smallest eigenvalue >= -PSD_TOL. Eigenvalues in [-PSD_TOL, 0) are
     tolerated rather than clipped so that genuine bugs stay visible.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -120,13 +117,13 @@ def check_density(
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
-        raise ValueError(f"density matrix not Hermitian: defect {herm:.3e} > {herm_tol:.1e}")
+    if herm > HERM_TOL:
+        raise ValueError(f"density matrix not Hermitian: defect {herm:.3e} > {HERM_TOL:.1e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr:.12g} differs from 1 beyond {trace_tol:.1e}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr:.12g} differs from 1 beyond {TRACE_TOL:.1e}")
     lam = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if lam.min() < -psd_tol:
+    if lam.min() < -PSD_TOL:
         raise ValueError(f"density matrix not PSD: min eigenvalue {lam.min():.3e}")
 
 
@@ -146,18 +143,18 @@ class SanitizeResult(NamedTuple):
     trace_correction: float
 
 
-def sanitize(rho: np.ndarray, trace_floor: float = 1e-6) -> SanitizeResult:
+def sanitize(rho: np.ndarray) -> SanitizeResult:
     """Hermitize and renormalize a slightly drifted density matrix.
 
     Returns the repaired matrix together with the magnitude of the removed
-    anti-Hermitian part and of the trace rescaling. A trace below trace_floor
+    anti-Hermitian part and of the trace rescaling. A trace below TRACE_FLOOR
     signals truncation leakage and raises instead of rescaling garbage.
     """
     herm = 0.5 * (rho + rho.conj().T)
     herm_corr = float(np.abs(rho - herm).max())
     tr = np.trace(herm).real
-    if tr < trace_floor:
-        raise DegenerateStateError(f"state trace {tr:.3e} below floor {trace_floor:.1e}")
+    if tr < TRACE_FLOOR:
+        raise DegenerateStateError(f"state trace {tr:.3e} below floor {TRACE_FLOOR:.1e}")
     return SanitizeResult(herm / tr, herm_corr, abs(tr - 1.0))
 
 

@@ -19,12 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import E, G, M, LadderPropagator, ReservoirParams, ladder_members
+from .dynamics import UNITARY_TOL, E, G, M, LadderPropagator, ReservoirParams, ladder_members
 from .errors import ConfigError
 from .fock import sanitize
 
 COMPLETENESS_APPLY_TOL = 1e-6
 OFF_BAND_TOL = 1e-12
+# top columns left out of kraus_deviation
+DEVIATION_SKIPPED_TOP = 1
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -114,7 +116,7 @@ def ladder_defects(u: LadderPropagator) -> tuple[float, float]:
     return unitarity, float(np.abs(gram[:, E, E] - 1.0).max())
 
 
-def extract_kraus(u: LadderPropagator, unitary_tol: float = 1e-10) -> KrausSet:
+def extract_kraus(u: LadderPropagator) -> KrausSet:
     """Read the field channel of an atom entering in |e> off a joint propagator.
 
     M_x[n', n] = <x, n'| U |e, n> is the E column of the ladder blocks:
@@ -124,8 +126,8 @@ def extract_kraus(u: LadderPropagator, unitary_tol: float = 1e-10) -> KrausSet:
     `u.dense()` and `KrausSet.from_operators` are their oracle.
     """
     defect, completeness = ladder_defects(u)
-    if defect > unitary_tol:
-        raise ValueError(f"propagator unitarity defect {defect:.3e} exceeds {unitary_tol:.1e}")
+    if defect > UNITARY_TOL:
+        raise ValueError(f"propagator unitarity defect {defect:.3e} exceeds {UNITARY_TOL:.1e}")
     column = u.blocks[:, :, E].copy()
     column[-1, G] = 0.0
     column[0, M] = 0.0
@@ -241,16 +243,16 @@ def align_phase(op: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return op * (r / abs(r)) * (abs(o) / o)
 
 
-def kraus_deviation(extracted: KrausSet, reference: KrausSet, exclude_top: int = 1) -> float:
+def kraus_deviation(extracted: KrausSet, reference: KrausSet) -> float:
     """Max-norm distance between channels after per-operator phase alignment.
 
-    The last exclude_top columns are left out: the top truncated level has no
-    raising partner, so there the exact boundary block and the closed form
-    differ by design at any detuning, independently of the model error this
-    distance is meant to measure.
+    The last DEVIATION_SKIPPED_TOP columns are left out: the top truncated
+    level has no raising partner, so there the exact boundary block and the
+    closed form differ by design at any detuning, independently of the model
+    error this distance is meant to measure.
     """
     dev = 0.0
-    stop = extracted.dim - exclude_top
+    stop = extracted.dim - DEVIATION_SKIPPED_TOP
     for a, b in ((extracted.m_g, reference.m_g), (extracted.m_e, reference.m_e), (extracted.m_m, reference.m_m)):
         aligned = align_phase(a[:, :stop], b[:, :stop])
         dev = max(dev, float(np.abs(aligned - b[:, :stop]).max()))

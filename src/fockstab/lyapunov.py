@@ -20,6 +20,7 @@ from .kraus import KrausSet, apply_map
 
 DEFAULT_ETA = 0.5
 THETA2_TOL = 1e-9
+SUPPORT_TOL = 1e-9
 
 
 def window_top(nbar: int) -> int:
@@ -88,7 +89,6 @@ def build_weights(
     eta: float = DEFAULT_ETA,
     dim: int | None = None,
     plateau: int | None = None,
-    tol: float = THETA2_TOL,
 ) -> LyapunovWeights:
     """Construct the weights f and decrement rates q.
 
@@ -113,10 +113,10 @@ def build_weights(
         raise ConfigError(f"dim {dim} must exceed the plateau level {plateau}")
     if theta2 <= 0:
         raise ConfigError(f"theta2 must be positive for a certificate, got {theta2}")
-    resonance = _offending_resonance(theta2, nbar, tol)
+    resonance = _offending_resonance(theta2, nbar, THETA2_TOL)
     if resonance is not None:
         raise ConfigError(
-            f"theta2 = {theta2:.12g} is within {tol:.1e} of the resonance "
+            f"theta2 = {theta2:.12g} is within {THETA2_TOL:.1e} of the resonance "
             f"k*pi/sqrt(n) with (n, k) = {resonance}"
         )
 
@@ -188,9 +188,7 @@ def evaluate_v(rho: np.ndarray, w: LyapunovWeights) -> float:
     return float(w.f @ diag.real)
 
 
-def lyapunov_decrement(
-    k: KrausSet, w: LyapunovWeights, rho: np.ndarray, support_tol: float = 1e-9
-) -> tuple[float, float]:
+def lyapunov_decrement(k: KrausSet, w: LyapunovWeights, rho: np.ndarray) -> tuple[float, float]:
     """Measured and predicted per-cycle change of V.
 
     Returns (V(Phi(rho)) - V(rho), sum_n q(n) rho[n, n]); the two agree to
@@ -198,7 +196,7 @@ def lyapunov_decrement(
     are strictly negative unless rho is the target state. rho must be
     supported in the window 0..plateau.
     """
-    if not support_in(rho, 0, w.plateau, support_tol):
+    if not support_in(rho, 0, w.plateau, SUPPORT_TOL):
         raise ConfigError(f"state has support outside levels 0..{w.plateau}")
     delta_v = evaluate_v(apply_map(k, rho), w) - evaluate_v(rho, w)
     predicted = float(w.q @ np.diag(rho).real)

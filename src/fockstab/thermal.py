@@ -35,6 +35,9 @@ STEP_LIMIT = 0.5
 STATIONARY_GAP_TOL = 1e-13
 STATIONARY_RESIDUAL_ULPS = 64
 STATIONARY_SHIFT = 1e-3
+# the steady_state oracle's simple-root and power-iteration thresholds
+ORACLE_GAP_TOL = 1e-10
+ORACLE_POWER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -229,18 +232,13 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
     return r, gap
 
 
-def steady_state(
-    rd: ReducedDynamics,
-    p_at: float,
-    gap_tol: float = 1e-10,
-    power_tol: float = 1e-12,
-) -> np.ndarray:
+def steady_state(rd: ReducedDynamics, p_at: float) -> np.ndarray:
     """Stationary population vector of the reduced cycle map (oracle).
 
     Solves (B A_eff - I) r = 0 with the normalization row appended (a
     deterministic least-squares problem), verifies the unit eigenvalue is
     simple, and cross-checks the solution as a fixed point of normalized
-    power iteration to below power_tol. It refuses any gap below 1e-7.
+    power iteration to below ORACLE_POWER_TOL. It refuses any gap below 1e-7.
     Production runs use `stationary`; this independent route is kept for the
     tests, `fockstab validate` and the benchmark's checks.
     """
@@ -249,7 +247,7 @@ def steady_state(
     lam = np.linalg.eigvals(m)
     dist = np.sort(np.abs(lam - 1.0))
     gap = float(dist[1]) if len(dist) > 1 else 1.0
-    if gap < gap_tol:
+    if gap < ORACLE_GAP_TOL:
         raise AmbiguousSteadyStateError(
             f"unit eigenvalue is not simple: nearest distances {dist[0]:.3e}, {dist[1]:.3e}"
         )
@@ -274,7 +272,7 @@ def steady_state(
         nxt /= nxt.sum()
         delta = float(np.abs(nxt - v).max())
         v = nxt
-        if delta < power_tol:
+        if delta < ORACLE_POWER_TOL:
             break
     else:
         raise AmbiguousSteadyStateError(f"power iteration stalled at residual {delta:.3e}")
@@ -287,7 +285,6 @@ def steady_population_correction(
     params: ReservoirParams,
     tp: ThermalParams,
     p_at: float = 1.0,
-    m_cap: int | None = None,
 ) -> float:
     """First-order thermal correction x1 <= 0 to the target-level population.
 
@@ -303,13 +300,11 @@ def steady_population_correction(
     smaller index loses a full order of accuracy). Reservoir rates are scaled
     by p_at (the per-cycle channel is applied with that probability).
     1 + x1 estimates the stationary fidelity with an error of order x1^2. The
-    upper sum is capped at the invariant window edge 4*nbar+3 by default,
-    where the upward rate vanishes at the trapping area; m_cap overrides the
-    cap for detuned studies.
+    upper sum is capped at the invariant window edge 4*nbar+3, where the
+    upward rate vanishes at the trapping area.
     """
     nbar = params.nbar
-    if m_cap is None:
-        m_cap = 3 * nbar + 3
+    m_cap = 3 * nbar + 3
     if not 0 < p_at <= 1.0:
         raise ConfigError(f"p_at must lie in (0, 1], got {p_at}")
     top = nbar + m_cap

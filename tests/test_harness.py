@@ -10,7 +10,7 @@ import pytest
 
 from fockstab import experiments as ex
 from fockstab import output
-from fockstab.cli import main
+from fockstab.cli import build_parser, config_from_args, main
 from fockstab.config import ExperimentConfig
 from fockstab.errors import ConfigError
 
@@ -253,18 +253,57 @@ def test_malformed_config_values_raise_config_error():
         assert got == want and all(type(n) is int for n in got)
 
 
-@pytest.mark.parametrize("runner", [ex.run_convergence, ex.run_trajectory])
-def test_initial_state_checked_before_phase_tuning(runner, monkeypatch):
+@pytest.mark.parametrize("scenario", ["converge", "trajectory", "ladder"])
+def test_initial_state_checked_before_phase_tuning(scenario, monkeypatch):
     def untouchable(cfg):
         raise AssertionError("phase tuning ran before the initial state was checked")
 
     monkeypatch.setattr(ex, "tune_phase", untouchable)
-    scenario = "converge" if runner is ex.run_convergence else "trajectory"
-    cfg = resolved(scenario=scenario, nbar=2, init="diag:1,-1")
-    assert cfg.phi is None and cfg.channel == "numeric"
+    cfg = resolved(scenario=scenario, nbar=2, init="diag:1,-1", channel="numeric")
+    assert cfg.phi is None
     with pytest.raises(ConfigError):
-        runner(cfg)
+        ex.run_record(cfg)
 
+
+RECORD_SUMMARY_KEYS = {
+    "final_fidelity", "max_fidelity", "completeness_defect", "leak", "dark_levels",
+    "population_outside_dark_levels", "population_target", "population_upper_dark",
+    "wall_time_s", "phi_used", "phi_tuned",
+}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--phi", "0.2", "--sample-atoms", "--seed", "7", "--pat", "0.5", "--kappa", "0", "--nth", "0"],
+        ["--phi", "0.3", "--pat", "0.5", "--kappa", "10", "--nth", "0.05"],
+    ],
+    ids=["sampled", "environment"],
+)
+def test_record_scenarios_honour_every_flag(flags):
+    # every scenario-dependent default is given, so the three record scenarios
+    # must write the same rows; only the echoed scenario name may differ
+    common = ["--nbar", "2", "--theta2", "1.2", "--steps", "300", "--init", "fock:5", "--channel", "analytic"]
+    texts = {}
+    for scenario in ("converge", "trajectory", "ladder"):
+        cfg = config_from_args(build_parser().parse_args([scenario, *common, *flags]))
+        rec = ex.run_record(cfg)
+        assert RECORD_SUMMARY_KEYS <= set(rec.summary)
+        buf = io.StringIO()
+        output.emit_record(cfg, rec, stream=buf)
+        head, _, rows = buf.getvalue().partition("\n")
+        assert head.startswith("# config: ")
+        texts[scenario] = rows
+    assert texts["converge"] == texts["trajectory"] == texts["ladder"]
+
+
+def test_records_below_the_certificate_window_carry_nan_v():
+    # dim 12 < 4*nbar+3 = 15: no Lyapunov weights exist, so V is NaN rather
+    # than an error, and robustness (whose decay rows are records) still runs
+    rows = ex.run_robustness(resolved(scenario="robustness", nbar=3, dim=12, channel="analytic", phi=0.0))
+    assert [r["case"] for r in rows].count("walther_theta_err") == 4
+    rec = ex.run_record(resolved(scenario="converge", nbar=3, dim=12, steps=10, phi=0.0))
+    assert np.isnan(rec.v).all() and np.isfinite(rec.fidelity).all()
 
 def test_emit_builds_only_the_written_payload(monkeypatch):
     cfg = resolved(scenario="converge", nbar=1, steps=5, phi=0.0)

@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fockstab import experiments as ex
 from fockstab import output
@@ -38,10 +39,21 @@ def random_bit_floats(rng, shape):
     return rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
 
 
-def test_trajectory_csv_matches_golden_file():
-    name = "trajectory_nbar2_dim12_steps200_phi0.3.csv"
-    cfg = cli_config(["trajectory", "--nbar", "2", "--dim", "12", "--steps", "200", "--phi", "0.3"])
-    text = emitted(cfg, output.emit_record, ex.run_trajectory(cfg))
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("trajectory_nbar2_dim12_steps200_phi0.3.csv",
+         ["trajectory", "--nbar", "2", "--dim", "12", "--steps", "200", "--phi", "0.3"]),
+        ("converge_nbar2_dim12_steps150_phi0.3.csv",
+         ["converge", "--nbar", "2", "--dim", "12", "--steps", "150", "--phi", "0.3"]),
+        ("ladder_nbar1_dim18_steps150_phi0.csv",
+         ["ladder", "--nbar", "1", "--dim", "18", "--steps", "150", "--phi", "0"]),
+    ],
+    ids=["trajectory", "converge", "ladder"],
+)
+def test_record_csv_matches_golden_file(name, argv):
+    cfg = cli_config(argv)
+    text = emitted(cfg, output.emit_record, ex.run_record(cfg))
     assert text.encode("utf-8") == (DATA / name).read_bytes()
 
 
