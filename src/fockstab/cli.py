@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: converge, trajectory, steady, tune-phase, sweep-theta2,
-robustness, ladder, validate. Options can also come from a JSON config file
-(--config) mirroring ExperimentConfig; explicit flags override file values.
+robustness, ladder, validate. Each offers only the options its scenario reads
+(config.SCENARIOS). Options can also come from a JSON config file (--config)
+mirroring ExperimentConfig; explicit flags override file values, and a file
+value the scenario does not read must equal its default.
 Exit codes: 0 success, 2 configuration error, 3 numerical-validity error.
 """
 
@@ -12,70 +14,59 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import SCENARIOS, ExperimentConfig, parse_nbars
+from .config import SCENARIOS, ExperimentConfig, parse_nbars, resolve_reads
 from .errors import ConfigError, NumericalValidityError
 from . import experiments, output
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nbar", type=int, help="target photon number (default 3)")
-    p.add_argument("--theta2", type=float, help="middle pulse area in rad (default per scenario)")
-    p.add_argument("--eta", type=float, help="Lyapunov mixing weight in (0,1), default 0.5")
-    p.add_argument("--dim", type=int, help="field truncation (default 9*(nbar+1))")
-    p.add_argument("--steps", type=int, help="number of atomic cycles")
-    p.add_argument("--kappa", type=float, help="environment coupling in 1/s")
-    p.add_argument("--nth", type=float, help="thermal occupancy of the environment")
-    p.add_argument("--ts", type=float, help="cycle period in s (default 60e-6)")
-    p.add_argument("--pat", type=float, help="atom presence probability in [0,1]")
-    p.add_argument("--phi", type=float, help="middle-segment phase in rad (default: tuned)")
-    p.add_argument("--theta1-err", type=float, dest="theta1_err", help="relative pulse-area error")
-    p.add_argument("--channel", choices=["analytic", "numeric"], help="channel construction route")
-    p.add_argument("--scheme", choices=["symmetric", "walther"], help="reservoir scheme")
-    p.add_argument("--init", type=str, help="initial state: vacuum | fock:K | uniform:LO:HI | diag:P0,P1,...")
-    p.add_argument("--nbars", type=str, help="comma-separated target levels for sweeps (default 1..8)")
-    p.add_argument("--sample-atoms", action="store_true", default=None, dest="sample_atoms",
-                   help="sample atom presence per cycle instead of the expected map")
-    p.add_argument("--seed", type=int, help="seed for --sample-atoms")
-    p.add_argument("--out", type=str, help="output path (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], dest="fmt", help="output format (default csv)")
-    p.add_argument("--config", type=str, dest="config_file", help="JSON file of config values")
+# argparse settings of each ExperimentConfig field's option, --<field> with dashes
+_OPTIONS = {
+    "nbar": {"type": int, "help": "target photon number (default 3)"},
+    "theta2": {"type": float, "help": "middle pulse area in rad (default per scenario)"},
+    "eta": {"type": float, "help": "Lyapunov mixing weight in (0,1), default 0.5"},
+    "dim": {"type": int, "help": "field truncation (default 9*(nbar+1))"},
+    "steps": {"type": int, "help": "number of atomic cycles"},
+    "kappa": {"type": float, "help": "environment coupling in 1/s"},
+    "nth": {"type": float, "help": "thermal occupancy of the environment"},
+    "ts": {"type": float, "help": "cycle period in s (default 60e-6)"},
+    "pat": {"type": float, "help": "atom presence probability in [0,1]"},
+    "phi": {"type": float, "help": "middle-segment phase in rad (default: tuned)"},
+    "theta1_err": {"type": float, "help": "relative pulse-area error"},
+    "channel": {"choices": ["analytic", "numeric"], "help": "channel construction route"},
+    "scheme": {"choices": ["symmetric", "walther"], "help": "reservoir scheme"},
+    "init": {"type": str, "help": "initial state: vacuum | fock:K | uniform:LO:HI | diag:P0,P1,..."},
+    "nbars": {"type": str, "help": "comma-separated target levels for sweeps (default 1..8)"},
+    "sample_atoms": {"action": "store_true", "default": None,
+                     "help": "sample atom presence per cycle instead of the expected map"},
+    "seed": {"type": int, "help": "seed for --sample-atoms"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per scenario, offering only the options it reads."""
     parser = argparse.ArgumentParser(prog="fockstab", description=__doc__)
     sub = parser.add_subparsers(dest="scenario", required=True)
-    descriptions = {
-        "converge": "disturbance-free stabilization run from the initial state",
-        "trajectory": "time evolution of all populations with the thermal environment",
-        "steady": "stationary-fidelity table per target level (five-column sweep)",
-        "tune-phase": "scan the middle-segment phase for maximal fidelity",
-        "sweep-theta2": "scan theta2 for maximal stationary fidelity",
-        "robustness": "pulse-area and phase error studies",
-        "ladder": "long run checking population settles on the dark levels",
-        "validate": "run the fast invariant self-checks",
-    }
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=descriptions[name])
-        _add_common(p)
+    for name, (help_line, reads) in SCENARIOS.items():
+        p = sub.add_parser(name, help=help_line)
+        for field, kwargs in _OPTIONS.items():
+            if field in reads:
+                p.add_argument("--" + field.replace("_", "-"), dest=field, **kwargs)
+        if reads:
+            p.add_argument("--out", type=str, help="output path (default: stdout)")
+            p.add_argument("--format", choices=["csv", "json"], dest="fmt", help="output format (default csv)")
+            p.add_argument("--config", type=str, dest="config_file", help="JSON file of config values")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config_file:
-        base = ExperimentConfig.from_json_file(args.config_file)
-        base = replace(base, scenario=args.scenario)
-    else:
-        base = ExperimentConfig(scenario=args.scenario)
-    overrides = {}
-    for name in ExperimentConfig.__dataclass_fields__:
-        if name == "scenario":
-            continue
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    path = getattr(args, "config_file", None)
+    base = ExperimentConfig.from_json_file(path) if path else ExperimentConfig(scenario=args.scenario)
+    # the given options, the subcommand's scenario among them
+    given = {f: getattr(args, f, None) for f in ExperimentConfig.__dataclass_fields__}
+    overrides = {f: v for f, v in given.items() if v is not None}
     if "nbars" in overrides:
         overrides["nbars"] = parse_nbars(overrides["nbars"])
-    return replace(base, **overrides).resolved()
+    return resolve_reads(replace(base, **overrides))
 
 
 def _print_summary(summary: dict) -> None:
@@ -85,7 +76,7 @@ def _print_summary(summary: dict) -> None:
 
 def run(cfg: ExperimentConfig) -> int:
     if cfg.scenario == "validate":
-        checks = experiments.run_validation(cfg)
+        checks = experiments.run_validation()
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         return 0 if all(ok for _, ok, _ in checks) else 3

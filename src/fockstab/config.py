@@ -17,16 +17,23 @@ from typing import Any
 from .dynamics import default_dim
 from .errors import ConfigError
 
-SCENARIOS = (
-    "converge",
-    "trajectory",
-    "steady",
-    "tune-phase",
-    "sweep-theta2",
-    "robustness",
-    "ladder",
-    "validate",
-)
+# help line and the ExperimentConfig fields each scenario reads (out and fmt
+# aside): the trapping-rate sweep reads only the cavity, phase tuning also the
+# channel, and the record runs everything but the sweep levels
+_CAVITY = frozenset({"nbar", "dim", "kappa", "nth", "ts", "pat"})
+_CHANNEL = _CAVITY | {"theta2", "theta1_err", "channel", "scheme"}
+_RECORD = _CHANNEL | {"phi", "eta", "steps", "init", "sample_atoms", "seed"}
+
+SCENARIOS = {
+    "converge": ("disturbance-free stabilization run from the initial state", _RECORD),
+    "trajectory": ("time evolution of all populations with the thermal environment", _RECORD),
+    "steady": ("stationary-fidelity table per target level (five-column sweep)", _CHANNEL | {"phi", "nbars"}),
+    "tune-phase": ("scan the middle-segment phase for maximal fidelity", _CHANNEL),
+    "sweep-theta2": ("scan theta2 for maximal stationary fidelity", _CAVITY),
+    "robustness": ("pulse-area and phase error studies", _CHANNEL | {"phi"}),
+    "ladder": ("long run checking population settles on the dark levels", _RECORD),
+    "validate": ("run the fast invariant self-checks", frozenset()),
+}
 
 _THERMAL_SCENARIOS = {"trajectory", "steady", "sweep-theta2", "robustness"}
 
@@ -63,7 +70,7 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         """Fill scenario defaults and validate the result."""
         if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+            raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {list(SCENARIOS)}")
         if self.nbar < 1:
             raise ConfigError(f"nbar must be >= 1, got {self.nbar}")
         thermal = self.scenario in _THERMAL_SCENARIOS
@@ -85,6 +92,8 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        if self.seed is not None and not self.sample_atoms:
+            raise ConfigError("seed applies only with sample_atoms")
         if self.steps is not None and self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.channel not in (None, "numeric", "analytic"):
@@ -127,6 +136,21 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         return ExperimentConfig.from_dict(data)
+
+
+def resolve_reads(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Resolve cfg, refusing every field its scenario does not read unless it
+    resolves to its default: such a value would be echoed with the output yet
+    change none of it."""
+    full = cfg.resolved()
+    reads = SCENARIOS[cfg.scenario][1] | {"out", "fmt"}
+    if cfg.scenario == "steady" and full.nbar not in full.nbars:
+        reads -= {"nbar", "theta2", "dim"}  # they reach no sweep level
+    bare = ExperimentConfig(cfg.scenario, **{f: getattr(cfg, f) for f in reads}).resolved()
+    unread = [f for f in ExperimentConfig.__dataclass_fields__ if getattr(full, f) != getattr(bare, f)]
+    if unread:
+        raise ConfigError(f"scenario {cfg.scenario!r} does not read {', '.join(unread)}; leave them unset")
+    return full
 
 
 def default_theta2(scenario: str, nbar: int) -> float:

@@ -448,7 +448,7 @@ def run_robustness(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     return rows
 
 
-def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
+def run_validation() -> list[tuple[str, bool, str]]:
     """Fast self-checks of the core identities; returns (name, ok, detail) rows."""
     from .fock import annihilation, number_function, random_density
 

@@ -1,0 +1,194 @@
+"""Each subcommand offers exactly the settings its scenario reads.
+
+An option that a scenario never reads would be echoed in the output's config
+yet change none of its rows. These tests pin the parser to config.SCENARIOS,
+refuse every unread option, flag value and config-file value, and check the
+other way round that every offered option changes the data rows.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from fockstab.cli import build_parser, main
+from fockstab.config import SCENARIOS, ExperimentConfig
+from fockstab.errors import ConfigError
+
+RECORD_SCENARIOS = ("converge", "trajectory", "ladder")
+IO_OPTIONS = {"--out", "--format", "--config"}
+ALL_OPTIONS = (
+    "--nbar --theta2 --eta --dim --steps --kappa --nth --ts --pat --phi --theta1-err --channel --scheme "
+    "--init --nbars --sample-atoms --seed --out --format --config"
+).split()
+
+# the options each scenario ignores, from its runner; 52 pairs in all
+DROPPED = {
+    **{s: ("--nbars",) for s in RECORD_SCENARIOS},
+    "steady": ("--eta", "--steps", "--init", "--sample-atoms", "--seed"),
+    "tune-phase": ("--phi", "--eta", "--steps", "--init", "--nbars", "--sample-atoms", "--seed"),
+    "sweep-theta2": ("--theta2", "--phi", "--theta1-err", "--channel", "--scheme", "--eta", "--steps", "--init",
+                     "--nbars", "--sample-atoms", "--seed"),
+    "robustness": ("--eta", "--steps", "--init", "--nbars", "--sample-atoms", "--seed"),
+    "validate": tuple(ALL_OPTIONS),
+}
+
+# a value each option accepts
+VALUE = {
+    "--nbar": "2", "--theta2": "1.0", "--eta": "0.3", "--dim": "30", "--steps": "5", "--kappa": "1",
+    "--nth": "0.1", "--ts": "1e-4", "--pat": "0.5", "--phi": "0.4", "--theta1-err": "0.01",
+    "--channel": "analytic", "--scheme": "walther", "--init": "fock:2", "--nbars": "1,2", "--seed": "3",
+    "--out": "out.csv", "--format": "json", "--config": "c.json",
+}
+
+
+def flag(field):
+    return "--" + field.replace("_", "-")
+
+
+def exit_code(argv):
+    """The process exit code of one CLI call; argparse exits by SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def offered(scenario):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "scenario")
+    actions = sub.choices[scenario]._actions
+    return {opt for a in actions for opt in a.option_strings if opt != "-h" and opt != "--help"}
+
+
+def test_dropped_pairs_are_the_complement_of_the_read_sets():
+    assert sum(map(len, DROPPED.values())) == 52
+    for scenario, (_, reads) in SCENARIOS.items():
+        kept = set(ALL_OPTIONS) - set(DROPPED[scenario])
+        assert kept == ({flag(f) for f in reads} | IO_OPTIONS if reads else set()), scenario
+    assert sum(len(offered(s)) for s in SCENARIOS) == 108
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_each_subcommand_offers_its_read_set(scenario):
+    reads = SCENARIOS[scenario][1]
+    assert offered(scenario) == ({flag(f) for f in reads} | IO_OPTIONS if reads else set())
+    assert reads <= set(ExperimentConfig.__dataclass_fields__) - {"scenario", "out", "fmt"}
+
+
+@pytest.mark.parametrize("scenario, option", [(s, o) for s, opts in DROPPED.items() for o in opts])
+def test_an_unread_option_exits_2(scenario, option, capsys):
+    argv = [scenario, option] + ([] if option == "--sample-atoms" else [VALUE[option]])
+    assert exit_code(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_ignored_robustness_settings_are_refused():
+    argv = ["robustness", "--nbar", "2", "--steps", "5", "--init", "fock:2", "--sample-atoms", "--seed", "3"]
+    assert exit_code(argv) == 2
+
+
+def test_seed_without_sample_atoms_is_refused(capsys):
+    assert exit_code(["converge", "--seed", "99"]) == 2
+    assert "sample_atoms" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="sample_atoms"):
+        ExperimentConfig(scenario="trajectory", seed=3).resolved()
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["--nbars", "1", "--theta2", "1.0", "--dim", "30"], "theta2, dim"),
+        (["--nbars", "1", "--theta2", "1.0"], "theta2"),
+        (["--nbars", "1,2", "--dim", "30"], "dim"),
+        (["--nbars", "1", "--nbar", "5"], "nbar, theta2, dim"),
+    ],
+)
+def test_steady_refuses_settings_that_reach_no_sweep_level(argv, unread, capsys):
+    # theta2 and dim transfer only to the sweep level equal to nbar
+    assert exit_code(["steady", *argv]) == 2
+    assert f"does not read {unread}" in capsys.readouterr().err
+
+
+def test_config_file_value_the_scenario_does_not_read_is_refused(tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"scenario": "robustness", "nbar": 2, "steps": 5, "eta": 0.5}))
+    assert exit_code(["robustness", "--config", str(cfg_file)]) == 2
+    # eta equals its default, so only steps is named
+    assert "does not read steps" in capsys.readouterr().err
+
+
+def test_echoed_config_runs_again_with_identical_records(tmp_path):
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main(["robustness", "--nbar", "1", "--phi", "0.3", "--ts", "1e-3", "--format", "json",
+                 "--out", str(first)]) == 0
+    echo = json.loads(first.read_text())["config"]
+    assert echo["steps"] == 2000 and echo["init"] == "vacuum" and echo["seed"] is None
+    cfg_file = tmp_path / "echo.json"
+    cfg_file.write_text(json.dumps({**echo, "out": str(again)}))
+    assert main(["robustness", "--config", str(cfg_file)]) == 0
+    assert json.loads(again.read_text())["records"] == json.loads(first.read_text())["records"]
+    cfg_file.write_text(json.dumps({**echo, "steps": 5}))
+    assert exit_code(["robustness", "--config", str(cfg_file)]) == 2
+
+
+# Short runs of each scenario: phi given where it is read (no tuning), the
+# analytic channel where the channel is read (numeric is the alternative),
+# and an environment and atom presence below 1 for the options that act only
+# through them. The record runs start above the target, where the Lyapunov
+# weights depend on eta.
+RECORD_BASE = ["--nbar", "1", "--dim", "12", "--steps", "20", "--phi", "0.3", "--channel", "analytic",
+               "--kappa", "10", "--pat", "0.5", "--init", "fock:5"]
+CAVITY = ["--kappa", "1", "--nth", "0.05", "--pat", "0.3", "--ts", "1e-3"]
+BASE = {
+    **{s: RECORD_BASE for s in RECORD_SCENARIOS},
+    # the 4 s baseline is 4000 cycles at this ts; theta2 reaches level nbar only
+    "steady": ["--nbars", "1,2", "--nbar", "1", "--theta2", "2.0", "--phi", "0.3", "--channel", "analytic",
+               *CAVITY],
+    "tune-phase": ["--nbar", "1", "--dim", "9", "--channel", "analytic", *CAVITY],
+    "sweep-theta2": ["--nbar", "1", "--dim", "12", *CAVITY],
+    "robustness": ["--nbar", "1", "--phi", "0.3", "--channel", "analytic", *CAVITY],
+}
+# an alternative value per read field; the seed, read only when sampling
+# atoms, is checked on its own
+ALTERNATIVE = {
+    "nbar": ["--nbar", "2"], "theta2": ["--theta2", "1.2"], "eta": ["--eta", "0.3"], "dim": ["--dim", "14"],
+    "steps": ["--steps", "21"], "kappa": ["--kappa", "2"], "nth": ["--nth", "0.2"], "ts": ["--ts", "2e-3"],
+    "pat": ["--pat", "0.7"], "phi": ["--phi", "0.9"], "theta1_err": ["--theta1-err", "0.01"],
+    "channel": ["--channel", "numeric"], "scheme": ["--scheme", "walther"], "init": ["--init", "fock:2"],
+    "nbars": ["--nbars", "1"], "sample_atoms": ["--sample-atoms"],
+}
+
+
+def data_rows(tmp_path, argv):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0, argv
+    return out.read_text().partition("\n")[2]
+
+
+@pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s != "validate"])
+def test_every_offered_option_changes_the_data_rows(scenario, tmp_path):
+    base = [scenario, *BASE[scenario]]
+    reads = SCENARIOS[scenario][1]
+    if "seed" in reads:
+        sampled = data_rows(tmp_path, [*base, "--sample-atoms", "--seed", "1"])
+        assert data_rows(tmp_path, [*base, "--sample-atoms", "--seed", "2"]) != sampled
+    base_rows = data_rows(tmp_path, base)
+    ignored = []
+    for field in sorted(reads - {"seed"}):
+        if data_rows(tmp_path, [*base, *ALTERNATIVE[field]]) == base_rows:
+            ignored.append(field)
+    assert ignored == []
+
+
+def test_readme_options_table_lists_the_read_sets():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("Options per scenario", 1)[1].split("\n\n", 2)[1]
+    listed = {}
+    for row in section.splitlines()[2:]:
+        names, options = row.strip("|").split("|")
+        fields = frozenset(o.replace("-", "_") for o in re.findall(r"`--([\w-]+)`", options))
+        for name in re.findall(r"`([\w-]+)`", names):
+            listed[name] = fields
+    assert listed == {name: reads for name, (_, reads) in SCENARIOS.items()}
