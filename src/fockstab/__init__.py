@@ -1,20 +1,21 @@
 """Stabilization of cavity Fock states by a stream of three-level atoms.
 
-Subpackages cover the truncated Fock-space primitives (`fock`), the exact
+Subpackages cover the truncated Fock-space states (`fock`), the exact
 piecewise-constant three-level dynamics (`dynamics`), the induced Kraus
 channels (`kraus`), the discrete-time Lyapunov certificate (`lyapunov`), the
 thermal environment and its reduced diagonal dynamics (`thermal`), the fast
 iteration kernels (`kernels`) and the experiment runners plus CLI
-(`config`/`experiments`/`output`/`cli`).
+(`config`/`experiments`/`output`/`cli`). The dense operator route that tests
+and `fockstab validate` pin all of these to is one leaf module, `oracle`.
 """
 
 __version__ = "0.1.0"
 
 from .dynamics import LadderPropagator, ReservoirParams, composite_propagator, make_params, trapping_theta1
-from .fock import annihilation, creation, fidelity, fock_density, number_function, sanitize
-from .kraus import KrausSet, analytic_kraus, apply_map, extract_kraus, walther_kraus
-from .lyapunov import LyapunovWeights, build_weights, evaluate_v, lyapunov_decrement, validate_theta2
-from .thermal import ReducedDynamics, ThermalParams, build_reduced, decoherence_step, reservoir_step, steady_population_correction, steady_state
+from .fock import fock_density
+from .kraus import KrausSet, analytic_kraus, extract_kraus, walther_kraus
+from .lyapunov import LyapunovWeights, build_weights, validate_theta2
+from .thermal import ReducedDynamics, ThermalParams, build_reduced, steady_population_correction
 
 __all__ = [
     "__version__",
@@ -23,27 +24,16 @@ __all__ = [
     "composite_propagator",
     "make_params",
     "trapping_theta1",
-    "annihilation",
-    "creation",
-    "fidelity",
     "fock_density",
-    "number_function",
-    "sanitize",
     "KrausSet",
     "analytic_kraus",
-    "apply_map",
     "extract_kraus",
     "walther_kraus",
     "LyapunovWeights",
     "build_weights",
-    "evaluate_v",
-    "lyapunov_decrement",
     "validate_theta2",
     "ReducedDynamics",
     "ThermalParams",
     "build_reduced",
-    "decoherence_step",
-    "reservoir_step",
     "steady_population_correction",
-    "steady_state",
 ]

@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     path = getattr(args, "config_file", None)
-    base = ExperimentConfig.from_json_file(path) if path else ExperimentConfig(scenario=args.scenario)
+    # the subcommand is the scenario, so a config file may leave it out
+    base = ExperimentConfig.from_json_file(path, args.scenario) if path else ExperimentConfig(scenario=args.scenario)
     # the given options, the subcommand's scenario among them
     given = {f: getattr(args, f, None) for f in ExperimentConfig.__dataclass_fields__}
     overrides = {f: v for f, v in given.items() if v is not None}
@@ -116,8 +117,11 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits after --help (0) and for a refused option (2)
+        return exc.code
     try:
         cfg = config_from_args(args)
     except (ConfigError, OSError) as exc:

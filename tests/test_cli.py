@@ -47,14 +47,6 @@ def flag(field):
     return "--" + field.replace("_", "-")
 
 
-def exit_code(argv):
-    """The process exit code of one CLI call; argparse exits by SystemExit."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def offered(scenario):
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "scenario")
@@ -80,17 +72,46 @@ def test_each_subcommand_offers_its_read_set(scenario):
 @pytest.mark.parametrize("scenario, option", [(s, o) for s, opts in DROPPED.items() for o in opts])
 def test_an_unread_option_exits_2(scenario, option, capsys):
     argv = [scenario, option] + ([] if option == "--sample-atoms" else [VALUE[option]])
-    assert exit_code(argv) == 2
+    assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_ignored_robustness_settings_are_refused():
     argv = ["robustness", "--nbar", "2", "--steps", "5", "--init", "fock:2", "--sample-atoms", "--seed", "3"]
-    assert exit_code(argv) == 2
+    assert main(argv) == 2
+
+
+def test_main_returns_the_exit_code_of_argparse(capsys):
+    # in-process callers get a code, not SystemExit, for options argparse handles
+    assert main(["validate", "--nbar", "2"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["converge", "--help"]) == 0
+    assert "--sample-atoms" in capsys.readouterr().out
+
+
+def test_config_file_scenario_defaults_to_the_subcommand(tmp_path):
+    cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
+    cfg_file.write_text(json.dumps({"nbar": 1, "steps": 5, "phi": 0.0}))
+    assert main(["converge", "--config", str(cfg_file), "--out", str(out)]) == 0
+    echoed = json.loads(out.read_text().splitlines()[0][len("# config: "):])
+    assert echoed["scenario"] == "converge" and echoed["steps"] == 5
+    with pytest.raises(ConfigError, match="scenario"):
+        ExperimentConfig.from_dict({"nbar": 1})
+
+
+@pytest.mark.parametrize("field, value", [("nbar", "2"), ("nbar", 2.5), ("nbar", True), ("kappa", "1"),
+                                          ("eta", None), ("sample_atoms", 1), ("init", 3)])
+def test_config_file_field_of_the_wrong_type_exits_2(field, value, tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"scenario": "converge", field: value}))
+    assert main(["converge", "--config", str(cfg_file)]) == 2
+    assert f"config field {field!r}" in capsys.readouterr().err
+    # an int is a valid float
+    assert ExperimentConfig.from_dict({"scenario": "converge", "kappa": 1}).kappa == 1
 
 
 def test_seed_without_sample_atoms_is_refused(capsys):
-    assert exit_code(["converge", "--seed", "99"]) == 2
+    assert main(["converge", "--seed", "99"]) == 2
     assert "sample_atoms" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="sample_atoms"):
         ExperimentConfig(scenario="trajectory", seed=3).resolved()
@@ -107,14 +128,14 @@ def test_seed_without_sample_atoms_is_refused(capsys):
 )
 def test_steady_refuses_settings_that_reach_no_sweep_level(argv, unread, capsys):
     # theta2 and dim transfer only to the sweep level equal to nbar
-    assert exit_code(["steady", *argv]) == 2
+    assert main(["steady", *argv]) == 2
     assert f"does not read {unread}" in capsys.readouterr().err
 
 
 def test_config_file_value_the_scenario_does_not_read_is_refused(tmp_path, capsys):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"scenario": "robustness", "nbar": 2, "steps": 5, "eta": 0.5}))
-    assert exit_code(["robustness", "--config", str(cfg_file)]) == 2
+    assert main(["robustness", "--config", str(cfg_file)]) == 2
     # eta equals its default, so only steps is named
     assert "does not read steps" in capsys.readouterr().err
 
@@ -130,7 +151,7 @@ def test_echoed_config_runs_again_with_identical_records(tmp_path):
     assert main(["robustness", "--config", str(cfg_file)]) == 0
     assert json.loads(again.read_text())["records"] == json.loads(first.read_text())["records"]
     cfg_file.write_text(json.dumps({**echo, "steps": 5}))
-    assert exit_code(["robustness", "--config", str(cfg_file)]) == 2
+    assert main(["robustness", "--config", str(cfg_file)]) == 2
 
 
 # Short runs of each scenario: phi given where it is read (no tuning), the

@@ -9,19 +9,23 @@ from fockstab.dynamics import (
     E,
     G,
     M,
-    build_hjc,
     composite_propagator,
     control_schedule,
-    ladder_blocks,
     ladder_hamiltonians,
     make_params,
     phase_adjusted,
-    propagate,
     trapping_theta1,
-    unitarity_defect,
 )
 from fockstab.errors import ConfigError
 from fockstab.kraus import KrausSet, bands, extract_kraus
+from fockstab.oracle import (
+    build_hjc,
+    dense_composite,
+    dense_kraus_operators,
+    ladder_blocks,
+    propagate,
+    unitarity_defect,
+)
 
 OMEGA = 2 * math.pi * 50e3
 
@@ -208,18 +212,6 @@ def test_segment_propagator_commutes_with_block_projectors():
             assert np.abs(u[np.ix_(idx_a, idx_b)]).max() < 1e-12
 
 
-def _dense_composite(p, d):
-    """The dense route: one full joint propagator per segment, latest first."""
-    eff = phase_adjusted(p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        schedule = control_schedule(eff)
-    u = np.eye(3 * d, dtype=np.complex128)
-    for t, u_val in schedule.segments:
-        u = propagate(build_hjc(u_val, eff, d), t) @ u
-    return u
-
-
 def test_ladder_hamiltonians_restrict_build_hjc():
     p = make_params(2, theta2=0.8)
     d = 10
@@ -251,7 +243,7 @@ def test_block_composite_matches_dense_route_over_random_draws():
             warnings.simplefilter("ignore")  # delta_ratio 30 after the phase shift
             p = make_params(nbar, theta2, theta1=theta1, delta_ratio=delta_ratio, phi=phi)
             lad = composite_propagator(p, d)
-            ref = _dense_composite(p, d)
+            ref = dense_composite(p, d)
         u = lad.dense()
         assert np.abs(u - ref).max() <= 1e-14
         assert unitarity_defect(u) <= 1e-13
@@ -259,8 +251,7 @@ def test_block_composite_matches_dense_route_over_random_draws():
         for idx in ladder_blocks(d):
             on_block[np.ix_(idx, idx)] = True
         assert np.all(u[~on_block] == 0.0)
-        column = ref[:, E * d : (E + 1) * d]  # the E-column channel of the dense route
-        ref_kraus = KrausSet.from_operators(column[:d], column[d : 2 * d], column[2 * d :])
+        ref_kraus = KrausSet.from_operators(*dense_kraus_operators(ref))  # the dense route's channel
         for got, want in zip(bands(extract_kraus(lad)), bands(ref_kraus)):
             assert np.abs(got - want).max() <= 1e-14
 

@@ -49,7 +49,7 @@ def test_config_file_roundtrip(tmp_path):
     cfg = resolved(scenario="ladder", nbar=2, steps=123)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    again = ExperimentConfig.from_json_file(str(path))
+    again = ExperimentConfig.from_json_file(str(path), "ladder")
     assert again == cfg
 
 
@@ -144,7 +144,8 @@ def test_optimize_theta2_prefers_optimum_over_default():
     sur = max(scored, key=lambda r: r["fid_surrogate"])
     assert abs(scored.index(best) - scored.index(sur)) <= 2
     # the verified optimum dominates the arbitrary 1/sqrt(nbar) choice
-    from fockstab.thermal import build_reduced, steady_state
+    from fockstab.oracle import steady_state
+    from fockstab.thermal import build_reduced
 
     tp = ex.thermal_params(cfg)
     ref = steady_state(
@@ -414,7 +415,8 @@ def test_csv_floats_use_twelve_significant_digits():
 
 
 def test_steady_fidelity_stable_under_dim_doubling():
-    from fockstab.thermal import build_reduced, steady_state
+    from fockstab.oracle import steady_state
+    from fockstab.thermal import build_reduced
 
     nbar = 3
     cfg = resolved(scenario="steady", nbar=nbar)
@@ -446,27 +448,42 @@ def test_steady_sweep_honours_dim_for_the_configured_level(tmp_path):
     assert row["fid_reduced"] != float(stationary(build_reduced(params, tp, 27).step_matrix(cfg.pat))[0][2])
 
 
-def test_production_runs_reach_no_stationary_oracle(tmp_path, monkeypatch):
-    # every production stationary quantity is a Perron solve of a step
-    # matrix; iteration, the reduced-chain solver and the channel-to-chain
-    # reader are oracles only
-    from fockstab import kernels, thermal
+def test_production_runs_reach_no_oracle(tmp_path, monkeypatch):
+    # production is ladder blocks -> bands -> step matrix -> {stationary,
+    # evolve}. Every function of the dense reference route raises, under every
+    # name a loaded module binds it to, and so do the stationary oracles that
+    # stay in production modules; validate shows that the patch bites
+    import inspect
+    import sys
 
-    def oracle(*args, **kwargs):
-        raise AssertionError("a production run reached a stationary oracle")
+    from fockstab import kernels, oracle, thermal
 
-    for module in (ex, kernels, thermal):
-        for name in ("steady_state", "evolve_to_fixed_point", "steady_fidelity", "reduced_from_channel"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, oracle)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a production run reached an oracle")
+
+    banned = [f for _, f in inspect.getmembers(oracle, inspect.isfunction) if f.__module__ == oracle.__name__]
+    banned += [ex.steady_fidelity, kernels.evolve_to_fixed_point, thermal.reduced_from_channel]
+    ids = {id(f) for f in banned}
+    for name, module in list(sys.modules.items()):
+        if name == "fockstab" or name.startswith("fockstab."):
+            for key, value in list(vars(module).items()):
+                if id(value) in ids:
+                    monkeypatch.setattr(module, key, unreachable)
+    record = ["--nbar", "1", "--steps", "50"]
     cavity = ["--kappa", "10", "--nth", "0.05", "--pat", "0.3"]
     for argv in (
+        ["converge", *record],
+        ["trajectory", *record],
+        ["trajectory", *record, "--sample-atoms", "--seed", "1"],
+        ["ladder", *record],
         ["tune-phase", "--nbar", "2", *cavity],
         ["steady", "--nbars", "2"],
         ["robustness"],
         ["sweep-theta2"],
     ):
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0, argv
+    with pytest.raises(AssertionError, match="reached an oracle"):
+        main(["validate"])
 
 
 def test_tune_grid_has_no_swallowed_phases(tmp_path):

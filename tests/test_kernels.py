@@ -10,31 +10,16 @@ import pytest
 from fockstab import experiments, kernels
 from fockstab.dynamics import make_params, trapping_theta1
 from fockstab.errors import AmbiguousSteadyStateError
-from fockstab.fock import annihilation, fock_density, number_op, random_density
-from fockstab.kraus import analytic_kraus, bands
-from fockstab.thermal import ThermalParams, cavity_thermal, reduced_from_channel, stationary, steady_state
+from fockstab.fock import fock_density, random_density
+from fockstab.kraus import KrausSet, analytic_kraus, bands
+from fockstab.oracle import channel_step, dense_channel, dense_thermal, steady_state, thermal_step
+from fockstab.thermal import ThermalParams, cavity_thermal, reduced_from_channel, stationary
 
 
 @pytest.fixture(scope="module")
 def channel():
     k = analytic_kraus(make_params(2, theta2=1.3, phi=0.5), 27)
     return k, bands(k)
-
-
-def dense_channel(k, rho):
-    return (
-        k.m_g @ rho @ k.m_g.conj().T
-        + k.m_e @ rho @ k.m_e.conj().T
-        + k.m_m @ rho @ k.m_m.conj().T
-    )
-
-
-def dense_thermal(rho, gm, gp):
-    dim = rho.shape[0]
-    a = annihilation(dim)
-    n_op = number_op(dim)
-    out = rho - 0.5 * gm * (n_op @ rho + rho @ n_op - 2 * a @ rho @ a.conj().T)
-    return out - 0.5 * gp * ((n_op + np.eye(dim)) @ rho + rho @ (n_op + np.eye(dim)) - 2 * a.conj().T @ rho @ a)
 
 
 def random_bands(dim, rng):
@@ -50,11 +35,11 @@ def random_bands(dim, rng):
 
 def full_matrix_cycle(g, e, m, rho, gm, gp, p_at):
     """One cycle on the whole density matrix, composed from the one-step kernels."""
-    mixed = kernels.channel_step(g, e, m, rho)
+    mixed = channel_step(g, e, m, rho)
     if p_at != 1.0:
         mixed = (1.0 - p_at) * rho + p_at * mixed
     if gm != 0.0 or gp != 0.0:
-        mixed = kernels.thermal_step(mixed, gm, gp)
+        mixed = thermal_step(mixed, gm, gp)
     return mixed
 
 
@@ -95,7 +80,7 @@ def test_channel_step_against_dense(channel):
     for _ in range(5):
         rho = random_density(27, rng)
         ref = dense_channel(k, rho)
-        assert np.abs(kernels.channel_step(g, e, m, rho) - ref).max() < 1e-13
+        assert np.abs(channel_step(g, e, m, rho) - ref).max() < 1e-13
 
 
 def test_thermal_step_against_dense():
@@ -103,7 +88,7 @@ def test_thermal_step_against_dense():
     rng = np.random.default_rng(1)
     rho = random_density(20, rng)
     ref = dense_thermal(rho, tp.gamma_minus, tp.gamma_plus)
-    assert np.abs(kernels.thermal_step(rho, tp.gamma_minus, tp.gamma_plus) - ref).max() < 1e-14
+    assert np.abs(thermal_step(rho, tp.gamma_minus, tp.gamma_plus) - ref).max() < 1e-14
 
 
 def test_evolve_matches_full_matrix_cycle(channel):
@@ -182,15 +167,10 @@ def test_kernels_agree_on_arbitrary_band_vectors(seed):
     assert np.array_equal(diag_j, diag_n)
     assert np.array_equal(tr_j, tr_n)
     # dense oracle for the same map
-    mg = np.diag(g[:-1], -1)
-    me = np.diag(e)
-    mm = np.diag(m[1:], 1)
+    k = KrausSet(g, e, m, 0.0)
     ref = rho.copy()
     for _ in range(20):
-        mixed = (1 - pat) * ref + pat * (
-            mg @ ref @ mg.conj().T + me @ ref @ me.conj().T + mm @ ref @ mm.conj().T
-        )
-        ref = dense_thermal(mixed, gm, gp)
+        ref = dense_thermal((1 - pat) * ref + pat * dense_channel(k, ref), gm, gp)
     # the coherences of rho do not feed the populations
     assert np.abs(out_j - np.diag(np.diag(ref))).max() < 1e-11
     assert np.abs(diag_j[-1] - np.diag(ref).real).max() < 1e-11
@@ -233,8 +213,8 @@ def full_matrix_sampled(g, e, m, rho0, gm, gp, p_at, n_steps, seed):
     diag, trace = [np.diag(rho).real], [np.trace(rho).real]
     for _ in range(n_steps):
         if rng.random() < p_at:
-            rho = kernels.channel_step(g, e, m, rho)
-        rho = kernels.thermal_step(rho, gm, gp)
+            rho = channel_step(g, e, m, rho)
+        rho = thermal_step(rho, gm, gp)
         diag.append(np.diag(rho).real)
         trace.append(np.trace(rho).real)
     return np.array(diag), np.array(trace)

@@ -6,28 +6,34 @@ import numpy as np
 import pytest
 
 from fockstab.dynamics import (
-    E,
     LadderPropagator,
     composite_propagator,
     ladder_members,
     make_params,
     trapping_theta1,
-    unitarity_defect,
 )
 from fockstab.errors import ConfigError
-from fockstab.fock import annihilation, creation, fock_density, number_function, random_density, support_in
+from fockstab.fock import fock_density, random_density
 from fockstab.kraus import (
     KrausSet,
     analytic_kraus,
-    apply_map,
     bands,
     extract_kraus,
-    kraus_deviation,
     ladder_defects,
     transition_rates,
     walther_kraus,
 )
 from fockstab.lyapunov import ladder_top, window_top
+from fockstab.oracle import (
+    annihilation,
+    apply_map,
+    creation,
+    dense_kraus_operators,
+    kraus_deviation,
+    number_function,
+    support_in,
+    unitarity_defect,
+)
 
 
 def completeness_level(alpha, beta, phi):
@@ -108,12 +114,6 @@ def identity_propagator(d):
     return LadderPropagator(np.tile(np.eye(3, dtype=complex), (d, 1, 1)), 1.0 + 0j, 1.0 + 0j)
 
 
-def dense_operators(u):
-    """The channel by the dense formula M_x = U[x-block, E-block]."""
-    d = u.shape[0] // 3
-    return [u[x * d : (x + 1) * d, E * d : (E + 1) * d] for x in range(3)]
-
-
 def test_extract_identity_propagator():
     d = 8
     k = extract_kraus(identity_propagator(d))
@@ -157,9 +157,9 @@ def test_ladder_extraction_matches_dense_route_over_random_draws():
         u = random_draw(rng)
         dense_u = u.dense()
         k = extract_kraus(u)
-        for op, want in zip((k.m_g, k.m_e, k.m_m), dense_operators(dense_u)):
+        for op, want in zip((k.m_g, k.m_e, k.m_m), dense_kraus_operators(dense_u)):
             assert np.array_equal(op, want)
-        dense = KrausSet.from_operators(*dense_operators(dense_u))
+        dense = KrausSet.from_operators(*dense_kraus_operators(dense_u))
         assert abs(k.completeness_defect - dense.completeness_defect) <= 1e-15
         unitarity, completeness = ladder_defects(u)
         assert completeness == k.completeness_defect
@@ -405,7 +405,7 @@ def test_extracted_channel_is_banded():
     p = make_params(2, theta2=0.9)
     u = composite_propagator(p, 27)
     # from_operators raises if the dense route's channel has off-band weight
-    dense = KrausSet.from_operators(*dense_operators(u.dense()))
+    dense = KrausSet.from_operators(*dense_kraus_operators(u.dense()))
     for band, want in zip(bands(extract_kraus(u)), bands(dense)):
         assert np.array_equal(band, want)
 

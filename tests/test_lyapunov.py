@@ -6,15 +6,9 @@ import pytest
 from fockstab.dynamics import make_params
 from fockstab.errors import ConfigError
 from fockstab.fock import fock_density, random_density, uniform_density
-from fockstab.kraus import analytic_kraus, apply_map
-from fockstab.lyapunov import (
-    build_weights,
-    evaluate_v,
-    ladder_top,
-    lyapunov_decrement,
-    validate_theta2,
-    window_top,
-)
+from fockstab.kraus import analytic_kraus
+from fockstab.lyapunov import build_weights, ladder_top, validate_theta2, window_top
+from fockstab.oracle import apply_map, evaluate_v, lyapunov_decrement
 
 
 def test_validate_theta2_exact_hits():

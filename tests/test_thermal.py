@@ -11,18 +11,16 @@ from fockstab.errors import (
     PerturbationInvalidError,
     StepValidityError,
 )
-from fockstab.fock import annihilation, fock_density, number_op, random_density
-from fockstab.kraus import analytic_kraus, apply_map, bands
+from fockstab.fock import fock_density, random_density
+from fockstab.kraus import analytic_kraus, bands
+from fockstab.oracle import apply_map, decoherence_step, dense_thermal, reservoir_step, steady_state
 from fockstab.thermal import (
     ThermalParams,
     build_reduced,
     cavity_thermal,
-    decoherence_step,
     reduced_from_channel,
-    reservoir_step,
     stationary,
     steady_population_correction,
-    steady_state,
 )
 
 
@@ -62,12 +60,7 @@ def test_decoherence_matches_dense_operator_route():
     dim = 20
     rng = np.random.default_rng(2)
     rho = random_density(dim, rng)
-    a = annihilation(dim)
-    adag = a.conj().T
-    n_op = number_op(dim)
-    gm, gp = tp.gamma_minus, tp.gamma_plus
-    ref = rho - 0.5 * gm * (n_op @ rho + rho @ n_op - 2 * a @ rho @ adag)
-    ref -= 0.5 * gp * ((n_op + np.eye(dim)) @ rho + rho @ (n_op + np.eye(dim)) - 2 * adag @ rho @ a)
+    ref = dense_thermal(rho, tp.gamma_minus, tp.gamma_plus)
     ref /= np.trace(ref).real
     assert np.abs(decoherence_step(rho, tp) - ref).max() < 1e-14
 
@@ -76,13 +69,8 @@ def test_decoherence_trace_leak_bounded_by_top_population():
     tp = cavity_thermal()
     dim = 12
     rho = fock_density(dim - 1, dim)
-    a = annihilation(dim)
-    n_op = number_op(dim)
-    gm, gp = tp.gamma_minus, tp.gamma_plus
-    raw = rho - 0.5 * gm * (n_op @ rho + rho @ n_op - 2 * a @ rho @ a.conj().T)
-    raw -= 0.5 * gp * ((n_op + np.eye(dim)) @ rho + rho @ (n_op + np.eye(dim)) - 2 * a.conj().T @ rho @ a)
-    leak = 1.0 - np.trace(raw).real
-    assert leak == pytest.approx(gp * dim, abs=1e-12)
+    leak = 1.0 - np.trace(dense_thermal(rho, tp.gamma_minus, tp.gamma_plus)).real
+    assert leak == pytest.approx(tp.gamma_plus * dim, abs=1e-12)
 
 
 def test_decoherence_step_validity_guard():
@@ -138,11 +126,7 @@ def test_reduced_diagonal_matches_full_channel():
     assert np.abs(rd.a_matrix() @ r - np.diag(apply_map(k, rho)).real).max() < 1e-10
     # full cycle against the raw dense operator route (no renormalization)
     mix = (1 - tp.p_at) * rho + tp.p_at * apply_map(k, rho)
-    a = annihilation(dim)
-    n_op = number_op(dim)
-    gm, gp = tp.gamma_minus, tp.gamma_plus
-    raw = mix - 0.5 * gm * (n_op @ mix + mix @ n_op - 2 * a @ mix @ a.conj().T)
-    raw -= 0.5 * gp * ((n_op + np.eye(dim)) @ mix + mix @ (n_op + np.eye(dim)) - 2 * a.conj().T @ mix @ a)
+    raw = dense_thermal(mix, tp.gamma_minus, tp.gamma_plus)
     assert np.abs(rd.step_matrix(tp.p_at) @ r - np.diag(raw).real).max() < 1e-12
 
 
