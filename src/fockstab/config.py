@@ -74,6 +74,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {list(SCENARIOS)}")
         if self.nbar < 1:
             raise ConfigError(f"nbar must be >= 1, got {self.nbar}")
+        # before the defaults are derived from them, and before `resolve_reads`
+        # compares fields, where NaN would differ from itself
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         thermal = self.scenario in _THERMAL_SCENARIOS
         cfg = replace(
             self,

@@ -4,15 +4,19 @@ robustness and the invariant-ladder check.
 Every runner consumes a resolved ExperimentConfig and returns either a
 RunRecord (per-step time series) or a list of table rows (one dict per sweep
 point, sorted by the sweep key so output bytes never depend on evaluation
-order). Long iterations go through the banded kernels; the dense operator
+order). Runs read the population cycle of a channel as its step matrix M
+(`kernels.step_matrix`), so K atoms are the power M^K. The dense operator
 route is `oracle`, which only `run_validation` here calls, and the test suite
 pins the two against each other.
 
 Every time series is one `run_record`: the converge, trajectory and ladder
 scenarios differ only in their config defaults, and the Walther baselines of
 the steady and robustness tables are run_record calls on replaced configs.
-The one other iteration is the tuning objective's fixed no-environment
-settle (`_settled`), which reads only the final row.
+Its rows are the powers M^k applied to the initial populations
+(`kernels.record_rows`); only `--sample-atoms` runs, whose map changes from
+atom to atom, step the cycle one atom at a time. The tuning objective's
+no-environment settle (`_settled`) reads one entry of M^TUNE_SETTLE_STEPS.
+The atom-by-atom loop `kernels.evolve` is the oracle of both.
 
 Every stationary quantity is one solve for the Perron vector of a cycle
 matrix (`thermal.stationary`): `kernels.step_matrix` for a channel, so the
@@ -170,16 +174,16 @@ def ill_conditioned(rows: list[dict[str, Any]]) -> int:
 def _settled(cfg: ExperimentConfig, phi: float) -> dict[str, float]:
     """Long-run target fidelity of the configured channel at phase phi.
 
-    Without an environment this is the fidelity after a fixed settle of plain
-    channel iteration from the target. With one, it is the stationary
-    fidelity, reported together with its spectral gap.
+    Without an environment this is the fidelity after a fixed settle of
+    TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
+    of the step matrix. With one, it is the stationary fidelity, reported
+    together with its spectral gap.
     """
     params = reservoir_params(cfg, phi=phi)
     tp = thermal_params(cfg)
     if tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0:
-        g, e, m = bands(build_channel(cfg, params))
-        _, diag, _ = kernels.evolve(g, e, m, fock_density(cfg.nbar, cfg.dim), 0.0, 0.0, 1.0, TUNE_SETTLE_STEPS)
-        return {"fidelity": float(diag[-1, cfg.nbar])}
+        step = kernels.step_matrix(*bands(build_channel(cfg, params)), 0.0, 0.0, 1.0)
+        return {"fidelity": float(np.linalg.matrix_power(step, TUNE_SETTLE_STEPS)[cfg.nbar, cfg.nbar])}
     fid, gap = stationary_fidelity(cfg, params)
     return {"fidelity": fid, "spectral_gap": gap}
 
@@ -231,7 +235,8 @@ def _golden_max(fn, lo: float, hi: float, xatol: float) -> tuple[float, float]:
 
 
 def run_record(cfg: ExperimentConfig) -> RunRecord:
-    """Atom-by-atom iteration of the configured channel from the initial state.
+    """Populations after each atom of the configured channel, from the initial
+    state: the powers of its step matrix, or the sampled atom-by-atom run.
 
     converge, trajectory and ladder are this one run; they differ only in the
     defaults `ExperimentConfig.resolved` fills in, and every flag takes effect
@@ -248,7 +253,9 @@ def run_record(cfg: ExperimentConfig) -> RunRecord:
     if cfg.sample_atoms:
         diag, trace = _sampled_evolution(g, e, m, rho0, tp, cfg.steps, cfg.seed)
     else:
-        _, diag, trace = kernels.evolve(g, e, m, rho0, tp.gamma_minus, tp.gamma_plus, tp.p_at, cfg.steps)
+        step = kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at)
+        diag = kernels.record_rows(step, np.diag(rho0).real, cfg.steps)
+        trace = diag.sum(axis=1)
     final = diag[-1]
     dark = [cfg.nbar]
     if ladder_top(cfg.nbar) < cfg.dim:
@@ -548,5 +555,26 @@ def run_validation() -> list[tuple[str, bool, str]]:
     )
     edev = max(float(np.abs(r_eig - r_chain).max()), float(np.abs(r_eig - np.diag(rho_it).real).max()))
     checks.append(("stationary_solver", edev < 1e-8, f"nbar {ns}, gap {gap:.2e}, max dev {edev:.2e}"))
+
+    # the production record route (powers of the step matrix) against the
+    # atom-by-atom loop of the engine's cycle
+    nr = int(rng.integers(1, 9))
+    rcfg = ExperimentConfig(
+        scenario="trajectory",
+        nbar=nr,
+        theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nr),
+        phi=float(rng.uniform(0, 2 * math.pi)),
+        theta1_err=float(rng.uniform(-0.03, 0.03)),
+        init=f"fock:{int(rng.integers(0, window_top(nr) + 1))}",
+        steps=1000,
+    ).resolved()
+    record = run_record(rcfg)
+    gr, er, mr = bands(build_channel(rcfg, reservoir_params(rcfg, phi=rcfg.phi)))
+    tr = thermal_params(rcfg)
+    _, diag, trace = kernels.evolve(
+        gr, er, mr, initial_state(rcfg), tr.gamma_minus, tr.gamma_plus, tr.p_at, rcfg.steps
+    )
+    rdev = max(float(np.abs(record.diag - diag).max()), float(np.abs(record.trace - trace).max()))
+    checks.append(("population_powers", rdev < 1e-11, f"nbar {nr}, {rcfg.steps} steps, max dev {rdev:.2e}"))
 
     return checks

@@ -1,5 +1,4 @@
-"""Hot iteration kernels: the population cycle of a banded channel and
-environment step.
+"""Population kernels of a banded channel and environment step.
 
 All channels here are one-band ladder channels (see `kraus.bands`): M_g
 raises the photon number by one, M_e is diagonal and M_m lowers it by one.
@@ -7,15 +6,21 @@ The environment step maps each matrix diagonal to itself as well. A cycle
 therefore sends the population diagonal diag(rho) to a new diagonal through
 a closed tridiagonal birth-death chain, and the coherences never feed it.
 Every recorded output (fidelity, V, trace, populations, stationary fidelity)
-is a function of that diagonal, so the two iteration kernels `evolve` and
-`evolve_to_fixed_point` carry only the complex diagonal vector and cost O(dim)
-per cycle. They apply, entry by entry, exactly the arithmetic that the
+is a function of that diagonal.
+
+`_population_cycle` applies, entry by entry, exactly the arithmetic that the
 full-matrix cycle `oracle.thermal_step((1-p) rho + p oracle.channel_step(rho))`
-applies on its diagonal, so their results are bit-identical to iterating
-that composition and reading the diagonal. `step_matrix` writes the same
-cycle as a real (dim, dim) matrix; its Perron vector (`thermal.stationary`)
-is every stationary population the program reports, and
-`evolve_to_fixed_point` stays as the independent iteration oracle for it.
+applies on its diagonal, at O(dim) per cycle. `step_matrix` writes that cycle
+as a real (dim, dim) matrix M, and the runs read powers of it: K atoms are
+M^K. `record_rows` returns every row M^k d0 of a recorded run from a stack of
+the first powers, one matrix product per chunk of rows, and the Perron vector
+of M (`thermal.stationary`) is every stationary population the program
+reports. The loops over the cycle are oracles for tests and
+`fockstab validate`: `evolve` iterates it atom by atom, bit-identical to
+reading the diagonal of the full-matrix cycle, and `evolve_to_fixed_point`
+iterates it with renormalization until it settles. Only the sampled
+`--sample-atoms` runs, whose map changes from atom to atom, still step the
+cycle one atom at a time.
 
 Index conventions (dim = D, 0-based levels):
     g[n] = <n+1|M_g|n>, g[D-1] = 0 (truncated top row)
@@ -31,6 +36,8 @@ import math
 
 import numpy as np
 
+# rows per power-stack product in `record_rows`
+RECORD_CHUNK = 64
 
 # kept for the benchmark's machine facts, which read it from this module
 def active_backend() -> str:
@@ -98,6 +105,35 @@ def step_matrix(
     return cycle(np.eye(len(e), dtype=np.complex128)).real.T
 
 
+def record_rows(m: np.ndarray, d0: np.ndarray, n_steps: int) -> np.ndarray:
+    """Every population row M^k d0, k = 0..n_steps, as an (n_steps+1, dim) array.
+
+    The powers M^1..M^L (L = RECORD_CHUNK, clipped to n_steps) are stacked
+    once by repeated products; each further chunk of L rows is then one
+    (L*dim, dim) product with the last row of the chunk before. The rows
+    differ from the atom-by-atom loop `evolve` by rounding only, and were
+    measured closer than the loop to a longdouble iteration of M. The raw
+    trace of a row is its sum.
+    """
+    dim = len(d0)
+    rows = np.empty((n_steps + 1, dim))
+    rows[0] = d0
+    if n_steps == 0:
+        return rows
+    chunk = min(RECORD_CHUNK, n_steps)
+    powers = np.empty((chunk, dim, dim))
+    powers[0] = m
+    for j in range(1, chunk):
+        np.matmul(m, powers[j - 1], out=powers[j])
+    stack = powers.reshape(chunk * dim, dim)
+    for start in range(0, n_steps, chunk):
+        count = min(chunk, n_steps - start)
+        rows[start + 1:start + 1 + count] = (stack[:count * dim] @ rows[start]).reshape(count, dim)
+    return rows
+
+
+# the loop oracle of `record_rows`, kept here because it iterates
+# `_population_cycle`, which the leaf `oracle` cannot import
 def evolve(
     g: np.ndarray,
     e: np.ndarray,
@@ -128,8 +164,7 @@ def evolve(
     return np.diag(d), diag, diag.sum(axis=1)
 
 
-# an oracle, kept beside `evolve` because it iterates the same
-# `_population_cycle`, which the leaf `oracle` cannot import
+# an oracle, kept beside `evolve` for the same reason
 def evolve_to_fixed_point(
     g: np.ndarray,
     e: np.ndarray,

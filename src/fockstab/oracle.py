@@ -1,6 +1,6 @@
 """The dense reference route that tests and `fockstab validate` pin the
 production path (ladder blocks -> bands -> step matrix -> `thermal.stationary`
-or `kernels.evolve`) to; no production run calls it.
+or `kernels.record_rows`) to; no production run calls it.
 
 A leaf module: it imports only `errors`, `fock` and `dynamics`, and takes
 channels, thermal parameters, reduced dynamics and Lyapunov weights by their

@@ -7,6 +7,7 @@ other way round that every offered option changes the data rows.
 """
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -108,6 +109,19 @@ def test_config_file_field_of_the_wrong_type_exits_2(field, value, tmp_path, cap
     assert f"config field {field!r}" in capsys.readouterr().err
     # an int is a valid float
     assert ExperimentConfig.from_dict({"scenario": "converge", "kappa": 1}).kappa == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("scenario, field", [("trajectory", "kappa"), ("trajectory", "phi"), ("converge", "theta2"),
+                                             ("steady", "pat"), ("sweep-theta2", "ts")])
+def test_a_non_finite_setting_exits_2(scenario, field, value, tmp_path, capsys):
+    # NaN once passed as an unread setting (it differs from itself) and inf
+    # reached the solvers; as a flag and in a config file both are refused
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({field: value}))
+    for argv in ([f"{flag(field)}={value!r}"], ["--config", str(cfg_file)]):
+        assert main([scenario, *argv]) == 2
+        assert f"{field} must be finite, got {value!r}" in capsys.readouterr().err
 
 
 def test_seed_without_sample_atoms_is_refused(capsys):

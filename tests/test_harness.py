@@ -450,9 +450,9 @@ def test_steady_sweep_honours_dim_for_the_configured_level(tmp_path):
 
 def test_production_runs_reach_no_oracle(tmp_path, monkeypatch):
     # production is ladder blocks -> bands -> step matrix -> {stationary,
-    # evolve}. Every function of the dense reference route raises, under every
-    # name a loaded module binds it to, and so do the stationary oracles that
-    # stay in production modules; validate shows that the patch bites
+    # record_rows}. Every function of the dense reference route raises, under
+    # every name a loaded module binds it to, and so do the oracles that stay
+    # in production modules; validate shows that the patch bites
     import inspect
     import sys
 
@@ -462,7 +462,7 @@ def test_production_runs_reach_no_oracle(tmp_path, monkeypatch):
         raise AssertionError("a production run reached an oracle")
 
     banned = [f for _, f in inspect.getmembers(oracle, inspect.isfunction) if f.__module__ == oracle.__name__]
-    banned += [ex.steady_fidelity, kernels.evolve_to_fixed_point, thermal.reduced_from_channel]
+    banned += [ex.steady_fidelity, kernels.evolve, kernels.evolve_to_fixed_point, thermal.reduced_from_channel]
     ids = {id(f) for f in banned}
     for name, module in list(sys.modules.items()):
         if name == "fockstab" or name.startswith("fockstab."):

@@ -8,11 +8,19 @@ import numpy as np
 import pytest
 
 from fockstab import experiments, kernels
+from fockstab.config import ExperimentConfig
 from fockstab.dynamics import make_params, trapping_theta1
 from fockstab.errors import AmbiguousSteadyStateError
 from fockstab.fock import fock_density, random_density
 from fockstab.kraus import KrausSet, analytic_kraus, bands
-from fockstab.oracle import channel_step, dense_channel, dense_thermal, steady_state, thermal_step
+from fockstab.oracle import (
+    channel_step,
+    dense_channel,
+    dense_thermal,
+    reservoir_step,
+    steady_state,
+    thermal_step,
+)
 from fockstab.thermal import ThermalParams, cavity_thermal, reduced_from_channel, stationary
 
 
@@ -310,3 +318,43 @@ def test_step_matrix_is_the_cycle_applied_to_unit_vectors(channel):
         cycle = kernels._population_cycle(g, e, m, *rates)
         ref = np.column_stack([cycle(unit).real for unit in np.eye(dim, dtype=np.complex128)])
         assert np.array_equal(kernels.step_matrix(g, e, m, *rates), ref), draw
+
+
+@pytest.mark.parametrize("scheme", ["symmetric", "walther"])
+@pytest.mark.parametrize("environment", [False, True])
+def test_record_rows_match_the_evolve_loop_over_random_physics(scheme, environment):
+    # the power stack against the loop it replaces, at every chunk edge of
+    # the stack: seeded nbar 1-8, theta2, phi, theta1 error and p_at on the
+    # numeric channel, complete to rounding as the dense replay needs; the
+    # first rows, normalized, against that replay
+    rng = np.random.default_rng(14 + 2 * (scheme == "walther") + environment)
+    chunk = kernels.RECORD_CHUNK
+    for n_steps in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        nbar = int(rng.integers(1, 9))
+        cfg = ExperimentConfig(
+            scenario="trajectory",
+            nbar=nbar,
+            theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+            theta1_err=float(rng.uniform(-0.03, 0.03)),
+            pat=float(rng.uniform(0.05, 1.0)),
+            kappa=float(rng.uniform(5.0, 20.0)) if environment else 0.0,
+            nth=float(rng.uniform(0.0, 0.1)) if environment else 0.0,
+            scheme=scheme,
+            steps=max(n_steps, 1),
+        ).resolved()
+        k = experiments.build_channel(cfg, experiments.reservoir_params(cfg, phi=cfg.phi))
+        g, e, m = bands(k)
+        tp = experiments.thermal_params(cfg)
+        cavity = (tp.gamma_minus, tp.gamma_plus, tp.p_at)
+        rho = random_density(cfg.dim, rng)
+        rows = kernels.record_rows(kernels.step_matrix(g, e, m, *cavity), np.diag(rho).real, n_steps)
+        _, diag, trace = kernels.evolve(g, e, m, rho, *cavity, n_steps)
+        assert rows.shape == diag.shape == (n_steps + 1, cfg.dim), n_steps
+        assert np.abs(rows - diag).max() <= 1e-11, n_steps
+        assert np.abs(rows.sum(axis=1) - trace).max() <= 1e-11, n_steps
+        worst = 0.0
+        for row in rows[:50]:
+            worst = max(worst, float(np.abs(row / row.sum() - np.diag(rho).real).max()))
+            rho = reservoir_step(rho, k, tp)
+        assert worst <= 1e-12, n_steps

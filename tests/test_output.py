@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from fockstab import experiments as ex
-from fockstab import output
+from fockstab import kernels, output
 from fockstab.cli import build_parser, config_from_args
 from fockstab.config import ExperimentConfig
+from fockstab.kraus import bands
 from fockstab.output import _fmt
 
 DATA = Path(__file__).parent / "data"
@@ -39,7 +40,7 @@ def random_bit_floats(rng, shape):
     return rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
 
 
-@pytest.mark.parametrize(
+GOLDEN_RUNS = pytest.mark.parametrize(
     "name, argv",
     [
         ("trajectory_nbar2_dim12_steps200_phi0.3.csv",
@@ -51,10 +52,34 @@ def random_bit_floats(rng, shape):
     ],
     ids=["trajectory", "converge", "ladder"],
 )
+
+
+@GOLDEN_RUNS
 def test_record_csv_matches_golden_file(name, argv):
     cfg = cli_config(argv)
     text = emitted(cfg, output.emit_record, ex.run_record(cfg))
     assert text.encode("utf-8") == (DATA / name).read_bytes()
+
+
+@GOLDEN_RUNS
+def test_golden_file_is_the_evolve_loop_to_twelve_digits(name, argv):
+    # the runs read powers of the step matrix; every golden cell is still
+    # the atom-by-atom loop of `kernels.evolve` to one unit in its twelfth
+    # significant digit, and exactly 0 where the loop is
+    cfg = cli_config(argv)
+    g, e, m = bands(ex.build_channel(cfg, ex.reservoir_params(cfg, phi=cfg.phi)))
+    tp = ex.thermal_params(cfg)
+    _, diag, trace = kernels.evolve(g, e, m, ex.initial_state(cfg), tp.gamma_minus, tp.gamma_plus, tp.p_at,
+                                    cfg.steps)
+    steps = np.arange(cfg.steps + 1)
+    loop = np.column_stack([steps, steps * cfg.ts, diag[:, cfg.nbar], ex._v_series(cfg, diag), trace, diag])
+    lines = [line for line in (DATA / name).read_text().splitlines() if not line.startswith("#")][1:]
+    golden = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+    assert golden.shape == loop.shape
+    assert np.isfinite(loop).all()
+    with np.errstate(divide="ignore"):
+        unit = np.where(loop == 0.0, 0.0, 10.0 ** (np.floor(np.log10(np.abs(loop))) - 11))
+    assert (np.abs(golden - loop) <= unit).all()
 
 
 def test_record_rows_match_per_value_formatting_on_special_and_random_floats():
