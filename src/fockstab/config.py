@@ -80,6 +80,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.ts <= 0:
+            # `default_steps` divides by it
+            raise ConfigError(f"ts must be > 0, got {self.ts}")
         thermal = self.scenario in _THERMAL_SCENARIOS
         cfg = replace(
             self,

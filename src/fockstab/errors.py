@@ -28,5 +28,5 @@ class PerturbationInvalidError(NumericalValidityError):
 
 class AmbiguousSteadyStateError(NumericalValidityError):
     """No certified stationary vector: the leading eigenvalue of the cycle
-    matrix is not separated from the rest of its spectrum, or its eigenvector
-    fails the sign or residual check."""
+    matrix is not separated from the rest of its spectrum, or its Perron
+    vector fails the sign or residual check."""

@@ -548,12 +548,12 @@ def run_validation() -> list[tuple[str, bool, str]]:
     ds = 9 * (ns + 1)
     ks = analytic_kraus(ps, ds)
     gs, es, ms = bands(ks)
-    r_eig, gap = stationary(kernels.step_matrix(gs, es, ms, tp.gamma_minus, tp.gamma_plus, tp.p_at))
+    r_perron, gap = stationary(kernels.step_matrix(gs, es, ms, tp.gamma_minus, tp.gamma_plus, tp.p_at))
     r_chain = oracle.steady_state(reduced_from_channel(ks, tp), tp.p_at)
     rho_it, _, _ = kernels.evolve_to_fixed_point(
         gs, es, ms, fock_density(ns, ds), tp.gamma_minus, tp.gamma_plus, tp.p_at, tol=1e-12
     )
-    edev = max(float(np.abs(r_eig - r_chain).max()), float(np.abs(r_eig - np.diag(rho_it).real).max()))
+    edev = max(float(np.abs(r_perron - r_chain).max()), float(np.abs(r_perron - np.diag(rho_it).real).max()))
     checks.append(("stationary_solver", edev < 1e-8, f"nbar {ns}, gap {gap:.2e}, max dev {edev:.2e}"))
 
     # the production record route (powers of the step matrix) against the

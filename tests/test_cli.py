@@ -124,6 +124,22 @@ def test_a_non_finite_setting_exits_2(scenario, field, value, tmp_path, capsys):
         assert f"{field} must be finite, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["trajectory", "--ts", "0", "--phi", "0"], "0.0"),
+    (["converge", "--ts", "-1"], "-1.0"),
+    (["converge", "--config", "ts0.json"], "0"),
+])
+def test_a_non_positive_period_exits_2(argv, shown, tmp_path, monkeypatch, capsys):
+    # the trajectory default steps divide by ts: zero once ended in a
+    # ZeroDivisionError traceback, and a negative ts was refused only later
+    # as an interaction time exceeding the period
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ts0.json").write_text(json.dumps({"ts": 0}))
+    assert main([*argv, "--out", "out.csv"]) == 2
+    assert f"ts must be > 0, got {shown}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_seed_without_sample_atoms_is_refused(capsys):
     assert main(["converge", "--seed", "99"]) == 2
     assert "sample_atoms" in capsys.readouterr().err

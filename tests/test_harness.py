@@ -486,6 +486,30 @@ def test_production_runs_reach_no_oracle(tmp_path, monkeypatch):
         main(["validate"])
 
 
+def test_no_run_computes_eigenvectors_of_a_cycle_matrix(tmp_path, monkeypatch):
+    # the stationary solve reads the spectrum with eigvals and gets the
+    # Perron vector by inverse iteration; the production runs of
+    # test_production_runs_reach_no_oracle and validate never need eig
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a run called np.linalg.eig")
+
+    monkeypatch.setattr(np.linalg, "eig", unreachable)
+    record = ["--nbar", "1", "--steps", "50"]
+    cavity = ["--kappa", "10", "--nth", "0.05", "--pat", "0.3"]
+    for argv in (
+        ["converge", *record],
+        ["trajectory", *record],
+        ["trajectory", *record, "--sample-atoms", "--seed", "1"],
+        ["ladder", *record],
+        ["tune-phase", "--nbar", "2", *cavity],
+        ["steady", "--nbars", "2"],
+        ["robustness"],
+        ["sweep-theta2"],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0, argv
+    assert main(["validate"]) == 0
+
+
 def test_tune_grid_has_no_swallowed_phases(tmp_path):
     # the nbar-1 grid at x = 3pi/4 in the cavity: 44 of its 64 phases were
     # once refused and written as fidelity 0.0, though every gap is >= 1e-5

@@ -1,10 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from fockstab import kernels
-from fockstab.dynamics import make_params
+from fockstab.dynamics import composite_propagator, default_dim, make_params, trapping_theta1
 from fockstab.errors import (
     AmbiguousSteadyStateError,
     ConfigError,
@@ -12,9 +13,10 @@ from fockstab.errors import (
     StepValidityError,
 )
 from fockstab.fock import fock_density, random_density
-from fockstab.kraus import analytic_kraus, bands
+from fockstab.kraus import analytic_kraus, bands, extract_kraus
 from fockstab.oracle import apply_map, decoherence_step, dense_thermal, reservoir_step, steady_state
 from fockstab.thermal import (
+    STATIONARY_GAP_TOL,
     ThermalParams,
     build_reduced,
     cavity_thermal,
@@ -172,6 +174,76 @@ def test_steady_state_properties():
     assert perron.sum() == pytest.approx(1.0, abs=1e-14)
     assert 0.0 < gap < 1.0
     assert np.abs(perron - r).max() < 1e-9
+
+
+def eig_route(m):
+    """The solve `stationary` replaced: lam1 and the gap from `np.linalg.eig`,
+    whose Perron vector is polished by two inverse steps at the same shift."""
+    lam, vecs = np.linalg.eig(m)
+    top = int(np.argmax(lam.real))
+    lam1 = float(lam[top].real)
+    gap = lam1 - float(np.abs(np.delete(lam, top)).max())
+    shifted = (lam1 + max(1e-3 * gap, 1e-13)) * np.eye(len(lam)) - m
+    r = np.abs((vecs[:, top] / vecs[:, top].sum()).real)
+    for _ in range(2):
+        r = np.linalg.solve(shifted, r)
+        r /= r.sum()
+    return r, gap
+
+
+def test_stationary_matches_the_eig_route_over_random_physics():
+    # the numeric channel of the paper's cavity widened on every axis: the
+    # gap is the one of eig's spectrum, the vector that of eig plus inverse
+    # steps, and one engine cycle of it, renormalized, leaves it in place
+    rng = np.random.default_rng(31)
+    for draw in range(16):
+        nbar = int(rng.integers(1, 9))
+        dim = default_dim(nbar)
+        params = make_params(
+            nbar,
+            theta2=float(rng.uniform(0.5, 1.0)) * math.pi / math.sqrt(nbar),
+            theta1=(1.0 + float(rng.uniform(-0.03, 0.03))) * trapping_theta1(nbar),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        tp = ThermalParams(
+            kappa=float(rng.uniform(5.0, 20.0)),
+            n_th=float(rng.uniform(0.0, 0.1)),
+            Ts=60e-6,
+            p_at=float(rng.uniform(0.1, 1.0)),
+        )
+        g, e, m = bands(extract_kraus(composite_propagator(params, dim)))
+        cavity = (tp.gamma_minus, tp.gamma_plus, tp.p_at)
+        step = kernels.step_matrix(g, e, m, *cavity)
+        r, gap = stationary(step)
+        r_eig, gap_eig = eig_route(step)
+        assert gap == gap_eig, draw
+        assert np.abs(r - r_eig).max() <= 1e-12, draw
+        _, diag, trace = kernels.evolve(g, e, m, np.diag(r), *cavity, 1)
+        assert np.abs(diag[1] / trace[1] - r).max() <= 1e-13, draw
+
+
+def perron_two_level(m):
+    """Perron vector of a 2x2 matrix from its stored entries, in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, b, a, q = (Decimal(float(x)) for x in m.ravel())
+        lam1 = (p + q) / 2 + (((p - q) / 2) ** 2 + a * b).sqrt()
+        total = b + lam1 - p
+        return np.array([float(b / total), float((lam1 - p) / total)])
+
+
+def test_stationary_near_the_gap_floor():
+    # a two-level chain whose gap a + b lies within 10x of the floor: the
+    # shift sits at the floor, each inverse step still shrinks the error by
+    # at least half, and the vector meets the residual bound and is the
+    # Perron vector of the stored entries; ten times weaker coupling raises
+    a, b = 1e-13, 2e-13
+    m = np.array([[1.0 - a, b], [a, 1.0 - b]])
+    r, gap = stationary(m)
+    assert STATIONARY_GAP_TOL < gap < 10 * STATIONARY_GAP_TOL
+    assert np.abs(r - perron_two_level(m)).max() <= 1e-13
+    with pytest.raises(AmbiguousSteadyStateError, match="not separated"):
+        stationary(np.array([[1.0 - a / 10, b / 10], [a / 10, 1.0 - b / 10]]))
 
 
 def test_steady_fidelity_degrades_with_coupling():
