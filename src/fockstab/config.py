@@ -43,6 +43,11 @@ CAVITY_NTH = 0.05
 CAVITY_TS = 60e-6
 CAVITY_PAT = 0.3
 TRAJECTORY_SECONDS = 4.0
+# the steady table reads its Walther baseline after this span, the
+# robustness table its decay rows after these (columns fid_walther_4s,
+# fid_0p1s and fid_0p25s)
+WALTHER_SECONDS = 4.0
+DECAY_SECONDS = (0.1, 0.25)
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,12 @@ class ExperimentConfig:
         if self.ts <= 0:
             # `default_steps` divides by it
             raise ConfigError(f"ts must be > 0, got {self.ts}")
+        horizon = fixed_horizon(self.scenario, self.steps)
+        if horizon is not None and self.ts > horizon:
+            # a longer period fits no atom into that span
+            raise ConfigError(
+                f"ts must be <= {horizon} s, the shortest span scenario {self.scenario!r} reads, got {self.ts}"
+            )
         thermal = self.scenario in _THERMAL_SCENARIOS
         cfg = replace(
             self,
@@ -185,6 +196,15 @@ def default_theta2(scenario: str, nbar: int) -> float:
     if scenario in ("converge", "ladder"):
         return 1.0 / math.sqrt(nbar)
     return 0.75 * math.pi / math.sqrt(nbar)
+
+
+def fixed_horizon(scenario: str, steps: int | None) -> float | None:
+    """The shortest fixed span (s) a scenario reads a run at, if it has one:
+    the default trajectory, the steady table's Walther baseline and the
+    robustness table's first decay row."""
+    if scenario == "trajectory" and steps is None:
+        return TRAJECTORY_SECONDS
+    return {"steady": WALTHER_SECONDS, "robustness": DECAY_SECONDS[0]}.get(scenario)
 
 
 def default_steps(scenario: str, ts: float) -> int:

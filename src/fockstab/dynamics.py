@@ -6,7 +6,9 @@ field blocks. The interaction couples only |g,n+1>, |e,n>, |m,n-1|, so every
 joint Hamiltonian built here is block-diagonal over those triples (pairs or
 singletons at the truncation edges). `composite_propagator` works on the
 stacked (dim, 3, 3) triples directly, one Hermitian eigendecomposition per
-pulse segment, and returns them as a `LadderPropagator`. The dense route
+pulse segment, and returns them as a `LadderPropagator`; given several
+phases it stacks their triples too, one (phases, dim, 3, 3) stack per
+segment. The dense route
 (`oracle.build_hjc`, `oracle.propagate`, compared through
 `LadderPropagator.dense`) is the reference that tests and `fockstab validate`
 pin it to.
@@ -19,8 +21,10 @@ theta1 again (pulse areas in radians).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,9 +127,13 @@ def make_params(
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Ordered (duration, u) segments covering one interaction of length T."""
+    """Ordered (duration, u) segments covering one interaction of length T.
 
-    segments: tuple[tuple[float, float], ...]
+    A control u may be an array with one value per phase of a stack (see
+    `composite_propagator`); durations are plain numbers.
+    """
+
+    segments: tuple[tuple[float, float | np.ndarray], ...]
 
     def __post_init__(self) -> None:
         if not self.segments or any(d <= 0 for d, _ in self.segments):
@@ -136,8 +144,8 @@ class ControlSchedule:
         return sum(d for d, _ in self.segments)
 
 
-def phase_adjusted(params: ReservoirParams) -> ReservoirParams:
-    """Shift delta_m so the middle segment accumulates exactly params.phi.
+def phase_delta_m(params: ReservoirParams, phi: float) -> float:
+    """delta_m shifted so the middle segment accumulates exactly the phase phi.
 
     The shift delta satisfies (delta_bar + delta) * t_s = phi (mod 2pi) with
     the smallest magnitude, mirroring the experimental knob of slightly
@@ -146,17 +154,25 @@ def phase_adjusted(params: ReservoirParams) -> ReservoirParams:
     """
     t_s = params.t_s
     if t_s == 0.0:
-        if params.phi != 0.0:
+        if phi != 0.0:
             raise ConfigError("phi is not realizable with theta2 = 0 (no middle segment)")
-        return params
-    mismatch = (params.phi - params.delta_bar * t_s + math.pi) % (2 * math.pi) - math.pi
-    return replace(params, delta_m=params.delta_m + mismatch / t_s)
+        return params.delta_m
+    mismatch = (phi - params.delta_bar * t_s + math.pi) % (2 * math.pi) - math.pi
+    return params.delta_m + mismatch / t_s
 
 
-def control_schedule(params: ReservoirParams) -> ControlSchedule:
+def phase_adjusted(params: ReservoirParams) -> ReservoirParams:
+    """params with delta_m shifted so the middle segment accumulates params.phi."""
+    delta_m = phase_delta_m(params, params.phi)
+    return params if delta_m == params.delta_m else replace(params, delta_m=delta_m)
+
+
+def control_schedule(params: ReservoirParams, delta_m: float | np.ndarray | None = None) -> ControlSchedule:
     """The three-segment Stark control: u = (-delta_g, +delta_m, -delta_g).
 
     Outer segments last (T - t_s)/2 = theta1/omega each, the middle one t_s.
+    delta_m defaults to params.delta_m; an array of phase-adjusted values
+    gives the middle segment one control per phase.
     theta2 = 0 degenerates to the single resonant segment of the plain
     trapping scheme (warned, since the stabilization argument needs theta2 > 0).
     """
@@ -171,49 +187,64 @@ def control_schedule(params: ReservoirParams) -> ControlSchedule:
     return ControlSchedule(
         (
             (outer, -params.delta_g),
-            (params.t_s, params.delta_m),
+            (params.t_s, params.delta_m if delta_m is None else delta_m),
             (outer, -params.delta_g),
         )
     )
 
 
-def ladder_hamiltonians(u: float, params: ReservoirParams, field_dim: int) -> np.ndarray:
-    """The ladder-block restrictions of `oracle.build_hjc`, shape (field_dim, 3, 3).
+def ladder_hamiltonians(
+    u: float | np.ndarray,
+    params: ReservoirParams,
+    field_dim: int,
+    delta_m: float | np.ndarray | None = None,
+) -> np.ndarray:
+    """The ladder-block restrictions of `oracle.build_hjc`, shape (..., field_dim, 3, 3).
 
     Block n is the Hamiltonian on (|g,n+1>, |e,n>, |m,n-1>) in that order.
     The members outside the truncation, |m,-1> (its coupling sqrt(0) is
     exactly 0) and |g,dim> (its coupling is set to 0), stay in the stack as
     decoupled placeholders at their bare energies. The singletons |g,0> and
-    |m,dim-1> are not included.
+    |m,dim-1> are not included. delta_m defaults to params.delta_m; when u
+    or delta_m is an array with one value per phase, the stack gains that
+    leading phase axis.
     """
     if field_dim < params.nbar + 2:
         raise ConfigError(f"field_dim {field_dim} too small for nbar {params.nbar}")
     d = field_dim
-    n = np.arange(d, dtype=np.float64)
-    up = 0.5j * params.omega * np.sqrt(n + 1.0)  # <g,n+1| H |e,n>
+    root = np.sqrt(np.arange(d + 1, dtype=np.float64))
+    up = 0.5j * params.omega * root[1:]  # <g,n+1| H |e,n>
     up[-1] = 0.0
-    down = 0.5j * params.omega * np.sqrt(n)  # <e,n| H |m,n-1>
-    h = np.zeros((d, 3, 3), dtype=np.complex128)
-    h[:, G, G] = -(params.delta_g + u)
-    h[:, M, M] = params.delta_m - u
-    h[:, G, E] = up
-    h[:, E, G] = up.conj()
-    h[:, E, M] = down
-    h[:, M, E] = down.conj()
+    down = 0.5j * params.omega * root[:-1]  # <e,n| H |m,n-1>
+    # delta_m - u carries the phase axis of either; the bare energies get a
+    # trailing level axis to broadcast over the levels
+    bare_m = np.asarray((params.delta_m if delta_m is None else delta_m) - u)
+    h = np.zeros(bare_m.shape + (d, 3, 3), dtype=np.complex128)
+    h[..., G, G] = np.asarray(-(params.delta_g + u))[..., None]
+    h[..., M, M] = bare_m[..., None]
+    h[..., G, E] = up
+    h[..., E, G] = up.conj()
+    h[..., E, M] = down
+    h[..., M, E] = down.conj()
     return h
 
 
+@functools.lru_cache(maxsize=16)
 def ladder_members(field_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Field levels of the ladder-block members and which block entries exist.
 
     levels[n] = (n+1, n, n-1) are the levels of (|g,n+1>, |e,n>, |m,n-1>).
     exists[n, i, j] is False where member i or j is a placeholder outside
     the truncation: |g,dim> (levels[dim-1, G] = dim) or |m,-1> (levels[0, M] = -1).
+    Both are read-only and cached per field_dim.
     """
     d = field_dim
     levels = np.arange(d)[:, None] + 1 - np.arange(3)
     member = (levels >= 0) & (levels < d)
-    return levels, member[:, :, None] & member[:, None, :]
+    exists = member[:, :, None] & member[:, None, :]
+    levels.setflags(write=False)
+    exists.setflags(write=False)
+    return levels, exists
 
 
 @dataclass(frozen=True)
@@ -226,15 +257,19 @@ class LadderPropagator:
     no meaning and are never read. Every other joint entry is zero, so the
     operator cannot hold weight off the ladder. `dense()` gives the
     (3*dim, 3*dim) matrix to compare with the dense route of `oracle`.
+
+    A stack of propagators, one per phase, has blocks of shape
+    (phases, dim, 3, 3) and singleton phases of shape (phases,); `dense()`
+    takes a single propagator.
     """
 
     blocks: np.ndarray
-    phase_g0: complex
-    phase_m_top: complex
+    phase_g0: complex | np.ndarray
+    phase_m_top: complex | np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.blocks.shape[0]
+        return self.blocks.shape[-3]
 
     def dense(self) -> np.ndarray:
         """The joint (3*dim, 3*dim) matrix, zero off the ladder blocks and singletons."""
@@ -250,24 +285,36 @@ class LadderPropagator:
         return u
 
 
-def composite_propagator(params: ReservoirParams, field_dim: int) -> LadderPropagator:
+def composite_propagator(
+    params: ReservoirParams,
+    field_dim: int,
+    phis: Sequence[float] | None = None,
+) -> LadderPropagator:
     """Propagator of the full three-segment cycle, in time order.
 
     delta_m is first adjusted so the accumulated middle-segment phase equals
     params.phi. Each segment diagonalizes the stacked ladder blocks at once;
-    the block propagators and the two singleton phases are multiplied
-    latest-first.
+    the block propagators are multiplied latest-first, and each singleton
+    phase is the exponential of its accumulated bare-energy phase.
+
+    Given phases phis, the result is a stack with one propagator per phase,
+    each as if params.phi were that phase: the adjusted delta_m becomes an
+    array over the phases, and every segment is one `eigh` call over all
+    phases and levels. Without phis the same loop runs on a scalar delta_m.
     """
-    eff = phase_adjusted(params)
+    if phis is None:
+        delta_m = phase_delta_m(params, params.phi)
+    else:
+        delta_m = np.array([phase_delta_m(params, phi) for phi in phis])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        schedule = control_schedule(eff)
+        schedule = control_schedule(params, delta_m)
     blocks = None
-    phase_g = phase_m = 1.0
+    angle_g = angle_m = np.zeros(np.shape(delta_m))
     for duration, u_val in schedule.segments:
-        w, v = np.linalg.eigh(ladder_hamiltonians(u_val, eff, field_dim))
-        seg = (v * np.exp(-1j * w * duration)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        w, v = np.linalg.eigh(ladder_hamiltonians(u_val, params, field_dim, delta_m))
+        seg = (v * np.exp(-1j * w * duration)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         blocks = seg if blocks is None else seg @ blocks
-        phase_g = np.exp(1j * (eff.delta_g + u_val) * duration) * phase_g
-        phase_m = np.exp(-1j * (eff.delta_m - u_val) * duration) * phase_m
-    return LadderPropagator(blocks, phase_g, phase_m)
+        angle_g = angle_g + (params.delta_g + u_val) * duration
+        angle_m = angle_m - (delta_m - u_val) * duration
+    return LadderPropagator(blocks, np.exp(1j * angle_g), np.exp(1j * angle_m))

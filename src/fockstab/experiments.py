@@ -16,7 +16,9 @@ Its rows are the powers M^k applied to the initial populations
 (`kernels.record_rows`); only `--sample-atoms` runs, whose map changes from
 atom to atom, step the cycle one atom at a time. The tuning objective's
 no-environment settle (`_settled`) reads one entry of M^TUNE_SETTLE_STEPS.
-The atom-by-atom loop `kernels.evolve` is the oracle of both.
+The atom-by-atom loop `kernels.evolve` is the oracle of both. Phase tuning
+builds the channels of its grid in stacks of PHASE_STACK phases
+(`build_channel` with phis) and solves each phase on its own.
 
 Every stationary quantity is one solve for the Perron vector of a cycle
 matrix (`thermal.stationary`): `kernels.step_matrix` for a channel, so the
@@ -33,13 +35,14 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from . import kernels, oracle
-from .config import ExperimentConfig, default_theta2, parse_init
+from .config import DECAY_SECONDS, WALTHER_SECONDS, ExperimentConfig, default_theta2, parse_init
 from .dynamics import ReservoirParams, composite_propagator, make_params, trapping_theta1
 from .errors import NumericalValidityError
 from .fock import diagonal_density, fock_density, random_density, uniform_density
@@ -54,6 +57,9 @@ from .thermal import (
 )
 
 PHI_GRID_POINTS = 64
+# grid phases per stacked channel build in `tune_phase`: larger stacks were a
+# few percent faster but raised peak memory (see README)
+PHASE_STACK = 16
 THETA2_GRID_POINTS = 64
 STATIONARITY_TOL = 1e-10
 STATIONARITY_CAP = 1_000_000
@@ -97,14 +103,25 @@ def thermal_params(cfg: ExperimentConfig) -> ThermalParams:
     return tp
 
 
-def build_channel(cfg: ExperimentConfig, params: ReservoirParams, dim: int | None = None) -> KrausSet:
+def build_channel(
+    cfg: ExperimentConfig,
+    params: ReservoirParams,
+    dim: int | None = None,
+    phis: Sequence[float] | None = None,
+) -> KrausSet | list[KrausSet]:
     """The channel selected by (scheme, channel) for the given parameters.
 
     The walther scheme is the resonant two-level baseline with pulse area
     theta_r = 2 * theta1; its numeric variant is the single-segment propagator
     (theta2 = 0) of the full three-level model.
+
+    Given phases phis, a list of channels, one per phase in place of
+    params.phi: the numeric symmetric channels come from one stacked
+    propagator, the others are built one by one.
     """
     dim = cfg.dim if dim is None else dim
+    if phis is not None and not (cfg.scheme == "symmetric" and cfg.channel == "numeric"):
+        return [build_channel(cfg, replace(params, phi=phi), dim) for phi in phis]
     if cfg.scheme == "walther":
         if cfg.channel == "numeric":
             single = replace(params, theta2=0.0, phi=0.0)
@@ -113,7 +130,7 @@ def build_channel(cfg: ExperimentConfig, params: ReservoirParams, dim: int | Non
                 return extract_kraus(composite_propagator(single, dim))
         return walther_kraus(params.nbar, 2.0 * params.theta1, dim)
     if cfg.channel == "numeric":
-        return extract_kraus(composite_propagator(params, dim))
+        return extract_kraus(composite_propagator(params, dim, phis))
     return analytic_kraus(params, dim)
 
 
@@ -171,21 +188,36 @@ def ill_conditioned(rows: list[dict[str, Any]]) -> int:
     return sum(1 for r in rows if r.get("spectral_gap", math.inf) < ILL_CONDITIONED_GAP)
 
 
-def _settled(cfg: ExperimentConfig, phi: float) -> dict[str, float]:
-    """Long-run target fidelity of the configured channel at phase phi.
+def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, float]]:
+    """Long-run target fidelity of the configured channel at each phase of phis.
 
     Without an environment this is the fidelity after a fixed settle of
     TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
     of the step matrix. With one, it is the stationary fidelity, reported
-    together with its spectral gap.
+    together with its spectral gap. The channels of all phases are built as
+    one stack; each is then solved on its own, in phase order.
     """
-    params = reservoir_params(cfg, phi=phi)
+    params = reservoir_params(cfg)
     tp = thermal_params(cfg)
-    if tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0:
-        step = kernels.step_matrix(*bands(build_channel(cfg, params)), 0.0, 0.0, 1.0)
-        return {"fidelity": float(np.linalg.matrix_power(step, TUNE_SETTLE_STEPS)[cfg.nbar, cfg.nbar])}
-    fid, gap = stationary_fidelity(cfg, params)
-    return {"fidelity": fid, "spectral_gap": gap}
+    try:
+        channels = build_channel(cfg, params, phis=phis)
+    except ValueError:
+        if len(phis) == 1:
+            raise
+        # one phase at a time, so the error raised is the first one a
+        # phase-by-phase run meets, a solve of an earlier phase included
+        return [row for phi in phis for row in _settled(cfg, [phi])]
+    settle = tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
+    rows = []
+    for k in channels:
+        g, e, m = bands(k)
+        if settle:
+            step = kernels.step_matrix(g, e, m, 0.0, 0.0, 1.0)
+            rows.append({"fidelity": float(np.linalg.matrix_power(step, TUNE_SETTLE_STEPS)[cfg.nbar, cfg.nbar])})
+        else:
+            populations, gap = stationary(kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at))
+            rows.append({"fidelity": float(populations[cfg.nbar]), "spectral_gap": gap})
+    return rows
 
 
 def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]]]:
@@ -196,12 +228,16 @@ def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]
     then refines around the best grid point to 1e-3 rad. Ties break to the
     smallest phi; a landscape flat to 1e-6 returns phi = 0. Each grid row
     holds phi and the fidelity, plus the spectral gap of the stationary
-    solve when there is an environment.
+    solve when there is an environment. The grid is built in stacks of
+    PHASE_STACK phases, the golden section one phase at a time.
     """
     if cfg.theta2 <= 0.0:
-        return 0.0, _settled(cfg, 0.0)["fidelity"], []
+        return 0.0, _settled(cfg, [0.0])[0]["fidelity"], []
     grid = [2.0 * math.pi * i / PHI_GRID_POINTS for i in range(PHI_GRID_POINTS)]
-    table = [{"phi": p, **_settled(cfg, p)} for p in grid]
+    table = []
+    for start in range(0, PHI_GRID_POINTS, PHASE_STACK):
+        stack = grid[start:start + PHASE_STACK]
+        table += [{"phi": p, **row} for p, row in zip(stack, _settled(cfg, stack))]
     fids = [r["fidelity"] for r in table]
     if max(fids) - min(fids) < 1e-6:
         fid0 = fids[0]
@@ -209,7 +245,7 @@ def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]
     best = int(np.argmax(fids))
     step = 2.0 * math.pi / PHI_GRID_POINTS
     lo, hi = grid[best] - step, grid[best] + step
-    phi_opt, fid_opt = _golden_max(lambda p: _settled(cfg, p)["fidelity"], lo, hi, xatol=1e-3)
+    phi_opt, fid_opt = _golden_max(lambda p: _settled(cfg, [p])[0]["fidelity"], lo, hi, xatol=1e-3)
     if fids[best] >= fid_opt:
         phi_opt, fid_opt = grid[best], fids[best]
     return phi_opt % (2.0 * math.pi), fid_opt, table
@@ -345,7 +381,7 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         fid_reduced = float(stationary(build_reduced(params, tp, sub.dim).step_matrix(sub.pat))[0][nbar])
 
         walther = replace(sub, scheme="walther", channel="analytic", theta1_err=0.0, phi=0.0, init="vacuum",
-                          steps=int(4.0 / sub.ts), sample_atoms=False)
+                          steps=int(WALTHER_SECONDS / sub.ts), sample_atoms=False)
         fid_walther = run_record(walther).summary["final_fidelity"]
 
         errs = {}
@@ -403,8 +439,7 @@ def run_robustness(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     middle-segment phase is offset by +/-pi/8.
     """
     rows: list[dict[str, Any]] = []
-    k_01 = int(0.1 / cfg.ts)
-    k_025 = int(0.25 / cfg.ts)
+    k_01, k_025 = (int(seconds / cfg.ts) for seconds in DECAY_SECONDS)
     for err in (-0.02, 0.02):
         for pat in sorted({cfg.pat, 1.0}):
             walther = replace(cfg, scheme="walther", channel="analytic", theta1_err=err, phi=0.0, kappa=0.0,

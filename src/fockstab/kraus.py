@@ -96,40 +96,48 @@ def _with_band_defect(g: np.ndarray, e: np.ndarray, m: np.ndarray) -> KrausSet:
     return KrausSet(g, e, m, float(np.abs(total - 1.0).max()))
 
 
-def ladder_defects(u: LadderPropagator) -> tuple[float, float]:
+def ladder_defects(u: LadderPropagator) -> tuple[np.ndarray, np.ndarray]:
     """Unitarity and completeness defects of a joint propagator, read off its ladder blocks.
 
     Returns (max|U^dag U - I|, max|sum_x M_x^dag M_x - I|) for the channel
     `extract_kraus` reads, without a dense product: U^dag U is the stack of
     3x3 Grams G_n = B_n^dag B_n plus the singletons' |phase|^2, and
     sum_x M_x^dag M_x is diagonal with entry n the Gram entry G_n[E, E] of
-    the E column.
+    the E column. A stack of propagators gives one pair of defects per phase.
     """
     _, exists = ladder_members(u.dim)
     # placeholder rows and columns become identity, so their Gram entries are exact
     blocks = np.where(exists, u.blocks, np.eye(3))
-    gram = blocks.conj().swapaxes(1, 2) @ blocks
+    gram = blocks.conj().swapaxes(-1, -2) @ blocks
     phase2 = np.abs(np.array([u.phase_g0, u.phase_m_top])) ** 2
-    unitarity = max(float(np.abs(gram - np.eye(3)).max()), float(np.abs(phase2 - 1.0).max()))
-    return unitarity, float(np.abs(gram[:, E, E] - 1.0).max())
+    unitarity = np.maximum(np.abs(gram - np.eye(3)).max(axis=(-3, -2, -1)), np.abs(phase2 - 1.0).max(axis=0))
+    return unitarity, np.abs(gram[..., E, E] - 1.0).max(axis=-1)
 
 
-def extract_kraus(u: LadderPropagator) -> KrausSet:
+def extract_kraus(u: LadderPropagator) -> KrausSet | list[KrausSet]:
     """Read the field channel of an atom entering in |e> off a joint propagator.
 
     M_x[n', n] = <x, n'| U |e, n> is the E column of the ladder blocks:
     g[n] = B_n[G, E], e[n] = B_n[E, E] and m[n] = B_n[M, E], with g[dim-1]
     and m[0] zero because |g,dim> and |m,-1> are placeholders outside the
     truncation. Both defects come from `ladder_defects`; the dense formula on
-    `u.dense()` and `KrausSet.from_operators` are their oracle.
+    `u.dense()` and `KrausSet.from_operators` are their oracle. A stack of
+    propagators gives a list with one channel per phase; the phases are
+    checked in order, so the first one that fails raises.
     """
     defect, completeness = ladder_defects(u)
+    column = u.blocks[..., E].copy()
+    column[..., -1, G] = 0.0
+    column[..., 0, M] = 0.0
+    if column.ndim == 2:
+        return _checked_channel(defect, column, completeness)
+    return [_checked_channel(*phase) for phase in zip(defect, column, completeness)]
+
+
+def _checked_channel(defect: float, column: np.ndarray, completeness: float) -> KrausSet:
     if defect > UNITARY_TOL:
         raise ValueError(f"propagator unitarity defect {defect:.3e} exceeds {UNITARY_TOL:.1e}")
-    column = u.blocks[:, :, E].copy()
-    column[-1, G] = 0.0
-    column[0, M] = 0.0
-    return KrausSet(*column.T, completeness)
+    return KrausSet(*column.T, float(completeness))
 
 
 def _alpha(theta1: float, n: np.ndarray | float) -> np.ndarray | float:

@@ -190,7 +190,8 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
 
     Raises AmbiguousSteadyStateError when the gap is at rounding level (two
     closed classes, as in a channel without environment), when an entry is
-    clearly negative, or when the residual |m v - lam1 v|_1 exceeds rounding.
+    clearly negative, or when the residual |m v - rho v|_1 exceeds rounding,
+    where rho = sum(m v) / sum(v) is the Rayleigh quotient of v.
     """
     lam = np.linalg.eigvals(m)
     top = int(np.argmax(lam.real))
@@ -223,7 +224,10 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
     # the comparisons are written to fail on NaN as well
     if not r.min() >= -1e-10:
         raise AmbiguousSteadyStateError(f"stationary vector has negative entry {r.min():.3e}")
-    residual = float(np.abs(m @ r - lam1 * r).sum())
+    # against the Rayleigh quotient of r rather than lam1, whose rounding in
+    # `eigvals` can exceed the bound when the gap is small
+    mr = m @ r
+    residual = float(np.abs(mr - (mr.sum() / r.sum()) * r).sum())
     bound = STATIONARY_ULPS * len(r) * np.finfo(np.float64).eps * float(np.abs(m).sum(axis=0).max())
     if not residual <= bound:
         raise AmbiguousSteadyStateError(f"eigenvector residual {residual:.3e} exceeds rounding ({bound:.3e})")

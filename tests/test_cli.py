@@ -140,6 +140,34 @@ def test_a_non_positive_period_exits_2(argv, shown, tmp_path, monkeypatch, capsy
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv, horizon, shown", [
+    (["trajectory", "--ts", "10", "--phi", "0"], "4.0", "10.0"),
+    (["steady", "--nbars", "1", "--ts", "5", "--kappa", "0.001", "--phi", "0"], "4.0", "5.0"),
+    (["robustness", "--ts", "0.15", "--kappa", "0.01", "--phi", "0"], "0.1", "0.15"),
+    (["robustness", "--ts", "0.3", "--kappa", "0.01", "--phi", "0"], "0.1", "0.3"),
+], ids=["trajectory", "steady", "robustness", "robustness-both-columns"])
+def test_a_period_longer_than_a_fixed_horizon_exits_2(argv, horizon, shown, tmp_path, capsys):
+    # such a period fits no atom into the span: the default trajectory was
+    # refused for steps it derived itself, the steady table wrote the vacuum
+    # start as its 4-s baseline and robustness the Fock start as its 0.1-s decay
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"ts must be <= {horizon} s" in err and f"got {shown}" in err
+    assert not out.exists()
+
+
+def test_a_period_up_to_the_horizon_is_accepted(tmp_path):
+    # explicit steps give the trajectory no fixed horizon; at ts = 0.1 the
+    # 0.1-s decay row is one atom
+    assert ExperimentConfig(scenario="trajectory", ts=10.0, steps=3, phi=0.0).resolved().steps == 3
+    out = tmp_path / "r.json"
+    assert main(["robustness", "--nbar", "1", "--ts", "0.1", "--kappa", "0.01", "--phi", "0", "--format", "json",
+                 "--out", str(out)]) == 0
+    decay = [r for r in json.loads(out.read_text())["records"] if r["case"] == "walther_theta_err"]
+    assert decay and all(r["fid_0p1s"] < 1.0 for r in decay)
+
+
 def test_seed_without_sample_atoms_is_refused(capsys):
     assert main(["converge", "--seed", "99"]) == 2
     assert "sample_atoms" in capsys.readouterr().err

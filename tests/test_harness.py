@@ -538,3 +538,98 @@ def test_sweep_theta2_answers_every_grid_point(nbar, ill, tmp_path):
     assert doc["summary"]["ill_conditioned"] == sum(g < ex.ILL_CONDITIONED_GAP for g in gaps) == ill
     assert doc["summary"]["theta2_opt"] == doc["records"][int(np.argmax(fids))]["theta2"]
 
+
+def phase_by_phase(cfg, phis):
+    """The tuning objective built and solved one phase at a time."""
+    from fockstab import kernels
+    from fockstab.kraus import bands
+    from fockstab.thermal import stationary
+
+    rows = []
+    tp = ex.thermal_params(cfg)
+    for phi in phis:
+        g, e, m = bands(ex.build_channel(cfg, ex.reservoir_params(cfg, phi=phi)))
+        if cfg.kappa == 0.0:
+            step = kernels.step_matrix(g, e, m, 0.0, 0.0, 1.0)
+            rows.append({"fidelity": float(np.linalg.matrix_power(step, ex.TUNE_SETTLE_STEPS)[cfg.nbar, cfg.nbar])})
+        else:
+            populations, gap = stationary(kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at))
+            rows.append({"fidelity": float(populations[cfg.nbar]), "spectral_gap": gap})
+    return rows
+
+
+CAVITY_CFG = {"kappa": 10.0, "nth": 0.05, "pat": 0.3}
+
+
+@pytest.mark.parametrize("phases", [1, 2, 17])
+@pytest.mark.parametrize("kw", [
+    {"nbar": 1, **CAVITY_CFG},
+    {"nbar": 4, "theta1_err": -0.03, **CAVITY_CFG},
+    {"nbar": 8, "theta1_err": 0.03, "theta2": 0.5, **CAVITY_CFG},
+    {"nbar": 2},
+    {"nbar": 2, "channel": "analytic", **CAVITY_CFG},
+    {"nbar": 2, "scheme": "walther", "channel": "numeric"},
+], ids=["nbar1", "nbar4-err", "nbar8-err-theta2", "no-environment", "analytic", "walther-numeric"])
+def test_stacked_tuning_objective_equals_the_phase_by_phase_loop(kw, phases):
+    cfg = resolved(scenario="tune-phase", **kw)
+    phis = [2.0 * math.pi * i / phases + 0.1 for i in range(phases)]
+    assert ex._settled(cfg, phis) == phase_by_phase(cfg, phis)
+
+
+def test_a_failing_phase_raises_the_error_the_phase_by_phase_loop_meets_first(monkeypatch):
+    # phase k fails its build under a tightened unitarity tolerance; with
+    # and without an earlier phase j failing its stationary solve, the stack
+    # raises what the loop raises first
+    from fockstab import kraus, thermal
+    from fockstab.errors import AmbiguousSteadyStateError
+
+    cfg = resolved(scenario="tune-phase", nbar=3, **CAVITY_CFG)
+    phis = [2.0 * math.pi * i / 17 for i in range(17)]
+    defects = [float(kraus.ladder_defects(ex.composite_propagator(ex.reservoir_params(cfg, phi=phi), cfg.dim))[0])
+               for phi in phis]
+    k = max(i for i in range(2, 17) if defects[i] > max(defects[:i]))
+    monkeypatch.setattr(kraus, "UNITARY_TOL", max(defects[:k]))
+
+    def first_error(run):
+        with pytest.raises(Exception) as info:
+            run(cfg, phis)
+        return type(info.value), str(info.value)
+
+    assert first_error(ex._settled) == first_error(phase_by_phase) == (
+        ValueError, f"propagator unitarity defect {defects[k]:.3e} exceeds {max(defects[:k]):.1e}")
+
+    solve = thermal.stationary
+    for run in (ex._settled, phase_by_phase):
+        calls = []
+
+        def failing(m, calls=calls):
+            # the second solve, that of phase j = 1, fails in either route
+            calls.append(m)
+            if len(calls) == 2:
+                raise AmbiguousSteadyStateError("solve of phase 1 refused")
+            return solve(m)
+
+        monkeypatch.setattr(ex, "stationary", failing)
+        monkeypatch.setattr(thermal, "stationary", failing)
+        assert first_error(run) == (AmbiguousSteadyStateError, "solve of phase 1 refused")
+
+
+def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
+    # four stacks of 16 grid phases, then the golden section's 13 phases
+    # (2 + 11 steps of (sqrt(5) - 1)/2 narrow 2 * 2pi/64 to 1e-3) one each;
+    # building phase by phase would make 77 calls. The CSV holds the grid
+    # only, so the golden-section result is checked on stderr, as the
+    # phase-by-phase build printed it
+    sizes = []
+    build = ex.composite_propagator
+
+    def counted(params, field_dim, phis=None):
+        sizes.append(None if phis is None else len(phis))
+        return build(params, field_dim, phis)
+
+    monkeypatch.setattr(ex, "composite_propagator", counted)
+    argv = ["tune-phase", "--nbar", "2", "--kappa", "10", "--nth", "0.05", "--pat", "0.3", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    assert ex.PHASE_STACK == 16
+    assert sizes == [16] * 4 + [1] * 13
+    assert "phi_opt: 5.905913 rad  fidelity: 0.970298" in capsys.readouterr().err

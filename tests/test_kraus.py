@@ -197,6 +197,55 @@ def test_extraction_ignores_placeholder_rows_and_columns():
         assert np.array_equal(noisy.dense(), u.dense())
 
 
+@pytest.mark.parametrize("phases", [1, 2, 17])
+def test_stacked_build_equals_single_builds_over_random_physics(phases):
+    # one propagator per phase from one stacked build: its blocks, singleton
+    # phases, bands and both defects are those of building each phase alone
+    rng = np.random.default_rng(1400 + phases)
+    for nbar in range(1, 9):
+        dim = 9 * (nbar + 1)
+        p = make_params(
+            nbar,
+            theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar),
+            theta1=trapping_theta1(nbar) * (1.0 + float(rng.uniform(-0.03, 0.03))),
+        )
+        phis = [float(phi) for phi in rng.uniform(0, 2 * math.pi, phases)]
+        stack = composite_propagator(p, dim, phis)
+        assert stack.blocks.shape == (phases, dim, 3, 3) and stack.dim == dim
+        unitarity, completeness = ladder_defects(stack)
+        channels = extract_kraus(stack)
+        assert len(channels) == phases
+        for i, phi in enumerate(phis):
+            single = composite_propagator(replace(p, phi=phi), dim)
+            assert np.array_equal(stack.blocks[i], single.blocks)
+            assert stack.phase_g0[i] == single.phase_g0 and stack.phase_m_top[i] == single.phase_m_top
+            assert ladder_defects(single) == (unitarity[i], completeness[i])
+            k = extract_kraus(single)
+            for got, want in zip(bands(channels[i]), bands(k)):
+                assert np.array_equal(got, want)
+            assert channels[i].completeness_defect == k.completeness_defect
+
+
+def test_stacked_extraction_raises_the_first_failing_phase(monkeypatch):
+    # under a tolerance that some phases exceed, the stack refuses with the
+    # error of the first of them, as building phase by phase does
+    from fockstab import kraus
+
+    p = make_params(3, theta2=0.75 * math.pi / math.sqrt(3))
+    phis = [2.0 * math.pi * i / 17 for i in range(17)]
+    defects = [float(ladder_defects(composite_propagator(replace(p, phi=phi), 36))[0]) for phi in phis]
+    # the last phase whose defect exceeds every one before it
+    k = max(i for i in range(1, 17) if defects[i] > max(defects[:i]))
+    monkeypatch.setattr(kraus, "UNITARY_TOL", max(defects[:k]))
+    with pytest.raises(ValueError) as single:
+        extract_kraus(composite_propagator(replace(p, phi=phis[k]), 36))
+    with pytest.raises(ValueError) as stacked:
+        extract_kraus(composite_propagator(p, 36, phis))
+    assert str(stacked.value) == str(single.value) == (
+        f"propagator unitarity defect {defects[k]:.3e} exceeds {max(defects[:k]):.1e}"
+    )
+
+
 def analytic_operators(p, dim):
     """The closed-form cycle channel as dense operators adag f_g(N), f_e(N), -a f_m(N)."""
     eip = np.exp(1j * p.phi)

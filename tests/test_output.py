@@ -7,7 +7,7 @@ import pytest
 
 from fockstab import experiments as ex
 from fockstab import kernels, output
-from fockstab.cli import build_parser, config_from_args
+from fockstab.cli import build_parser, config_from_args, main
 from fockstab.config import ExperimentConfig
 from fockstab.kraus import bands
 from fockstab.output import _fmt
@@ -40,28 +40,30 @@ def random_bit_floats(rng, shape):
     return rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
 
 
-GOLDEN_RUNS = pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("trajectory_nbar2_dim12_steps200_phi0.3.csv",
-         ["trajectory", "--nbar", "2", "--dim", "12", "--steps", "200", "--phi", "0.3"]),
-        ("converge_nbar2_dim12_steps150_phi0.3.csv",
-         ["converge", "--nbar", "2", "--dim", "12", "--steps", "150", "--phi", "0.3"]),
-        ("ladder_nbar1_dim18_steps150_phi0.csv",
-         ["ladder", "--nbar", "1", "--dim", "18", "--steps", "150", "--phi", "0"]),
-    ],
-    ids=["trajectory", "converge", "ladder"],
-)
+RECORD_GOLDENS = [
+    ("trajectory_nbar2_dim12_steps200_phi0.3.csv",
+     ["trajectory", "--nbar", "2", "--dim", "12", "--steps", "200", "--phi", "0.3"]),
+    ("converge_nbar2_dim12_steps150_phi0.3.csv",
+     ["converge", "--nbar", "2", "--dim", "12", "--steps", "150", "--phi", "0.3"]),
+    ("ladder_nbar1_dim18_steps150_phi0.csv",
+     ["ladder", "--nbar", "1", "--dim", "18", "--steps", "150", "--phi", "0"]),
+]
+# the tuning grid, built in stacks of phases, as the phase-by-phase build wrote it
+TUNE_GOLDEN = ("tune_phase_nbar2_kappa10_nth0.05_pat0.3.csv",
+               ["tune-phase", "--nbar", "2", "--kappa", "10", "--nth", "0.05", "--pat", "0.3"])
+GOLDEN_RUNS = pytest.mark.parametrize("name, argv", [*RECORD_GOLDENS, TUNE_GOLDEN],
+                                      ids=["trajectory", "converge", "ladder", "tune-phase"])
+RECORD_GOLDEN_RUNS = pytest.mark.parametrize("name, argv", RECORD_GOLDENS, ids=["trajectory", "converge", "ladder"])
 
 
 @GOLDEN_RUNS
-def test_record_csv_matches_golden_file(name, argv):
-    cfg = cli_config(argv)
-    text = emitted(cfg, output.emit_record, ex.run_record(cfg))
-    assert text.encode("utf-8") == (DATA / name).read_bytes()
+def test_record_csv_matches_golden_file(name, argv, tmp_path):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
 
 
-@GOLDEN_RUNS
+@RECORD_GOLDEN_RUNS
 def test_golden_file_is_the_evolve_loop_to_twelve_digits(name, argv):
     # the runs read powers of the step matrix; every golden cell is still
     # the atom-by-atom loop of `kernels.evolve` to one unit in its twelfth

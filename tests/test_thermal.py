@@ -246,6 +246,36 @@ def test_stationary_near_the_gap_floor():
         stationary(np.array([[1.0 - a / 10, b / 10], [a / 10, 1.0 - b / 10]]))
 
 
+TUNE_AT_SMALL_GAP = ["tune-phase", "--nbar", "2", "--kappa", "10", "--nth", "0.05", "--pat", "1", "--theta1-err", "0.02"]
+
+
+def test_stationary_residual_is_measured_against_the_rayleigh_quotient(tmp_path):
+    # grid phase 35 * 2pi/64 of this tuning has gap 9.2e-10, and eigvals puts
+    # lam1 5.4e-13 above the Perron root: against lam1 the correct vector's
+    # residual exceeded the bound and the run exited 3
+    from fockstab import experiments as ex
+    from fockstab.cli import build_parser, config_from_args, main
+
+    assert main([*TUNE_AT_SMALL_GAP, "--out", str(tmp_path / "t.csv")]) == 0
+    cfg = config_from_args(build_parser().parse_args(TUNE_AT_SMALL_GAP))
+    tp = ex.thermal_params(cfg)
+    k = ex.build_channel(cfg, ex.reservoir_params(cfg, phi=2.0 * math.pi * 35 / 64))
+    step = kernels.step_matrix(*bands(k), tp.gamma_minus, tp.gamma_plus, tp.p_at)
+    r, gap = stationary(step)
+    assert gap < 1e-9
+    mr = step @ r
+    assert np.abs(mr - (mr.sum() / r.sum()) * r).sum() <= 1e-15
+
+
+def test_stationary_refuses_a_vector_one_inverse_step_leaves_unconverged(monkeypatch, capsys):
+    from fockstab import thermal
+    from fockstab.cli import main
+
+    monkeypatch.setattr(thermal, "STATIONARY_MAX_STEPS", 1)
+    assert main(TUNE_AT_SMALL_GAP) == 3
+    assert "eigenvector residual" in capsys.readouterr().err
+
+
 def test_steady_fidelity_degrades_with_coupling():
     nbar = 3
     fids = []
