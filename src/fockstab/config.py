@@ -185,6 +185,10 @@ def resolve_reads(cfg: ExperimentConfig) -> ExperimentConfig:
     reads = SCENARIOS[cfg.scenario][1] | {"out", "fmt"}
     if cfg.scenario == "steady" and full.nbar not in full.nbars:
         reads -= {"nbar", "theta2", "dim"}  # they reach no sweep level
+    if full.kappa == 0.0:
+        reads -= {"nth"}  # it scales only the rates of the absent environment
+        if cfg.scenario == "tune-phase":
+            reads -= {"pat", "ts"}  # the settle then counts every atom, at p_at = 1
     bare = ExperimentConfig(cfg.scenario, **{f: getattr(cfg, f) for f in reads}).resolved()
     unread = [f for f in ExperimentConfig.__dataclass_fields__ if getattr(full, f) != getattr(bare, f)]
     if unread:

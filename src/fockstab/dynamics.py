@@ -6,9 +6,9 @@ field blocks. The interaction couples only |g,n+1>, |e,n>, |m,n-1|, so every
 joint Hamiltonian built here is block-diagonal over those triples (pairs or
 singletons at the truncation edges). `composite_propagator` works on the
 stacked (dim, 3, 3) triples directly, one Hermitian eigendecomposition per
-pulse segment, and returns them as a `LadderPropagator`; given several
-phases it stacks their triples too, one (phases, dim, 3, 3) stack per
-segment. The dense route
+distinct pulse segment (the two outer segments share one), and returns them
+as a `LadderPropagator`; given several phases it stacks their triples too,
+one (phases, dim, 3, 3) stack per segment. The dense route
 (`oracle.build_hjc`, `oracle.propagate`, compared through
 `LadderPropagator.dense`) is the reference that tests and `fockstab validate`
 pin it to.
@@ -293,9 +293,12 @@ def composite_propagator(
     """Propagator of the full three-segment cycle, in time order.
 
     delta_m is first adjusted so the accumulated middle-segment phase equals
-    params.phi. Each segment diagonalizes the stacked ladder blocks at once;
-    the block propagators are multiplied latest-first, and each singleton
-    phase is the exponential of its accumulated bare-energy phase.
+    params.phi. Each distinct (duration, control) segment diagonalizes the
+    stacked ladder blocks at once, so the third segment reuses the first's
+    propagator: two `eigh` calls per cycle, one for the single segment of
+    theta2 = 0. The block propagators are multiplied latest-first, and each
+    singleton phase is the exponential of its accumulated bare-energy phase,
+    both in time order.
 
     Given phases phis, the result is a stack with one propagator per phase,
     each as if params.phi were that phase: the adjusted delta_m becomes an
@@ -311,9 +314,15 @@ def composite_propagator(
         schedule = control_schedule(params, delta_m)
     blocks = None
     angle_g = angle_m = np.zeros(np.shape(delta_m))
+    segs = {}
     for duration, u_val in schedule.segments:
-        w, v = np.linalg.eigh(ladder_hamiltonians(u_val, params, field_dim, delta_m))
-        seg = (v * np.exp(-1j * w * duration)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        # the two outer segments share (duration, control), so one
+        # eigendecomposition serves both
+        key = (duration, np.asarray(u_val).tobytes())
+        if key not in segs:
+            w, v = np.linalg.eigh(ladder_hamiltonians(u_val, params, field_dim, delta_m))
+            segs[key] = (v * np.exp(-1j * w * duration)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        seg = segs[key]
         blocks = seg if blocks is None else seg @ blocks
         angle_g = angle_g + (params.delta_g + u_val) * duration
         angle_m = angle_m - (delta_m - u_val) * duration

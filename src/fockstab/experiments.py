@@ -612,4 +612,19 @@ def run_validation() -> list[tuple[str, bool, str]]:
     rdev = max(float(np.abs(record.diag - diag).max()), float(np.abs(record.trace - trace).max()))
     checks.append(("population_powers", rdev < 1e-11, f"nbar {nr}, {rcfg.steps} steps, max dev {rdev:.2e}"))
 
+    # the comb-built step matrix against the cycle of the identity, bit for
+    # bit and in layout: it rests on numpy applying the same per-element
+    # arithmetic to both batch shapes, which a numpy build may not
+    nc = int(rng.integers(1, 9))
+    pc = make_params(
+        nc, theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nc), phi=float(rng.uniform(0, 2 * math.pi))
+    )
+    gc, ec, mc = bands(analytic_kraus(pc, 9 * (nc + 1)))
+    rates = (tp.gamma_minus, tp.gamma_plus, tp.p_at)
+    combed = kernels.step_matrix(gc, ec, mc, *rates)
+    unit = kernels._population_cycle(gc, ec, mc, *rates)(np.eye(len(ec), dtype=np.complex128)).real.T
+    same = np.array_equal(combed, unit) and combed.strides == unit.strides
+    cdev = float(np.abs(combed - unit).max())
+    checks.append(("step_matrix", same, f"nbar {nc}, max dev {cdev:.2e}, strides {combed.strides}"))
+
     return checks

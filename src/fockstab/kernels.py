@@ -3,24 +3,27 @@
 All channels here are one-band ladder channels (see `kraus.bands`): M_g
 raises the photon number by one, M_e is diagonal and M_m lowers it by one.
 The environment step maps each matrix diagonal to itself as well. A cycle
-therefore sends the population diagonal diag(rho) to a new diagonal through
-a closed tridiagonal birth-death chain, and the coherences never feed it.
+therefore sends the population diagonal diag(rho) to a new diagonal, and the
+coherences never feed it. On the diagonal the channel step A and the
+environment step B are each a tridiagonal birth-death step, so the cycle
+B((1-p)I + pA) is pentadiagonal: it moves population at most two levels.
 Every recorded output (fidelity, V, trace, populations, stationary fidelity)
 is a function of that diagonal.
 
 `_population_cycle` applies, entry by entry, exactly the arithmetic that the
 full-matrix cycle `oracle.thermal_step((1-p) rho + p oracle.channel_step(rho))`
 applies on its diagonal, at O(dim) per cycle. `step_matrix` writes that cycle
-as a real (dim, dim) matrix M, and the runs read powers of it: K atoms are
-M^K. `record_rows` returns every row M^k d0 of a recorded run from a stack of
-the first powers, one matrix product per chunk of rows, and the Perron vector
-of M (`thermal.stationary`) is every stationary population the program
-reports. The loops over the cycle are oracles for tests and
-`fockstab validate`: `evolve` iterates it atom by atom, bit-identical to
-reading the diagonal of the full-matrix cycle, and `evolve_to_fixed_point`
-iterates it with renormalization until it settles. Only the sampled
-`--sample-atoms` runs, whose map changes from atom to atom, still step the
-cycle one atom at a time.
+as a real (dim, dim) matrix M, read off one cycle of five combs of levels,
+and the runs read powers of it: K atoms are M^K. `record_rows` returns
+every row M^k d0 of a recorded run from a stack of the first powers, one
+matrix product per chunk of rows, and the Perron vector of M
+(`thermal.stationary`) is every stationary population the program reports.
+The loops over the cycle are oracles for tests and `fockstab validate`:
+`evolve` iterates it atom by atom, bit-identical to reading the diagonal of
+the full-matrix cycle, and `evolve_to_fixed_point` iterates it with
+renormalization until it settles. Only the sampled `--sample-atoms` runs,
+whose map changes from atom to atom, still step the cycle one atom at a
+time.
 
 Index conventions (dim = D, 0-based levels):
     g[n] = <n+1|M_g|n>, g[D-1] = 0 (truncated top row)
@@ -32,12 +35,17 @@ Index conventions (dim = D, 0-based levels):
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 # rows per power-stack product in `record_rows`
 RECORD_CHUNK = 64
+# how far one cycle moves population, and the comb spacing of `step_matrix`
+# that keeps the levels of one comb out of each other's reach
+REACH = 2
+COMB = 2 * REACH + 1
 
 # kept for the benchmark's machine facts, which read it from this module
 def active_backend() -> str:
@@ -87,6 +95,28 @@ def _population_cycle(g, e, m, gm, gp, p_at):
     return cycle
 
 
+@functools.lru_cache(maxsize=16)
+def _combs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (COMB, dim) unit combs of `step_matrix` and where their cycles land.
+
+    Comb j holds a unit population on every level n = j (mod COMB). Entry i
+    of its cycle is M[i, n] for the one such n within reach, |i - n| <= REACH,
+    when that n lies in 0..dim-1. For every such (n, i), dst is the flat
+    index of [n, i] in a (dim, dim) buffer and src that of [n % COMB, i] in
+    the (COMB, dim) cycle. All three are read-only and cached per dim.
+    """
+    levels = np.arange(dim)
+    combs = (levels % COMB == np.arange(COMB)[:, None]).astype(np.complex128)
+    n = np.repeat(levels, COMB)
+    i = (levels[:, None] + np.arange(-REACH, REACH + 1)).ravel()
+    inside = (i >= 0) & (i < dim)
+    n, i = n[inside], i[inside]
+    dst, src = n * dim + i, n % COMB * dim + i
+    for a in (combs, dst, src):
+        a.setflags(write=False)
+    return combs, dst, src
+
+
 def step_matrix(
     g: np.ndarray,
     e: np.ndarray,
@@ -97,12 +127,24 @@ def step_matrix(
 ) -> np.ndarray:
     """The real (dim, dim) matrix M of one population cycle, d' = M d.
 
-    Column n is the cycle applied to the unit population on level n, computed
-    by one batched call of the engine's own cycle on the identity, so M is
-    exactly the map that `evolve` iterates.
+    Column n is the engine's own cycle applied to the unit population on
+    level n, so M is exactly the map that `evolve` iterates. The channel and
+    environment steps are each tridiagonal, so the cycle B((1-p)I + pA) is
+    pentadiagonal: level n reaches only levels n-2..n+2. One batched call of
+    the cycle on the COMB = 5 combs of `_combs` therefore gives every column,
+    each entry through the same arithmetic as the cycle of its unit vector
+    alone, at O(dim) instead of O(dim^2). The entries are scattered into a
+    zeroed complex buffer laid out as the cycle of the identity would be,
+    and M is its real part transposed: the same strided layout as
+    `cycle(np.eye(dim)).real.T`, because a C-contiguous M changes the
+    rounding of the products in `record_rows` and `np.linalg.matrix_power`.
     """
+    dim = len(e)
+    combs, dst, src = _combs(dim)
     cycle = _population_cycle(g, e, m, float(gm), float(gp), float(p_at))
-    return cycle(np.eye(len(e), dtype=np.complex128)).real.T
+    buf = np.zeros((dim, dim), dtype=np.complex128)
+    buf.reshape(-1)[dst] = cycle(combs).reshape(-1)[src]
+    return buf.real.T
 
 
 def record_rows(m: np.ndarray, d0: np.ndarray, n_steps: int) -> np.ndarray:

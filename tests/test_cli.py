@@ -190,6 +190,28 @@ def test_steady_refuses_settings_that_reach_no_sweep_level(argv, unread, capsys)
     assert f"does not read {unread}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, field, value", [
+    (["converge", "--nbar", "1", "--phi", "0.2", "--steps", "50"], "nth", 0.3),
+    (["ladder", "--nbar", "1", "--steps", "50"], "nth", 0.3),
+    (["robustness", "--kappa", "0"], "nth", 0.3),
+    (["tune-phase", "--nbar", "1"], "pat", 0.3),
+    (["tune-phase", "--nbar", "1"], "ts", 1e-4),
+], ids=["converge-nth", "ladder-nth", "robustness-nth", "tune-phase-pat", "tune-phase-ts"])
+def test_a_setting_of_an_absent_environment_exits_2(argv, field, value, tmp_path, capsys):
+    # with kappa = 0, n_th scales rates that are all zero, and the tuning
+    # settle counts every atom (p_at = 1) with no period in it; these values
+    # once passed unread, converge, ladder and tune-phase writing the same
+    # data rows as without them
+    cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
+    cfg_file.write_text(json.dumps({field: value}))
+    for given in ([flag(field), repr(value)], ["--config", str(cfg_file)]):
+        assert main([*argv, *given, "--out", str(out)]) == 2
+        assert f"does not read {field}" in capsys.readouterr().err
+        assert not out.exists()
+    # with an environment the same setting is read
+    assert main([*argv, flag(field), repr(value), "--kappa", "1", "--out", str(out)]) == 0
+
+
 def test_config_file_value_the_scenario_does_not_read_is_refused(tmp_path, capsys):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"scenario": "robustness", "nbar": 2, "steps": 5, "eta": 0.5}))

@@ -14,6 +14,7 @@ from fockstab.dynamics import (
     ladder_hamiltonians,
     make_params,
     phase_adjusted,
+    phase_delta_m,
     trapping_theta1,
 )
 from fockstab.errors import ConfigError
@@ -260,3 +261,78 @@ def test_composite_rejects_too_small_field_dim():
     p = make_params(4, theta2=0.5)
     with pytest.raises(ConfigError, match="too small"):
         composite_propagator(p, 5)
+
+
+def every_segment_composite(params, field_dim, phis=None):
+    """The segment loop of `composite_propagator` with one eigendecomposition
+    per segment, the third included: (blocks, phase_g0, phase_m_top)."""
+    if phis is None:
+        delta_m = phase_delta_m(params, params.phi)
+    else:
+        delta_m = np.array([phase_delta_m(params, phi) for phi in phis])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        schedule = control_schedule(params, delta_m)
+    blocks = None
+    angle_g = angle_m = np.zeros(np.shape(delta_m))
+    for duration, u_val in schedule.segments:
+        w, v = np.linalg.eigh(ladder_hamiltonians(u_val, params, field_dim, delta_m))
+        seg = (v * np.exp(-1j * w * duration)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        blocks = seg if blocks is None else seg @ blocks
+        angle_g = angle_g + (params.delta_g + u_val) * duration
+        angle_m = angle_m - (delta_m - u_val) * duration
+    return blocks, np.exp(1j * angle_g), np.exp(1j * angle_m)
+
+
+def same_bits(a, b):
+    """Equal shapes and bit patterns, so the sign of a zero counts too."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def test_shared_outer_segment_is_bit_identical_to_diagonalizing_all_three():
+    # seeded physics, single builds and stacks, theta2 = 0 among them: the
+    # blocks and both singleton phases of the build that reuses the first
+    # segment for the third equal the loop that diagonalizes every segment
+    rng = np.random.default_rng(4041)
+    for draw in range(60):
+        nbar = int(rng.integers(1, 9))
+        d = int(rng.integers(nbar + 2, 9 * (nbar + 1) + 10))
+        theta1 = trapping_theta1(nbar) * (1.0 + rng.uniform(-0.03, 0.03))
+        single = draw % 4 == 0
+        theta2 = 0.0 if single else rng.uniform(0.05, 3.0) / math.sqrt(nbar)
+        phis = None
+        if draw % 2 == 1:
+            phis = list(rng.uniform(0.0, 2 * math.pi, int(rng.integers(1, 17))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = make_params(nbar, theta2, theta1=theta1, phi=0.0 if single else rng.uniform(0.0, 2 * math.pi))
+            lad = composite_propagator(p, d, phis)
+            ref = every_segment_composite(p, d, phis)
+        assert same_bits(lad.blocks, ref[0]), draw
+        assert same_bits(lad.phase_g0, ref[1]), draw
+        assert same_bits(lad.phase_m_top, ref[2]), draw
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = make_params(2, 0.0)
+        lad, ref = composite_propagator(p, 18, [0.0, 0.0]), every_segment_composite(p, 18, [0.0, 0.0])
+    assert all(same_bits(a, b) for a, b in zip((lad.blocks, lad.phase_g0, lad.phase_m_top), ref))
+
+
+@pytest.mark.parametrize("theta2, calls", [(0.8, 2), (0.0, 1)])
+@pytest.mark.parametrize("phis", [None, [0.1, 2.0, 4.5]], ids=["single", "stacked"])
+def test_one_eigendecomposition_per_distinct_segment(theta2, calls, phis, monkeypatch):
+    seen = []
+    eigh = np.linalg.eigh
+
+    def counted(h):
+        seen.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    if theta2 == 0.0 and phis is not None:
+        phis = [0.0] * len(phis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        composite_propagator(make_params(3, theta2), 36, phis)
+    assert len(seen) == calls

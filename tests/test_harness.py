@@ -276,14 +276,15 @@ RECORD_SUMMARY_KEYS = {
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--phi", "0.2", "--sample-atoms", "--seed", "7", "--pat", "0.5", "--kappa", "0", "--nth", "0"],
+        # without an environment nth is not read, so it stays unset
+        ["--phi", "0.2", "--sample-atoms", "--seed", "7", "--pat", "0.5", "--kappa", "0"],
         ["--phi", "0.3", "--pat", "0.5", "--kappa", "10", "--nth", "0.05"],
     ],
     ids=["sampled", "environment"],
 )
 def test_record_scenarios_honour_every_flag(flags):
-    # every scenario-dependent default is given, so the three record scenarios
-    # must write the same rows; only the echoed scenario name may differ
+    # every scenario-dependent default that is read is given, so the three
+    # record scenarios must write the same rows; only the config echo may differ
     common = ["--nbar", "2", "--theta2", "1.2", "--steps", "300", "--init", "fock:5", "--channel", "analytic"]
     texts = {}
     for scenario in ("converge", "trajectory", "ladder"):

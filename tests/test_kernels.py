@@ -302,14 +302,20 @@ def test_fixed_point_matches_reduced_steady_state_over_random_physics():
 
 
 def test_step_matrix_is_the_cycle_applied_to_unit_vectors(channel):
-    # physical and random bands; bare channel, the cavity at p_at = 0.3 and
-    # random rates: column n is exactly the engine's cycle of level n
+    # physical and random bands, dims 3-6 (no more levels than one comb
+    # spacing) among them; bare channel, the cavity at p_at = 0.3 and random
+    # rates: column n is exactly the engine's cycle of level n, zeros with
+    # their sign, and M has the strided layout of the identity-batched cycle
+    # that `record_rows` and `matrix_power` round by
     _, physical = channel
     rng = np.random.default_rng(13)
     cavity = cavity_thermal()
-    for draw in range(12):
-        dim = 27 if draw % 2 == 0 else int(rng.integers(4, 61))
-        g, e, m = physical if draw % 2 == 0 else random_bands(dim, rng)
+    for draw in range(24):
+        if draw % 2 == 0:
+            dim, (g, e, m) = 27, physical
+        else:
+            dim = draw // 2 + 3 if draw < 8 else int(rng.integers(4, 61))
+            g, e, m = random_bands(dim, rng)
         rates = [
             (0.0, 0.0, 1.0),
             (cavity.gamma_minus, cavity.gamma_plus, 0.3),
@@ -317,7 +323,33 @@ def test_step_matrix_is_the_cycle_applied_to_unit_vectors(channel):
         ][draw % 3]
         cycle = kernels._population_cycle(g, e, m, *rates)
         ref = np.column_stack([cycle(unit).real for unit in np.eye(dim, dtype=np.complex128)])
-        assert np.array_equal(kernels.step_matrix(g, e, m, *rates), ref), draw
+        batched = cycle(np.eye(dim, dtype=np.complex128)).real.T
+        got = kernels.step_matrix(g, e, m, *rates)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), draw
+        assert got.strides == batched.strides and got.base.dtype == np.complex128, draw
+
+
+def test_step_matrix_cycles_one_batch_of_five_combs(channel, monkeypatch):
+    # the cycle runs once per matrix, on a (5, dim) batch and never on the
+    # (dim, dim) identity
+    shapes = []
+    build = kernels._population_cycle
+
+    def spied(*args):
+        cycle = build(*args)
+
+        def counted(d):
+            shapes.append(d.shape)
+            return cycle(d)
+
+        return counted
+
+    monkeypatch.setattr(kernels, "_population_cycle", spied)
+    _, (g, e, m) = channel
+    cavity = cavity_thermal()
+    kernels.step_matrix(g, e, m, cavity.gamma_minus, cavity.gamma_plus, 0.3)
+    kernels.step_matrix(*random_bands(3, np.random.default_rng(2)), 0.0, 0.0, 1.0)
+    assert shapes == [(5, len(e)), (5, 3)]
 
 
 @pytest.mark.parametrize("scheme", ["symmetric", "walther"])
