@@ -182,17 +182,23 @@ def resolve_reads(cfg: ExperimentConfig) -> ExperimentConfig:
     resolves to its default: such a value would be echoed with the output yet
     change none of it."""
     full = cfg.resolved()
-    reads = SCENARIOS[cfg.scenario][1] | {"out", "fmt"}
+    inert = {}  # read fields that another setting leaves without effect, with that setting
     if cfg.scenario == "steady" and full.nbar not in full.nbars:
-        reads -= {"nbar", "theta2", "dim"}  # they reach no sweep level
+        inert.update(dict.fromkeys(("nbar", "theta2", "dim"), "nbar not in nbars"))  # no sweep level
     if full.kappa == 0.0:
-        reads -= {"nth"}  # it scales only the rates of the absent environment
+        inert["nth"] = "kappa = 0"  # it scales only the rates of the absent environment
         if cfg.scenario == "tune-phase":
-            reads -= {"pat", "ts"}  # the settle then counts every atom, at p_at = 1
+            # the settle then counts every atom, at p_at = 1
+            inert.update(dict.fromkeys(("pat", "ts"), "kappa = 0"))
+    reads = (SCENARIOS[cfg.scenario][1] | {"out", "fmt"}) - inert.keys()
     bare = ExperimentConfig(cfg.scenario, **{f: getattr(cfg, f) for f in reads}).resolved()
     unread = [f for f in ExperimentConfig.__dataclass_fields__ if getattr(full, f) != getattr(bare, f)]
     if unread:
-        raise ConfigError(f"scenario {cfg.scenario!r} does not read {', '.join(unread)}; leave them unset")
+        groups = {}
+        for f in unread:
+            groups.setdefault(inert.get(f), []).append(f)
+        named = "; ".join(", ".join(fs) + (f" with {cause}" if cause else "") for cause, fs in groups.items())
+        raise ConfigError(f"scenario {cfg.scenario!r} does not read {named}; leave them unset")
     return full
 
 

@@ -25,7 +25,7 @@ import functools
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class ReservoirParams:
     bare detunings of the two atomic transitions from the field mode (rad/s);
     theta1 and theta2 are the pulse areas of the outer and middle segments;
     phi is the target value of the phase delta_bar * t_s accumulated during
-    the middle segment (realized by shifting delta_m, see `phase_adjusted`);
+    the middle segment (realized by shifting delta_m, see `phase_delta_m`);
     Ts is the atom repetition period (s).
     """
 
@@ -125,25 +125,6 @@ def make_params(
     )
 
 
-@dataclass(frozen=True)
-class ControlSchedule:
-    """Ordered (duration, u) segments covering one interaction of length T.
-
-    A control u may be an array with one value per phase of a stack (see
-    `composite_propagator`); durations are plain numbers.
-    """
-
-    segments: tuple[tuple[float, float | np.ndarray], ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments or any(d <= 0 for d, _ in self.segments):
-            raise ConfigError("schedule segments must have positive durations")
-
-    @property
-    def total_duration(self) -> float:
-        return sum(d for d, _ in self.segments)
-
-
 def phase_delta_m(params: ReservoirParams, phi: float) -> float:
     """delta_m shifted so the middle segment accumulates exactly the phase phi.
 
@@ -161,36 +142,26 @@ def phase_delta_m(params: ReservoirParams, phi: float) -> float:
     return params.delta_m + mismatch / t_s
 
 
-def phase_adjusted(params: ReservoirParams) -> ReservoirParams:
-    """params with delta_m shifted so the middle segment accumulates params.phi."""
-    delta_m = phase_delta_m(params, params.phi)
-    return params if delta_m == params.delta_m else replace(params, delta_m=delta_m)
-
-
-def control_schedule(params: ReservoirParams, delta_m: float | np.ndarray | None = None) -> ControlSchedule:
-    """The three-segment Stark control: u = (-delta_g, +delta_m, -delta_g).
+def control_schedule(
+    params: ReservoirParams, delta_m: float | np.ndarray | None = None
+) -> tuple[tuple[float, float | np.ndarray], ...]:
+    """The three-segment Stark control as (duration, u) segments in time order:
+    u = (-delta_g, +delta_m, -delta_g).
 
     Outer segments last (T - t_s)/2 = theta1/omega each, the middle one t_s.
     delta_m defaults to params.delta_m; an array of phase-adjusted values
-    gives the middle segment one control per phase.
-    theta2 = 0 degenerates to the single resonant segment of the plain
-    trapping scheme (warned, since the stabilization argument needs theta2 > 0).
+    gives the middle segment one control per phase. theta2 = 0 degenerates
+    to the single resonant segment of the plain trapping scheme.
     """
     outer = params.theta1 / params.omega
     if params.theta2 == 0.0:
-        warnings.warn(
-            "theta2 = 0: schedule degenerates to a single resonant segment "
-            "(trapping scheme without the stabilizing middle pulse)",
-            stacklevel=2,
-        )
-        return ControlSchedule(((2.0 * outer, -params.delta_g),))
-    return ControlSchedule(
-        (
-            (outer, -params.delta_g),
-            (params.t_s, params.delta_m if delta_m is None else delta_m),
-            (outer, -params.delta_g),
-        )
-    )
+        segments = ((2.0 * outer, -params.delta_g),)
+    else:
+        middle = params.delta_m if delta_m is None else delta_m
+        segments = ((outer, -params.delta_g), (params.t_s, middle), (outer, -params.delta_g))
+    if any(d <= 0 for d, _ in segments):
+        raise ConfigError("schedule segments must have positive durations")
+    return segments
 
 
 def ladder_hamiltonians(
@@ -309,13 +280,10 @@ def composite_propagator(
         delta_m = phase_delta_m(params, params.phi)
     else:
         delta_m = np.array([phase_delta_m(params, phi) for phi in phis])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        schedule = control_schedule(params, delta_m)
     blocks = None
     angle_g = angle_m = np.zeros(np.shape(delta_m))
     segs = {}
-    for duration, u_val in schedule.segments:
+    for duration, u_val in control_schedule(params, delta_m):
         # the two outer segments share (duration, control), so one
         # eigendecomposition serves both
         key = (duration, np.asarray(u_val).tobytes())

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -106,7 +105,6 @@ def thermal_params(cfg: ExperimentConfig) -> ThermalParams:
 def build_channel(
     cfg: ExperimentConfig,
     params: ReservoirParams,
-    dim: int | None = None,
     phis: Sequence[float] | None = None,
 ) -> KrausSet | list[KrausSet]:
     """The channel selected by (scheme, channel) for the given parameters.
@@ -119,19 +117,15 @@ def build_channel(
     params.phi: the numeric symmetric channels come from one stacked
     propagator, the others are built one by one.
     """
-    dim = cfg.dim if dim is None else dim
     if phis is not None and not (cfg.scheme == "symmetric" and cfg.channel == "numeric"):
-        return [build_channel(cfg, replace(params, phi=phi), dim) for phi in phis]
+        return [build_channel(cfg, replace(params, phi=phi)) for phi in phis]
     if cfg.scheme == "walther":
         if cfg.channel == "numeric":
-            single = replace(params, theta2=0.0, phi=0.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return extract_kraus(composite_propagator(single, dim))
-        return walther_kraus(params.nbar, 2.0 * params.theta1, dim)
+            return extract_kraus(composite_propagator(replace(params, theta2=0.0, phi=0.0), cfg.dim))
+        return walther_kraus(params.nbar, 2.0 * params.theta1, cfg.dim)
     if cfg.channel == "numeric":
-        return extract_kraus(composite_propagator(params, dim, phis))
-    return analytic_kraus(params, dim)
+        return extract_kraus(composite_propagator(params, cfg.dim, phis))
+    return analytic_kraus(params, cfg.dim)
 
 
 def initial_state(cfg: ExperimentConfig) -> np.ndarray:

@@ -10,12 +10,12 @@ acceptance suite and the benchmark import from them.
 
 from __future__ import annotations
 
-import warnings
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import E, G, M, ReservoirParams, control_schedule, phase_adjusted
+from .dynamics import E, G, M, ReservoirParams, control_schedule, phase_delta_m
 from .errors import AmbiguousSteadyStateError, ConfigError, DegenerateStateError
 from .fock import _check_window
 
@@ -177,15 +177,18 @@ def propagate(h: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
+def phase_adjusted(params: ReservoirParams) -> ReservoirParams:
+    """params with delta_m shifted so the middle segment accumulates params.phi."""
+    delta_m = phase_delta_m(params, params.phi)
+    return params if delta_m == params.delta_m else replace(params, delta_m=delta_m)
+
+
 def dense_composite(params: ReservoirParams, dim: int) -> np.ndarray:
     """Cycle propagator through the dense route: one full joint propagator
     per segment, multiplied latest-first."""
     eff = phase_adjusted(params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        schedule = control_schedule(eff)
     u = np.eye(3 * dim, dtype=np.complex128)
-    for duration, u_val in schedule.segments:
+    for duration, u_val in control_schedule(eff):
         u = propagate(build_hjc(u_val, eff, dim), duration) @ u
     return u
 

@@ -187,7 +187,7 @@ def test_seed_without_sample_atoms_is_refused(capsys):
 def test_steady_refuses_settings_that_reach_no_sweep_level(argv, unread, capsys):
     # theta2 and dim transfer only to the sweep level equal to nbar
     assert main(["steady", *argv]) == 2
-    assert f"does not read {unread}" in capsys.readouterr().err
+    assert f"does not read {unread} with nbar not in nbars;" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, field, value", [
@@ -206,7 +206,7 @@ def test_a_setting_of_an_absent_environment_exits_2(argv, field, value, tmp_path
     cfg_file.write_text(json.dumps({field: value}))
     for given in ([flag(field), repr(value)], ["--config", str(cfg_file)]):
         assert main([*argv, *given, "--out", str(out)]) == 2
-        assert f"does not read {field}" in capsys.readouterr().err
+        assert f"does not read {field} with kappa = 0;" in capsys.readouterr().err
         assert not out.exists()
     # with an environment the same setting is read
     assert main([*argv, flag(field), repr(value), "--kappa", "1", "--out", str(out)]) == 0
@@ -216,8 +216,17 @@ def test_config_file_value_the_scenario_does_not_read_is_refused(tmp_path, capsy
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"scenario": "robustness", "nbar": 2, "steps": 5, "eta": 0.5}))
     assert main(["robustness", "--config", str(cfg_file)]) == 2
-    # eta equals its default, so only steps is named
-    assert "does not read steps" in capsys.readouterr().err
+    # eta equals its default, so only steps is named, and no other setting is its cause
+    assert "does not read steps; leave them unset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["converge", "tune-phase"])
+def test_a_middle_pulse_too_short_to_last_exits_2(scenario, tmp_path, capsys):
+    # theta2 = 1e-320 is positive, but t_s = theta2/omega rounds to 0 s
+    out = tmp_path / "out.csv"
+    assert main([scenario, "--nbar", "2", "--theta2", "1e-320", "--out", str(out)]) == 2
+    assert "schedule segments must have positive durations" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_echoed_config_runs_again_with_identical_records(tmp_path):

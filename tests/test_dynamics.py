@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from fockstab.dynamics import (
     control_schedule,
     ladder_hamiltonians,
     make_params,
-    phase_adjusted,
     phase_delta_m,
     trapping_theta1,
 )
@@ -24,6 +22,7 @@ from fockstab.oracle import (
     dense_composite,
     dense_kraus_operators,
     ladder_blocks,
+    phase_adjusted,
     propagate,
     unitarity_defect,
 )
@@ -56,23 +55,19 @@ def test_params_validation():
 def test_schedule_segments_and_durations():
     # outer segments of 2*pi/(omega*sqrt(nbar+1))/2 each around the middle pulse
     p = make_params(3, theta2=1.0)
-    sched = control_schedule(p)
-    durations = [d for d, _ in sched.segments]
-    u_values = [u for _, u in sched.segments]
+    durations, u_values = zip(*control_schedule(p))
     assert durations[0] == pytest.approx(math.pi / (OMEGA * 2))  # theta1/omega, nbar=3
     assert durations[0] == durations[2]
     assert durations[1] == pytest.approx(1.0 / OMEGA)
-    assert u_values == [-p.delta_g, p.delta_m, -p.delta_g]
-    assert sched.total_duration == pytest.approx(p.interaction_time, rel=1e-15)
+    assert u_values == (-p.delta_g, p.delta_m, -p.delta_g)
+    assert sum(durations) == pytest.approx(p.interaction_time, rel=1e-15)
     assert durations[0] + durations[2] == pytest.approx(2 * math.pi / (OMEGA * math.sqrt(4)))
 
 
 def test_schedule_degenerates_without_middle_pulse():
     p = make_params(3, theta2=0.0)
-    with pytest.warns(UserWarning, match="theta2 = 0"):
-        sched = control_schedule(p)
-    assert len(sched.segments) == 1
-    assert sched.segments[0][0] == pytest.approx(2 * math.pi / (OMEGA * math.sqrt(4)))
+    (segment,) = control_schedule(p)
+    assert segment == (pytest.approx(2 * math.pi / (OMEGA * math.sqrt(4))), -p.delta_g)
 
 
 def test_hamiltonian_hermitian_and_elements():
@@ -240,11 +235,9 @@ def test_block_composite_matches_dense_route_over_random_draws():
             theta2 = rng.uniform(0.05, 3.0) / math.sqrt(nbar)
             phi = rng.uniform(0.0, 2 * math.pi)
         delta_ratio = float(rng.choice([30.0, 100.0, 1000.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # delta_ratio 30 after the phase shift
-            p = make_params(nbar, theta2, theta1=theta1, delta_ratio=delta_ratio, phi=phi)
-            lad = composite_propagator(p, d)
-            ref = dense_composite(p, d)
+        p = make_params(nbar, theta2, theta1=theta1, delta_ratio=delta_ratio, phi=phi)
+        lad = composite_propagator(p, d)
+        ref = dense_composite(p, d)
         u = lad.dense()
         assert np.abs(u - ref).max() <= 1e-14
         assert unitarity_defect(u) <= 1e-13
@@ -270,12 +263,9 @@ def every_segment_composite(params, field_dim, phis=None):
         delta_m = phase_delta_m(params, params.phi)
     else:
         delta_m = np.array([phase_delta_m(params, phi) for phi in phis])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        schedule = control_schedule(params, delta_m)
     blocks = None
     angle_g = angle_m = np.zeros(np.shape(delta_m))
-    for duration, u_val in schedule.segments:
+    for duration, u_val in control_schedule(params, delta_m):
         w, v = np.linalg.eigh(ladder_hamiltonians(u_val, params, field_dim, delta_m))
         seg = (v * np.exp(-1j * w * duration)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         blocks = seg if blocks is None else seg @ blocks
@@ -304,18 +294,14 @@ def test_shared_outer_segment_is_bit_identical_to_diagonalizing_all_three():
         phis = None
         if draw % 2 == 1:
             phis = list(rng.uniform(0.0, 2 * math.pi, int(rng.integers(1, 17))))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = make_params(nbar, theta2, theta1=theta1, phi=0.0 if single else rng.uniform(0.0, 2 * math.pi))
-            lad = composite_propagator(p, d, phis)
-            ref = every_segment_composite(p, d, phis)
+        p = make_params(nbar, theta2, theta1=theta1, phi=0.0 if single else rng.uniform(0.0, 2 * math.pi))
+        lad = composite_propagator(p, d, phis)
+        ref = every_segment_composite(p, d, phis)
         assert same_bits(lad.blocks, ref[0]), draw
         assert same_bits(lad.phase_g0, ref[1]), draw
         assert same_bits(lad.phase_m_top, ref[2]), draw
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = make_params(2, 0.0)
-        lad, ref = composite_propagator(p, 18, [0.0, 0.0]), every_segment_composite(p, 18, [0.0, 0.0])
+    p = make_params(2, 0.0)
+    lad, ref = composite_propagator(p, 18, [0.0, 0.0]), every_segment_composite(p, 18, [0.0, 0.0])
     assert all(same_bits(a, b) for a, b in zip((lad.blocks, lad.phase_g0, lad.phase_m_top), ref))
 
 
@@ -332,7 +318,5 @@ def test_one_eigendecomposition_per_distinct_segment(theta2, calls, phis, monkey
     monkeypatch.setattr(np.linalg, "eigh", counted)
     if theta2 == 0.0 and phis is not None:
         phis = [0.0] * len(phis)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        composite_propagator(make_params(3, theta2), 36, phis)
+    composite_propagator(make_params(3, theta2), 36, phis)
     assert len(seen) == calls

@@ -163,6 +163,36 @@ def test_robustness_phase_offset_small_effect():
         assert abs(r["fid_change"]) < 0.02
 
 
+def test_robustness_walther_decay_rows_match_a_dense_replay_and_the_closed_form():
+    # the +/-2 % analytic Walther channel leaks at the top level, so
+    # oracle.apply_map refuses it; the decay rows run at kappa = 0, so a dense
+    # replay of rho -> (1 - p) rho + p K(rho) needs no environment. With
+    # M_m = 0 nothing flows back into nbar, and the atom leaves it with
+    # probability sin^2(pi err): fid_k = (1 - p_at sin^2(pi err))^k
+    from fockstab import oracle
+    from fockstab.config import DECAY_SECONDS
+    from fockstab.dynamics import trapping_theta1
+    from fockstab.fock import fock_density
+    from fockstab.kraus import walther_kraus
+
+    nbar = 1
+    cfg = resolved(scenario="robustness", nbar=nbar, channel="analytic", phi=0.0)
+    rows = [r for r in ex.run_robustness(cfg) if r["case"] == "walther_theta_err"]
+    assert len(rows) == 4
+    ks = [int(seconds / cfg.ts) for seconds in DECAY_SECONDS]
+    for r in rows:
+        err, pat = r["theta1_err"], r["p_at"]
+        got = [r["fid_0p1s"], r["fid_0p25s"]]
+        assert got == pytest.approx([(1.0 - pat * math.sin(math.pi * err) ** 2) ** k for k in ks], rel=0, abs=1e-13)
+        k = walther_kraus(nbar, 2.0 * (1.0 + err) * trapping_theta1(nbar), cfg.dim)
+        rho, replay = fock_density(nbar, cfg.dim), []
+        for atom in range(1, ks[-1] + 1):
+            rho = (1.0 - pat) * rho + pat * oracle.dense_channel(k, rho)
+            if atom in ks:
+                replay.append(rho[nbar, nbar].real)
+        assert got == pytest.approx(replay, rel=0, abs=1e-13)
+
+
 def test_ladder_trace_conserved():
     rec = ex.ladder_check(resolved(scenario="ladder", nbar=1, steps=2000))
     assert abs(rec.trace[-1] - 1.0) < 1e-9
@@ -428,10 +458,13 @@ def test_steady_fidelity_stable_under_dim_doubling():
 
 
 def test_control_schedule_rejects_nonpositive_durations():
-    from fockstab.dynamics import ControlSchedule
+    # theta2 > 0 whose t_s = theta2/omega rounds to 0 would be a zero-length middle segment
+    from fockstab.dynamics import control_schedule, make_params
 
-    with pytest.raises(ConfigError):
-        ControlSchedule(((0.0, 1.0),))
+    p = make_params(2, theta2=1e-320)
+    assert p.theta2 > 0.0 and p.t_s == 0.0
+    with pytest.raises(ConfigError, match="positive durations"):
+        control_schedule(p)
 
 
 def test_steady_sweep_honours_dim_for_the_configured_level(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -146,9 +145,7 @@ def random_draw(rng):
         phi=float(rng.uniform(0, 2 * math.pi)),
         delta_ratio=float(rng.choice([30.0, 100.0, 1000.0])),
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return composite_propagator(p, dim)
+    return composite_propagator(p, dim)
 
 
 def test_ladder_extraction_matches_dense_route_over_random_draws():
@@ -476,10 +473,6 @@ def test_walther_numeric_single_segment_channel():
     nbar = 2
     dim = 27
     p = make_params(nbar, theta2=0.0, delta_ratio=1000.0)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        kn = extract_kraus(composite_propagator(p, dim))
+    kn = extract_kraus(composite_propagator(p, dim))
     ka = walther_kraus(nbar, 2 * p.theta1, dim)
     assert kraus_deviation(kn, ka) < 0.05
