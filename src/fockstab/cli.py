@@ -77,7 +77,7 @@ def _print_summary(summary: dict) -> None:
 
 def run(cfg: ExperimentConfig) -> int:
     if cfg.scenario == "validate":
-        checks = experiments.run_validation()
+        checks = [*experiments.run_validation(), output.record_format_check()]
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         return 0 if all(ok for _, ok, _ in checks) else 3

@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,11 +365,16 @@ def test_cli_validate_subcommand(capsys):
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
+    # the child does not see pytest's pythonpath setting, so it gets this
+    # checkout's src first on PYTHONPATH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "fockstab.cli", "ladder", "--nbar", "1", "--steps", "500", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

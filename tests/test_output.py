@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +104,102 @@ def test_record_rows_match_per_value_formatting_on_special_and_random_floats():
 def test_twelve_digit_template_equals_fmt_on_random_bit_patterns():
     values = np.concatenate([SPECIALS, random_bit_floats(np.random.default_rng(7), 200_000)]).tolist()
     assert ["%.12g" % v for v in values] == [_fmt(v) for v in values]
+
+
+def template_lines(start, table):
+    """The run-row template: "%d," for the step, then "%.12g" per cell."""
+    line = "%d," + ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return [line % (k, *row) for k, row in enumerate(table.tolist(), start)]
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def formatter_cases():
+    """Every kind of cell the formatter must print as %.12g, signs included."""
+    rng = np.random.default_rng(11)
+    # exact ties at the twelfth digit, by value and at random scales
+    mantissas = rng.integers(10**11, 10**12, 3_000).tolist()
+    scales = rng.integers(-320, 297, 3_000).tolist()
+    ties = [123456789012.5, 999999999999.5, 100000000000.5, 0.1234567890125, 9.999999999995e-5,
+            *(float(f"{m}.5e{k}") for m, k in zip(mantissas, scales))]
+    # near ties on both sides of the fast path's margin of 1e-3 of a unit
+    near = [float(f"{m}.{500_000 + d:06d}e{k}") for m, k in zip(mantissas, scales)
+            for d in (-2_000, -1_100, -900, 900, 1_100, 2_000)]
+    powers = [float(f"1e{k}") for k in range(-320, 309)]
+    switches = [1e-5, 1e-4, 9.999999999995e-5, 9.9999999999949e-5, 1e11, 1e12, 999999999999.4,
+                999999999999.6, 99999999999.5]
+    integers = rng.integers(1, 10**12, 5_000).astype(np.float64)
+    fractions = integers + rng.random(5_000)
+    specials = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                1.7976931348623157e308]
+    cases = np.concatenate([with_neighbours(ties), near, with_neighbours(powers), with_neighbours(switches),
+                            integers, fractions, specials])
+    return np.concatenate([cases, -cases, random_bit_floats(rng, 100_000)])
+
+
+def test_format_rows_equals_the_template_on_every_kind_of_float():
+    cases = formatter_cases()
+    table = np.resize(cases, (-(-cases.size // 9), 9))
+    lines = list(output.format_rows([np.arange(10**6, 10**6 + len(table)), table]))
+    assert lines == template_lines(10**6, table)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_format_rows_stays_exact_when_the_exponent_guess_is_one_off(shift, monkeypatch):
+    # log10 only guesses the exponent; a guess one off either way must give
+    # the same text (through the carry, the guard or the fallback), never a
+    # wrong digit or an out-of-range lookup
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    table = formatter_cases()[:60_000].reshape(-1, 6)
+    assert list(output.format_rows([np.arange(len(table)), table])) == template_lines(0, table)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("cols", [1, 6, 40])
+def test_format_rows_splits_blocks_at_any_row_count(cols, extra):
+    # a block holds BLOCK_CELLS // (cols + 1) rows; one row and one row
+    # either side of a block's length, with the step column counted
+    block = output.BLOCK_CELLS // (cols + 1)
+    cases = formatter_cases()
+    for rows in (1, block + extra):
+        table = cases[: rows * cols].reshape(rows, cols)
+        lines = list(output.format_rows([np.arange(7, 7 + rows), table]))
+        assert lines == template_lines(7, table)
+
+
+def test_format_rows_takes_two_dimensional_and_integer_columns():
+    rng = np.random.default_rng(3)
+    steps = np.arange(5, 30)
+    diag = rng.random((25, 4))
+    ints = rng.integers(-10**11, 10**11, 25)
+    lines = list(output.format_rows([steps, ints, diag]))
+    assert lines == template_lines(5, np.column_stack([ints, diag]))
+
+
+def test_record_format_validation_row_catches_a_wrong_digit(monkeypatch):
+    name, ok, detail = output.record_format_check()
+    assert (name, ok) == ("record_format", True) and detail.endswith(" 0 lines differ")
+    fast = output.format_rows
+    monkeypatch.setattr(output, "format_rows", lambda columns: (l.replace("7", "8") for l in fast(columns)))
+    name, ok, detail = output.record_format_check()
+    assert not ok and not detail.endswith(" 0 lines differ")
+
+
+def test_importing_the_cli_does_not_build_the_format_tables():
+    # runs that write no record CSV never pay for the tables
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import fockstab.cli; from fockstab import output; import numpy as np; "
+            "print(output._tables.cache_info().currsize); "
+            "list(output.format_rows([np.arange(2), np.ones((2, 2))])); "
+            "print(output._tables.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_sweep_table_formats_each_type_exactly():
