@@ -86,7 +86,7 @@ _CELL = 24
 # the fast path's range: exponents of two digits, also after rounding up
 _TINY, _HUGE = 1e-99, 9e99
 # offset of exponent 0 in the power and exponent tables; they cover |e| <= 120,
-# past the fast path's exponents and their corrections
+# past the fast path's exponents and the log10 guesses for its range
 _E0 = 120
 
 
@@ -223,9 +223,8 @@ def _format_block(block: np.ndarray) -> str:
     w32[ints, 2:5] &= t.keep[e[ints]]
 
     slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = np.array(["%.12g" % v for v in x[slow].tolist()], dtype=f"S{_CELL - 1}")
-        rec[slow, 1:] = text.view(np.uint8).reshape(-1, _CELL - 1)
+    text = np.array(["%.12g" % v for v in x[slow].tolist()], dtype=f"S{_CELL - 1}")
+    rec[slow, 1:] = text.view(np.uint8).reshape(-1, _CELL - 1)
     # each row starts after the line break that ends the row before it, and
     # the block's last line ends in the spare record after its last cell
     rec[:-1].reshape(block.shape[0], block.shape[1], _CELL)[:, 0, 0] = ord("\n")
