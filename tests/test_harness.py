@@ -1,11 +1,9 @@
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,17 +362,13 @@ def test_cli_validate_subcommand(capsys):
     assert captured.out.count("PASS") >= 7
 
 
-def test_cli_entrypoint_subprocess(tmp_path):
-    # the child does not see pytest's pythonpath setting, so it gets this
-    # checkout's src first on PYTHONPATH
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def test_cli_entrypoint_subprocess(tmp_path, src_env):
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "fockstab.cli", "ladder", "--nbar", "1", "--steps", "500", "--out", str(out)],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,5 @@
 import io
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -189,15 +188,13 @@ def test_record_format_validation_row_catches_a_wrong_digit(monkeypatch):
     assert not ok and not detail.endswith(" 0 lines differ")
 
 
-def test_importing_the_cli_does_not_build_the_format_tables():
+def test_importing_the_cli_does_not_build_the_format_tables(src_env):
     # runs that write no record CSV never pay for the tables
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import fockstab.cli; from fockstab import output; import numpy as np; "
             "print(output._tables.cache_info().currsize); "
             "list(output.format_rows([np.arange(2), np.ones((2, 2))])); "
             "print(output._tables.cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "1"]
 
