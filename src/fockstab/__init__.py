@@ -7,6 +7,7 @@ thermal environment and its reduced diagonal dynamics (`thermal`), the populatio
 kernels (`kernels`) and the experiment runners plus CLI
 (`config`/`experiments`/`output`/`cli`). The dense operator route that tests
 and `fockstab validate` pin all of these to is one leaf module, `oracle`.
+Its one production caller is `validation`, the rows of `fockstab validate`.
 """
 
 __version__ = "0.1.0"

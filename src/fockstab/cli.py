@@ -4,8 +4,10 @@ Subcommands: converge, trajectory, steady, tune-phase, sweep-theta2,
 robustness, ladder, validate. Each offers only the options its scenario reads
 (config.SCENARIOS). Options can also come from a JSON config file (--config)
 mirroring ExperimentConfig; explicit flags override file values, and a file
-value the scenario does not read must equal its default.
-Exit codes: 0 success, 2 configuration error, 3 numerical-validity error.
+value the scenario does not read must equal its default. validate prints
+the rows of `fockstab.validation`, which only that subcommand imports.
+Exit codes: 0 success, 2 configuration error (an unwritable --out among
+them), 3 numerical-validity error or a failed validate row.
 """
 
 from __future__ import annotations
@@ -77,7 +79,10 @@ def _print_summary(summary: dict) -> None:
 
 def run(cfg: ExperimentConfig) -> int:
     if cfg.scenario == "validate":
-        checks = [*experiments.run_validation(), output.record_format_check()]
+        # imported here, so no other subcommand loads the checks
+        from . import validation
+
+        checks = validation.rows()
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         return 0 if all(ok for _, ok, _ in checks) else 3

@@ -6,8 +6,8 @@ RunRecord (per-step time series) or a list of table rows (one dict per sweep
 point, sorted by the sweep key so output bytes never depend on evaluation
 order). Runs read the population cycle of a channel as its step matrix M
 (`kernels.step_matrix`), so K atoms are the power M^K. The dense operator
-route is `oracle`, which only `run_validation` here calls, and the test suite
-pins the two against each other.
+route is `oracle`; no runner calls it, and the test suite and
+`fockstab.validation` pin the two against each other.
 
 Every time series is one `run_record`: the converge, trajectory and ladder
 scenarios differ only in their config defaults, and the Walther baselines of
@@ -26,8 +26,8 @@ answer is the fixed point of exactly the map `kernels.evolve` iterates, and
 `ReducedDynamics.step_matrix` for the trapping-rate model. Each solve reports
 its spectral gap. Renormalized iteration (`steady_fidelity`,
 `kernels.evolve_to_fixed_point`) and `oracle.steady_state` are independent
-oracles for tests, `run_validation` and the benchmark's checks; no runner
-reaches them.
+oracles for tests, `fockstab validate` and the benchmark's checks; no
+runner reaches them.
 """
 
 from __future__ import annotations
@@ -40,20 +40,14 @@ from typing import Any
 
 import numpy as np
 
-from . import kernels, oracle
+from . import kernels
 from .config import DECAY_SECONDS, WALTHER_SECONDS, ExperimentConfig, default_theta2, parse_init
 from .dynamics import ReservoirParams, composite_propagator, make_params, trapping_theta1
 from .errors import NumericalValidityError
-from .fock import diagonal_density, fock_density, random_density, uniform_density
-from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, ladder_defects, walther_kraus
+from .fock import diagonal_density, fock_density, uniform_density
+from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, walther_kraus
 from .lyapunov import build_weights, ladder_top, validate_theta2, window_top
-from .thermal import (
-    ThermalParams,
-    build_reduced,
-    reduced_from_channel,
-    stationary,
-    steady_population_correction,
-)
+from .thermal import ThermalParams, build_reduced, stationary, steady_population_correction
 
 PHI_GRID_POINTS = 64
 # grid phases per stacked channel build in `tune_phase`: larger stacks were a
@@ -471,154 +465,3 @@ def run_robustness(cfg: ExperimentConfig) -> list[dict[str, Any]]:
              "fid_change": fid - base}
         )
     return rows
-
-
-# the one production caller of `oracle`; it stays here because it checks
-# the production path of almost every module against it
-def run_validation() -> list[tuple[str, bool, str]]:
-    """Fast self-checks of the core identities; returns (name, ok, detail) rows."""
-    rng = np.random.default_rng(7)
-    checks: list[tuple[str, bool, str]] = []
-
-    dim = 12
-    a = oracle.annihilation(dim)
-    fvals = rng.standard_normal(dim + 1) + 1j * rng.standard_normal(dim + 1)
-    f_n = oracle.number_function(lambda n: fvals[n], dim)
-    f_np1 = oracle.number_function(lambda n: fvals[n + 1], dim)
-    dev = float(np.abs(a @ f_n - f_np1 @ a).max())
-    checks.append(("shift_identity", dev < 1e-12, f"max dev {dev:.2e}"))
-
-    nbar = 2
-    params = make_params(nbar, theta2=float(rng.uniform(0.3, 2.0)), phi=float(rng.uniform(0, 2 * math.pi)))
-    k = analytic_kraus(params, 9 * (nbar + 1))
-    checks.append(
-        ("analytic_completeness", k.completeness_defect < 1e-12, f"defect {k.completeness_defect:.2e}")
-    )
-
-    kn = extract_kraus(composite_propagator(make_params(nbar, theta2=1.0 / math.sqrt(nbar)), 9 * (nbar + 1)))
-    checks.append(
-        ("numeric_completeness", kn.completeness_defect < 1e-10, f"defect {kn.completeness_defect:.2e}")
-    )
-
-    p0 = make_params(nbar, theta2=1.0 / math.sqrt(nbar))
-    k0 = analytic_kraus(p0, 9 * (nbar + 1))
-    rho_t = fock_density(nbar, k0.dim)
-    fp_dev = float(np.abs(oracle.apply_map(k0, rho_t) - rho_t).max())
-    checks.append(("analytic_fixed_point", fp_dev < 1e-12, f"max dev {fp_dev:.2e}"))
-
-    w = build_weights(nbar, p0.theta2, 0.5, dim=k0.dim)
-    worst = 0.0
-    for _ in range(20):
-        rho = random_density(k0.dim, rng, 0, window_top(nbar))
-        dv, pred = oracle.lyapunov_decrement(k0, w, rho)
-        worst = max(worst, abs(dv - pred))
-    checks.append(("lyapunov_identity", worst < 1e-9, f"max |dv - pred| {worst:.2e}"))
-
-    rho = random_density(k0.dim, rng)
-    g, e, m = bands(k0)
-    kdev = float(np.abs(oracle.channel_step(g, e, m, rho) - oracle.dense_channel(k0, rho)).max())
-    checks.append(("banded_channel_kernel", kdev < 1e-13, f"max dev {kdev:.2e}"))
-
-    tp = ThermalParams(kappa=10.0, n_th=0.05, Ts=60e-6, p_at=0.3)
-    tdev = float(
-        np.abs(
-            oracle.thermal_step(rho, tp.gamma_minus, tp.gamma_plus)
-            - oracle.dense_thermal(rho, tp.gamma_minus, tp.gamma_plus)
-        ).max()
-    )
-    checks.append(("thermal_kernel", tdev < 1e-13, f"max dev {tdev:.2e}"))
-
-    p1 = make_params(1, theta2=0.75 * math.pi)
-    d1 = 18
-    rho_ss, _, _ = kernels.evolve_to_fixed_point(
-        *bands(analytic_kraus(p1, d1)), fock_density(1, d1), tp.gamma_minus, tp.gamma_plus, tp.p_at
-    )
-    r = oracle.steady_state(build_reduced(p1, tp, d1), tp.p_at)
-    sdev = float(np.abs(np.diag(rho_ss).real - r).max())
-    checks.append(("reduced_vs_full_steady", sdev < 1e-6, f"max dev {sdev:.2e}"))
-
-    # the populations-only kernels drop the coherences of a coherent start;
-    # the dense route carries them, and they must not feed the populations
-    rho = random_density(k0.dim, rng)
-    _, diag, trace = kernels.evolve(g, e, m, rho, tp.gamma_minus, tp.gamma_plus, tp.p_at, 50)
-    for _ in range(50):
-        rho = oracle.reservoir_step(rho, k0, tp)
-    pdev = float(np.abs(diag[-1] / trace[-1] - np.diag(rho).real).max())
-    checks.append(("population_engine", pdev < 1e-12, f"max dev {pdev:.2e}"))
-
-    nb = int(rng.integers(1, 9))
-    pb = make_params(
-        nb,
-        theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nb),
-        theta1=trapping_theta1(nb) * (1.0 + float(rng.uniform(-0.03, 0.03))),
-        phi=float(rng.uniform(0, 2 * math.pi)),
-    )
-    db = 9 * (nb + 1)
-    ub = composite_propagator(pb, db)
-    dense_u = ub.dense()
-    bdev = float(np.abs(dense_u - oracle.dense_composite(pb, db)).max())
-    checks.append(("block_propagator", bdev < 1e-13, f"nbar {nb}, max dev {bdev:.2e}"))
-
-    unitarity, completeness = ladder_defects(ub)
-    ldev = max(
-        abs(unitarity - oracle.unitarity_defect(dense_u)),
-        abs(completeness - KrausSet.from_operators(*oracle.dense_kraus_operators(dense_u)).completeness_defect),
-    )
-    checks.append(("ladder_extraction", ldev < 1e-14, f"nbar {nb}, max dev {ldev:.2e}"))
-
-    # the production stationary solve against both oracles: the reduced chain
-    # read off the channel, and renormalized iteration of the engine
-    ns = int(rng.integers(1, 5))
-    ps = make_params(
-        ns,
-        theta2=float(rng.uniform(0.6, 0.9)) * math.pi / math.sqrt(ns),
-        phi=float(rng.uniform(-0.3, 0.3)),
-    )
-    ds = 9 * (ns + 1)
-    ks = analytic_kraus(ps, ds)
-    gs, es, ms = bands(ks)
-    r_perron, gap = stationary(kernels.step_matrix(gs, es, ms, tp.gamma_minus, tp.gamma_plus, tp.p_at))
-    r_chain = oracle.steady_state(reduced_from_channel(ks, tp), tp.p_at)
-    rho_it, _, _ = kernels.evolve_to_fixed_point(
-        gs, es, ms, fock_density(ns, ds), tp.gamma_minus, tp.gamma_plus, tp.p_at, tol=1e-12
-    )
-    edev = max(float(np.abs(r_perron - r_chain).max()), float(np.abs(r_perron - np.diag(rho_it).real).max()))
-    checks.append(("stationary_solver", edev < 1e-8, f"nbar {ns}, gap {gap:.2e}, max dev {edev:.2e}"))
-
-    # the production record route (powers of the step matrix) against the
-    # atom-by-atom loop of the engine's cycle
-    nr = int(rng.integers(1, 9))
-    rcfg = ExperimentConfig(
-        scenario="trajectory",
-        nbar=nr,
-        theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nr),
-        phi=float(rng.uniform(0, 2 * math.pi)),
-        theta1_err=float(rng.uniform(-0.03, 0.03)),
-        init=f"fock:{int(rng.integers(0, window_top(nr) + 1))}",
-        steps=1000,
-    ).resolved()
-    record = run_record(rcfg)
-    gr, er, mr = bands(build_channel(rcfg, reservoir_params(rcfg, phi=rcfg.phi)))
-    tr = thermal_params(rcfg)
-    _, diag, trace = kernels.evolve(
-        gr, er, mr, initial_state(rcfg), tr.gamma_minus, tr.gamma_plus, tr.p_at, rcfg.steps
-    )
-    rdev = max(float(np.abs(record.diag - diag).max()), float(np.abs(record.trace - trace).max()))
-    checks.append(("population_powers", rdev < 1e-11, f"nbar {nr}, {rcfg.steps} steps, max dev {rdev:.2e}"))
-
-    # the comb-built step matrix against the cycle of the identity, bit for
-    # bit and in layout: it rests on numpy applying the same per-element
-    # arithmetic to both batch shapes, which a numpy build may not
-    nc = int(rng.integers(1, 9))
-    pc = make_params(
-        nc, theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nc), phi=float(rng.uniform(0, 2 * math.pi))
-    )
-    gc, ec, mc = bands(analytic_kraus(pc, 9 * (nc + 1)))
-    rates = (tp.gamma_minus, tp.gamma_plus, tp.p_at)
-    combed = kernels.step_matrix(gc, ec, mc, *rates)
-    unit = kernels._population_cycle(gc, ec, mc, *rates)(np.eye(len(ec), dtype=np.complex128)).real.T
-    same = np.array_equal(combed, unit) and combed.strides == unit.strides
-    cdev = float(np.abs(combed - unit).max())
-    checks.append(("step_matrix", same, f"nbar {nc}, max dev {cdev:.2e}, strides {combed.strides}"))
-
-    return checks

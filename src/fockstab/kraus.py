@@ -199,17 +199,22 @@ def walther_kraus(nbar: int, theta_r: float, dim: int) -> KrausSet:
     return _with_band_defect(g, e, np.zeros(dim, dtype=np.complex128))
 
 
+def trapping_angles(nbar: int, theta2: float, n: int) -> tuple[float, float]:
+    """(alpha_n, beta_n) of level n at the trapping area theta1 = pi/sqrt(nbar+1):
+    alpha_n = pi sqrt((n+1)/(nbar+1)) and beta_n = theta2 sqrt(n)/2."""
+    return math.pi * math.sqrt((n + 1.0) / (nbar + 1.0)), 0.5 * theta2 * math.sqrt(n)
+
+
 def transition_rates(params: ReservoirParams, n: int) -> tuple[float, float]:
     """Per-cycle population flow rates (d_n down, e_n up) at the trapping area.
 
     d_n = sin^2(beta_n) cos^2(alpha_n / 2), e_n = sin^2(alpha_n) cos^4(beta_n / 2)
-    with alpha_n = pi sqrt((n+1)/(nbar+1)) fixed by the trapping condition, so
-    these are functions of (nbar, theta2) only.
+    with the angles of `trapping_angles`: alpha_n is fixed by the trapping
+    condition, so these are functions of (nbar, theta2) only.
     """
     if n < 0:
         raise ConfigError(f"level must be nonnegative, got {n}")
-    alpha = math.pi * math.sqrt((n + 1.0) / (params.nbar + 1.0))
-    beta = float(_beta(params.theta2, n))
+    alpha, beta = trapping_angles(params.nbar, params.theta2, n)
     d_n = math.sin(beta) ** 2 * math.cos(0.5 * alpha) ** 2
     e_n = math.sin(alpha) ** 2 * math.cos(0.5 * beta) ** 4
     return d_n, e_n

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .kraus import trapping_angles
 # re-exported: the acceptance suite imports it from here
 from .oracle import lyapunov_decrement  # noqa: F401
 
@@ -78,12 +79,6 @@ class LyapunovWeights:
         return len(self.f)
 
 
-def _angles(nbar: int, theta2: float, n: int) -> tuple[float, float]:
-    alpha = math.pi * math.sqrt((n + 1.0) / (nbar + 1.0))
-    beta = 0.5 * theta2 * math.sqrt(n)
-    return alpha, beta
-
-
 def build_weights(
     nbar: int,
     theta2: float,
@@ -130,19 +125,19 @@ def build_weights(
     f[nbar + 1] = 1.0
     up_inc[nbar + 1] = 1.0
     for n in range(nbar - 1, 0, -1):
-        alpha, beta = _angles(nbar, theta2, n)
+        alpha, beta = trapping_angles(nbar, theta2, n)
         gain = eta * math.sin(0.5 * alpha) ** 2 * math.cos(0.5 * beta) ** 2
         down_inc[n - 1] = gain * down_inc[n]
         f[n - 1] = f[n] + down_inc[n - 1]
     for n in range(nbar + 1, plateau):
-        _, beta = _angles(nbar, theta2, n)
+        _, beta = trapping_angles(nbar, theta2, n)
         up_inc[n + 1] = eta * math.sin(0.5 * beta) ** 2 * up_inc[n]
         f[n + 1] = f[n] + up_inc[n + 1]
     f[plateau + 1 :] = f[plateau]
 
     q = np.zeros(dim, dtype=np.float64)
     for n in range(0, nbar):
-        alpha, beta = _angles(nbar, theta2, n)
+        alpha, beta = trapping_angles(nbar, theta2, n)
         q[n] = (
             math.sin(alpha) ** 2
             * math.cos(0.5 * beta) ** 4
@@ -150,7 +145,7 @@ def build_weights(
             * down_inc[n]
         )
     for n in range(nbar + 1, plateau + 1):
-        alpha, beta = _angles(nbar, theta2, n)
+        alpha, beta = trapping_angles(nbar, theta2, n)
         q[n] = (
             math.sin(beta) ** 2
             * math.cos(0.5 * alpha) ** 2

@@ -5,28 +5,29 @@ version), then a header row and data rows with floats printed to 12
 significant digits. Identical configs therefore produce byte-identical files;
 wall-clock timings live only in the JSON summary, never in CSV.
 
-Both table builders return the header and an iterable of finished text lines,
-which `write_csv` writes as they come. A run's rows come straight from its
-arrays through `format_rows`, an array formatter whose every cell is exactly
-`'%.12g' % x` (for the integer step column that is also `'%d' % k`). It
-formats blocks of `BLOCK_CELLS` cells, so neither a stacked copy of the
-columns nor the text of the whole table is ever held. Each cell becomes one
-fixed-width record of words from small lookup tables (separator, sign, `0.`
-prefix and first digit; point and three digits; two groups of four digits;
-exponent); unused bytes are zero, and one `bytes.translate` drops them. The
+Both table builders return the header and an iterable of text chunks, each
+one or more whole lines, which `write_csv` writes as they come. A run's rows
+come straight from its arrays through `format_rows`, an array formatter
+whose every cell is exactly `'%.12g' % x` (for the integer step column that
+is also `'%d' % k`). It formats blocks of `BLOCK_CELLS` cells and yields
+each block's text whole, so neither a stacked copy of the columns nor the
+text of the whole table is ever held. Each cell becomes one fixed-width
+record of words from small lookup tables (separator, sign, `0.` prefix and
+first digit; point and three digits; two groups of four digits; exponent);
+unused bytes are zero, and one `bytes.translate` drops them. The
 digits are `|x| * 10**(11 - e)` rounded to an integer, which is exact away
 from a rounding tie. Every cell the fast path cannot prove exact (near a
 tie, a non-finite value, |x| outside [1e-99, 9e99), or a fixed-notation
-value >= 1 with a fraction) is printed by `'%.12g' % x` itself. Sweep rows
-are dicts of mixed types and go through `_fmt` cell by cell; the header is
-the union of their keys in first-seen order, and a row without a key gets
-an empty cell.
+value >= 1 with a fraction) is printed by `'%.12g' % x` itself, and
+`fockstab validate` checks the formatter against it on the running numpy
+(`validation.record_format_check`). Sweep rows are dicts of mixed types
+and go through `_fmt` cell by cell; the header is the union of their keys
+in first-seen order, and a row without a key gets an empty cell.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 from types import SimpleNamespace
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
+from .errors import ConfigError
 from .experiments import RunRecord
 
 
@@ -65,9 +67,9 @@ def _metadata_lines(cfg: ExperimentConfig) -> list[str]:
 def record_table(cfg: ExperimentConfig, record: RunRecord) -> tuple[list[str], Iterable[str]]:
     """Per-step lines: step, time, fidelity, V, trace, then the full diagonal.
 
-    The lines come from `format_rows` a block at a time as they are read;
-    each is its row through the template `%d` for the step, then `%.12g`
-    per cell, comma-separated.
+    The lines come from `format_rows`, one block of them per chunk, as they
+    are read; each is its row through the template `%d` for the step, then
+    `%.12g` per cell, comma-separated.
     """
     n, dim = record.diag.shape
     header = ["step", "time_s", "fidelity", "v", "trace"] + [f"p{k}" for k in range(dim)]
@@ -150,7 +152,8 @@ def _tables() -> SimpleNamespace:
 
 
 def format_rows(columns: Sequence[np.ndarray]) -> Iterator[str]:
-    """Lines of the columns side by side, each cell exactly `'%.12g' % x`.
+    """Text of the columns side by side, a block of whole lines per chunk,
+    each cell exactly `'%.12g' % x`.
 
     Every column holds one value (1-D) or a run of cells (2-D) per row. An
     integer column prints as `'%d' % k` does, since `%.12g` prints every
@@ -161,7 +164,7 @@ def format_rows(columns: Sequence[np.ndarray]) -> Iterator[str]:
     rows = max(1, BLOCK_CELLS // cols)
     for r0 in range(0, n, rows):
         block = np.column_stack([c[r0 : r0 + rows] for c in columns]).astype(np.float64, copy=False)
-        yield from _format_block(block).splitlines(keepends=True)
+        yield _format_block(block)
 
 
 def _format_block(block: np.ndarray) -> str:
@@ -234,41 +237,17 @@ def _format_block(block: np.ndarray) -> str:
     return rec.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def record_format_check() -> tuple[str, bool, str]:
-    """`validate`'s row: `format_rows` against `'%.12g' % x`, line by line.
-
-    The fast path is exact only where this numpy's product, rint and float
-    to integer conversion round as IEEE arithmetic requires, so the row
-    checks it on the running build: random-bit floats, floats of the fast
-    path's range, and floats near a tie at the twelfth digit, on both sides
-    of the margin that sends a cell to the fallback.
-    """
-    rng = np.random.default_rng(17)
-    bits = rng.integers(0, 2**64, size=10_000, dtype=np.uint64).view(np.float64)
-    ranged = rng.uniform(-10.0, 10.0, 10_000) * 10.0 ** rng.integers(-100, 100, 10_000)
-    # twelve digits, then a fraction of the last digit within 0.01 of a half
-    ties = [float(f"{m}.{f:06d}e{k}") for m, f, k in zip(rng.integers(10**11, 10**12, 6_000).tolist(),
-                                                       rng.integers(490_000, 510_001, 6_000).tolist(),
-                                                       rng.integers(-110, 100, 6_000).tolist())]
-    table = np.concatenate([bits, ranged, ties]).reshape(-1, 13)
-    steps = np.arange(1, len(table) + 1)
-    want = ["%d," % k + ",".join(["%.12g"] * table.shape[1]) % tuple(row) + "\n"
-            for k, row in zip(steps.tolist(), table.tolist())]
-    differ = sum(got != line for got, line in itertools.zip_longest(format_rows([steps, table]), want))
-    return "record_format", differ == 0, f"{table.size} cells, {differ} lines differ"
-
-
 def sweep_table(rows: Sequence[dict[str, Any]]) -> tuple[list[str], list[str]]:
     """Sweep lines under the union of the rows' keys; a missing key is an empty cell."""
     header = list(dict.fromkeys(h for r in rows for h in r))
     return header, [",".join(_fmt(r[h]) if h in r else "" for h in header) + "\n" for r in rows]
 
 
-def write_csv(stream: TextIO, cfg: ExperimentConfig, header: Sequence[str], lines: Iterable[str]) -> None:
+def write_csv(stream: TextIO, cfg: ExperimentConfig, header: Sequence[str], chunks: Iterable[str]) -> None:
     for line in _metadata_lines(cfg):
         stream.write(line + "\n")
     stream.write(",".join(header) + "\n")
-    stream.writelines(lines)
+    stream.writelines(chunks)
 
 
 def write_json(
@@ -319,10 +298,18 @@ def emit_rows(
 
 
 def _emit(cfg, stream, write, *payload) -> None:
-    """Run write(stream, cfg, *payload) on the stream, stdout or a fresh cfg.out file."""
+    """Run write(stream, cfg, *payload) on the stream, stdout or a fresh cfg.out file.
+
+    An out path that cannot be opened for writing is a ConfigError.
+    """
     own = stream is None and cfg.out is not None
-    if stream is None:
-        stream = open(cfg.out, "w", encoding="utf-8", newline="\n") if own else sys.stdout
+    if own:
+        try:
+            stream = open(cfg.out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from exc
+    elif stream is None:
+        stream = sys.stdout
     try:
         write(stream, cfg, *payload)
     finally:

@@ -229,6 +229,20 @@ def test_a_middle_pulse_too_short_to_last_exits_2(scenario, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--nbar", "1", "--steps", "5", "--phi", "0"],
+    ["converge", "--nbar", "1", "--steps", "5", "--phi", "0", "--format", "json"],
+    ["sweep-theta2", "--nbar", "1"],
+])
+@pytest.mark.parametrize("where, cause", [("missing/x.csv", "No such file or directory"), (".", "Is a directory")])
+def test_an_unwritable_out_exits_2(argv, where, cause, tmp_path, capsys):
+    out = tmp_path / where
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write --out {out}: {cause}\n"
+    assert captured.out == ""
+
+
 def test_echoed_config_runs_again_with_identical_records(tmp_path):
     first, again = tmp_path / "first.json", tmp_path / "again.json"
     assert main(["robustness", "--nbar", "1", "--phi", "0.3", "--ts", "1e-3", "--format", "json",

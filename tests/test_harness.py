@@ -354,12 +354,29 @@ def test_emit_builds_only_the_written_payload(monkeypatch):
     output.emit_rows(as_json, [{"phi": 0.0, "fidelity": 1.0}], stream=io.StringIO())
 
 
+VALIDATE_ROWS = [
+    "shift_identity", "analytic_completeness", "numeric_completeness", "analytic_fixed_point",
+    "lyapunov_identity", "banded_channel_kernel", "thermal_kernel", "reduced_vs_full_steady",
+    "population_engine", "block_propagator", "ladder_extraction", "stationary_solver", "population_powers",
+    "step_matrix", "record_format",
+]
+
+
 def test_cli_validate_subcommand(capsys):
     rc = main(["validate"])
     captured = capsys.readouterr()
     assert rc == 0
     assert "FAIL" not in captured.out
-    assert captured.out.count("PASS") >= 7
+    lines = captured.out.splitlines()
+    assert [line.partition(":")[0] for line in lines] == [f"PASS {name}" for name in VALIDATE_ROWS]
+
+
+def test_importing_the_cli_does_not_load_the_validate_rows(src_env):
+    # only the validate subcommand imports `validation`
+    code = "import sys, fockstab.cli; print('fockstab.validation' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_cli_entrypoint_subprocess(tmp_path, src_env):

@@ -39,5 +39,15 @@ def test_oracle_is_a_leaf_and_the_re_exports_are_its_objects():
             defined, imports = parse(path)
             assert not defined & oracle_names, path.name
             assert imports.get("oracle", set()) == RE_EXPORTS.get(path.stem, set()), path.name
-            # run_validation is the one production caller
-            assert ("oracle" in imports.get("", set())) == (path.stem == "experiments"), path.name
+            # the rows of `fockstab validate` are the one production caller
+            assert ("oracle" in imports.get("", set())) == (path.stem == "validation"), path.name
+
+
+def test_runners_and_emitters_import_no_oracle():
+    # they hold production code only; the checks that read the dense route
+    # are `validation`, which neither imports
+    for stem in ("experiments", "output"):
+        _, imports = parse(PACKAGE / f"{stem}.py")
+        for name in ("oracle", "validation"):
+            assert not any(name in module for module in imports), (stem, name)
+            assert name not in imports.get("", set()), (stem, name)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fockstab import experiments as ex
-from fockstab import kernels, output
+from fockstab import kernels, output, validation
 from fockstab.cli import build_parser, config_from_args, main
 from fockstab.config import ExperimentConfig
 from fockstab.kraus import bands
@@ -97,12 +97,17 @@ def test_record_rows_match_per_value_formatting_on_special_and_random_floats():
     cfg = ExperimentConfig(scenario="trajectory", nbar=2, steps=n - 1).resolved()
     header, lines = output.record_table(cfg, record)
     assert header == ["step", "time_s", "fidelity", "v", "trace"] + [f"p{k}" for k in range(dim)]
-    assert list(lines) == boxed_lines(cfg.ts, record)
+    assert joined_lines(lines) == boxed_lines(cfg.ts, record)
 
 
 def test_twelve_digit_template_equals_fmt_on_random_bit_patterns():
     values = np.concatenate([SPECIALS, random_bit_floats(np.random.default_rng(7), 200_000)]).tolist()
     assert ["%.12g" % v for v in values] == [_fmt(v) for v in values]
+
+
+def joined_lines(chunks):
+    """The lines of the joined text of a table's chunks."""
+    return "".join(chunks).splitlines(keepends=True)
 
 
 def template_lines(start, table):
@@ -142,7 +147,7 @@ def formatter_cases():
 def test_format_rows_equals_the_template_on_every_kind_of_float():
     cases = formatter_cases()
     table = np.resize(cases, (-(-cases.size // 9), 9))
-    lines = list(output.format_rows([np.arange(10**6, 10**6 + len(table)), table]))
+    lines = joined_lines(output.format_rows([np.arange(10**6, 10**6 + len(table)), table]))
     assert lines == template_lines(10**6, table)
 
 
@@ -154,7 +159,7 @@ def test_format_rows_stays_exact_when_the_exponent_guess_is_one_off(shift, monke
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
     table = formatter_cases()[:60_000].reshape(-1, 6)
-    assert list(output.format_rows([np.arange(len(table)), table])) == template_lines(0, table)
+    assert joined_lines(output.format_rows([np.arange(len(table)), table])) == template_lines(0, table)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -166,8 +171,10 @@ def test_format_rows_splits_blocks_at_any_row_count(cols, extra):
     cases = formatter_cases()
     for rows in (1, block + extra):
         table = cases[: rows * cols].reshape(rows, cols)
-        lines = list(output.format_rows([np.arange(7, 7 + rows), table]))
-        assert lines == template_lines(7, table)
+        chunks = list(output.format_rows([np.arange(7, 7 + rows), table]))
+        # one chunk of whole lines per block
+        assert len(chunks) == -(-rows // block) and all(c.endswith("\n") for c in chunks)
+        assert joined_lines(chunks) == template_lines(7, table)
 
 
 def test_format_rows_takes_two_dimensional_and_integer_columns():
@@ -175,17 +182,17 @@ def test_format_rows_takes_two_dimensional_and_integer_columns():
     steps = np.arange(5, 30)
     diag = rng.random((25, 4))
     ints = rng.integers(-10**11, 10**11, 25)
-    lines = list(output.format_rows([steps, ints, diag]))
+    lines = joined_lines(output.format_rows([steps, ints, diag]))
     assert lines == template_lines(5, np.column_stack([ints, diag]))
 
 
 def test_record_format_validation_row_catches_a_wrong_digit(monkeypatch):
-    name, ok, detail = output.record_format_check()
+    name, ok, detail = validation.record_format_check()
     assert (name, ok) == ("record_format", True) and detail.endswith(" 0 lines differ")
     fast = output.format_rows
-    monkeypatch.setattr(output, "format_rows", lambda columns: (l.replace("7", "8") for l in fast(columns)))
-    name, ok, detail = output.record_format_check()
-    assert not ok and not detail.endswith(" 0 lines differ")
+    monkeypatch.setattr(output, "format_rows", lambda columns: (c.replace("7", "8") for c in fast(columns)))
+    name, ok, detail = validation.record_format_check()
+    assert not ok and detail.endswith(" lines differ") and not detail.endswith(" 0 lines differ")
 
 
 def test_importing_the_cli_does_not_build_the_format_tables(src_env):
