@@ -11,30 +11,3 @@ Its one production caller is `validation`, the rows of `fockstab validate`.
 """
 
 __version__ = "0.1.0"
-
-from .dynamics import LadderPropagator, ReservoirParams, composite_propagator, make_params, trapping_theta1
-from .fock import fock_density
-from .kraus import KrausSet, analytic_kraus, extract_kraus, walther_kraus
-from .lyapunov import LyapunovWeights, build_weights, validate_theta2
-from .thermal import ReducedDynamics, ThermalParams, build_reduced, steady_population_correction
-
-__all__ = [
-    "__version__",
-    "LadderPropagator",
-    "ReservoirParams",
-    "composite_propagator",
-    "make_params",
-    "trapping_theta1",
-    "fock_density",
-    "KrausSet",
-    "analytic_kraus",
-    "extract_kraus",
-    "walther_kraus",
-    "LyapunovWeights",
-    "build_weights",
-    "validate_theta2",
-    "ReducedDynamics",
-    "ThermalParams",
-    "build_reduced",
-    "steady_population_correction",
-]

@@ -16,7 +16,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import SCENARIOS, ExperimentConfig, parse_nbars, resolve_reads
+from .config import CHANNELS, FORMATS, SCENARIOS, SCHEMES, ExperimentConfig, parse_nbars, resolve_reads
 from .errors import ConfigError, NumericalValidityError
 from . import experiments, output
 
@@ -34,8 +34,8 @@ _OPTIONS = {
     "pat": {"type": float, "help": "atom presence probability in [0,1]"},
     "phi": {"type": float, "help": "middle-segment phase in rad (default: tuned)"},
     "theta1_err": {"type": float, "help": "relative pulse-area error"},
-    "channel": {"choices": ["analytic", "numeric"], "help": "channel construction route"},
-    "scheme": {"choices": ["symmetric", "walther"], "help": "reservoir scheme"},
+    "channel": {"choices": CHANNELS, "help": "channel construction route"},
+    "scheme": {"choices": SCHEMES, "help": "reservoir scheme"},
     "init": {"type": str, "help": "initial state: vacuum | fock:K | uniform:LO:HI | diag:P0,P1,..."},
     "nbars": {"type": str, "help": "comma-separated target levels for sweeps (default 1..8)"},
     "sample_atoms": {"action": "store_true", "default": None,
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--" + field.replace("_", "-"), dest=field, **kwargs)
         if reads:
             p.add_argument("--out", type=str, help="output path (default: stdout)")
-            p.add_argument("--format", choices=["csv", "json"], dest="fmt", help="output format (default csv)")
+            p.add_argument("--format", choices=FORMATS, dest="fmt", help="output format (default csv)")
             p.add_argument("--config", type=str, dest="config_file", help="JSON file of config values")
     return parser
 
@@ -69,7 +69,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {f: v for f, v in given.items() if v is not None}
     if "nbars" in overrides:
         overrides["nbars"] = parse_nbars(overrides["nbars"])
-    return resolve_reads(replace(base, **overrides))
+    cfg = resolve_reads(replace(base, **overrides))
+    if cfg.out is not None:
+        # before the run, which an unwritable path would otherwise waste
+        output.check_out(cfg.out)
+    return cfg
 
 
 def _print_summary(summary: dict) -> None:

@@ -15,7 +15,7 @@ import typing
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
-from .dynamics import default_dim
+from .dynamics import default_dim, window_top
 from .errors import ConfigError
 
 # help line and the ExperimentConfig fields each scenario reads (out and fmt
@@ -37,6 +37,11 @@ SCENARIOS = {
 }
 
 _THERMAL_SCENARIOS = {"trajectory", "steady", "sweep-theta2", "robustness"}
+
+# the values of the choice fields; the CLI offers the same ones
+CHANNELS = ("analytic", "numeric")
+SCHEMES = ("symmetric", "walther")
+FORMATS = ("csv", "json")
 
 CAVITY_KAPPA = 10.0
 CAVITY_NTH = 0.05
@@ -117,12 +122,12 @@ class ExperimentConfig:
             raise ConfigError("seed applies only with sample_atoms")
         if self.steps is not None and self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.channel not in (None, "numeric", "analytic"):
-            raise ConfigError(f"channel must be 'numeric' or 'analytic', got {self.channel!r}")
-        if self.scheme not in ("symmetric", "walther"):
-            raise ConfigError(f"scheme must be 'symmetric' or 'walther', got {self.scheme!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.fmt!r}")
+        if self.channel is not None and self.channel not in CHANNELS:
+            raise ConfigError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.fmt not in FORMATS:
+            raise ConfigError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         if self.nbars is not None and len(self.nbars) == 0:
             raise ConfigError("nbars grid must not be empty")
         if self.dim is not None and self.init is not None:
@@ -227,7 +232,7 @@ def default_steps(scenario: str, ts: float) -> int:
 
 def default_init(scenario: str, nbar: int) -> str:
     if scenario == "ladder":
-        return f"fock:{4 * nbar + 3}"
+        return f"fock:{window_top(nbar)}"
     return "vacuum"
 
 

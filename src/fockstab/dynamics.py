@@ -41,9 +41,22 @@ def trapping_theta1(nbar: int) -> float:
     return math.pi / math.sqrt(nbar + 1)
 
 
+# the trapping area fixes every level the scheme relies on: the target nbar,
+# the top of the window the convergence theorem covers, and the second dark
+# level (a trapping state of the resonant two-level scheme)
+def window_top(nbar: int) -> int:
+    """Last level of the invariant window, 4*nbar + 3."""
+    return 4 * nbar + 3
+
+
+def ladder_top(nbar: int) -> int:
+    """Second dark level 9*nbar + 8 (the next rung of the invariant ladder)."""
+    return 9 * nbar + 8
+
+
 def default_dim(nbar: int) -> int:
-    """Default field truncation 9*(nbar+1), one level past the second dark level."""
-    return 9 * (nbar + 1)
+    """Default field truncation, one level past the second dark level."""
+    return ladder_top(nbar) + 1
 
 
 @dataclass(frozen=True)
@@ -131,13 +144,14 @@ def phase_delta_m(params: ReservoirParams, phi: float) -> float:
     The shift delta satisfies (delta_bar + delta) * t_s = phi (mod 2pi) with
     the smallest magnitude, mirroring the experimental knob of slightly
     retuning the field mode frequency. With theta2 = 0 there is no middle
-    segment and phi must be 0.
+    segment and phi must be 0; a middle segment that rounds to 0 s is refused
+    by `control_schedule`, as for any phi.
     """
-    t_s = params.t_s
-    if t_s == 0.0:
+    if params.theta2 == 0.0:
         if phi != 0.0:
             raise ConfigError("phi is not realizable with theta2 = 0 (no middle segment)")
         return params.delta_m
+    t_s = control_schedule(params)[1][0]
     mismatch = (phi - params.delta_bar * t_s + math.pi) % (2 * math.pi) - math.pi
     return params.delta_m + mismatch / t_s
 

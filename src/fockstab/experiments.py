@@ -42,11 +42,11 @@ import numpy as np
 
 from . import kernels
 from .config import DECAY_SECONDS, WALTHER_SECONDS, ExperimentConfig, default_theta2, parse_init
-from .dynamics import ReservoirParams, composite_propagator, make_params, trapping_theta1
+from .dynamics import ReservoirParams, composite_propagator, ladder_top, make_params, trapping_theta1, window_top
 from .errors import NumericalValidityError
 from .fock import diagonal_density, fock_density, uniform_density
 from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, walther_kraus
-from .lyapunov import build_weights, ladder_top, validate_theta2, window_top
+from .lyapunov import build_weights, validate_theta2
 from .thermal import ThermalParams, build_reduced, stationary, steady_population_correction
 
 PHI_GRID_POINTS = 64
@@ -359,7 +359,6 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         theta2 = cfg.theta2 if nbar == cfg.nbar else default_theta2("steady", nbar)
         dim = cfg.dim if nbar == cfg.nbar else None
         sub = replace(cfg, nbar=nbar, theta2=theta2, dim=dim, init=None).resolved()
-        t0 = time.perf_counter()
         phi, phi_info = resolve_phi(sub)
         params = reservoir_params(sub, phi=phi)
         tp = thermal_params(sub)

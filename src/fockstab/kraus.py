@@ -205,8 +205,8 @@ def trapping_angles(nbar: int, theta2: float, n: int) -> tuple[float, float]:
     return math.pi * math.sqrt((n + 1.0) / (nbar + 1.0)), 0.5 * theta2 * math.sqrt(n)
 
 
-def transition_rates(params: ReservoirParams, n: int) -> tuple[float, float]:
-    """Per-cycle population flow rates (d_n down, e_n up) at the trapping area.
+def transition_rates(nbar: int, theta2: float, n: int) -> tuple[float, float]:
+    """Per-cycle population flow rates (d_n down, e_n up) of level n at the trapping area.
 
     d_n = sin^2(beta_n) cos^2(alpha_n / 2), e_n = sin^2(alpha_n) cos^4(beta_n / 2)
     with the angles of `trapping_angles`: alpha_n is fixed by the trapping
@@ -214,7 +214,7 @@ def transition_rates(params: ReservoirParams, n: int) -> tuple[float, float]:
     """
     if n < 0:
         raise ConfigError(f"level must be nonnegative, got {n}")
-    alpha, beta = trapping_angles(params.nbar, params.theta2, n)
+    alpha, beta = trapping_angles(nbar, theta2, n)
     d_n = math.sin(beta) ** 2 * math.cos(0.5 * alpha) ** 2
     e_n = math.sin(alpha) ** 2 * math.cos(0.5 * beta) ** 4
     return d_n, e_n

@@ -16,23 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# ladder_top re-exported: the tests import both levels from here
+from .dynamics import ladder_top, window_top  # noqa: F401
 from .errors import ConfigError
-from .kraus import trapping_angles
+from .kraus import transition_rates, trapping_angles
 # re-exported: the acceptance suite imports it from here
 from .oracle import lyapunov_decrement  # noqa: F401
 
 DEFAULT_ETA = 0.5
 THETA2_TOL = 1e-9
-
-
-def window_top(nbar: int) -> int:
-    """Last level of the invariant window, 4*nbar + 3."""
-    return 4 * nbar + 3
-
-
-def ladder_top(nbar: int) -> int:
-    """Second dark level 9*nbar + 8 (the next rung of the invariant ladder)."""
-    return 9 * nbar + 8
 
 
 def validate_theta2(theta2: float, nbar: int, tol: float = THETA2_TOL) -> bool:
@@ -119,9 +111,8 @@ def build_weights(
     f = np.zeros(dim, dtype=np.float64)
     down_inc = np.zeros(dim, dtype=np.float64)  # down_inc[n] = f(n) - f(n+1), n < nbar
     up_inc = np.zeros(dim, dtype=np.float64)  # up_inc[n] = f(n) - f(n-1), n > nbar
-    if nbar >= 1:
-        f[nbar - 1] = 1.0
-        down_inc[nbar - 1] = 1.0
+    f[nbar - 1] = 1.0
+    down_inc[nbar - 1] = 1.0
     f[nbar + 1] = 1.0
     up_inc[nbar + 1] = 1.0
     for n in range(nbar - 1, 0, -1):
@@ -137,21 +128,13 @@ def build_weights(
 
     q = np.zeros(dim, dtype=np.float64)
     for n in range(0, nbar):
-        alpha, beta = trapping_angles(nbar, theta2, n)
-        q[n] = (
-            math.sin(alpha) ** 2
-            * math.cos(0.5 * beta) ** 4
-            * (eta * math.sin(0.5 * beta) ** 2 - 1.0)
-            * down_inc[n]
-        )
+        _, beta = trapping_angles(nbar, theta2, n)
+        _, e_n = transition_rates(nbar, theta2, n)
+        q[n] = e_n * (eta * math.sin(0.5 * beta) ** 2 - 1.0) * down_inc[n]
     for n in range(nbar + 1, plateau + 1):
         alpha, beta = trapping_angles(nbar, theta2, n)
-        q[n] = (
-            math.sin(beta) ** 2
-            * math.cos(0.5 * alpha) ** 2
-            * (eta * math.sin(0.5 * alpha) ** 2 * math.cos(0.5 * beta) ** 2 - 1.0)
-            * up_inc[n]
-        )
+        d_n, _ = transition_rates(nbar, theta2, n)
+        q[n] = d_n * (eta * math.sin(0.5 * alpha) ** 2 * math.cos(0.5 * beta) ** 2 - 1.0) * up_inc[n]
 
     w = LyapunovWeights(
         nbar=nbar, eta=eta, theta2=theta2, f=f, q=q, plateau=plateau,
@@ -164,7 +147,7 @@ def build_weights(
 def _check_shape(w: LyapunovWeights) -> None:
     """Monotonicity and sign structure implied by a valid theta2."""
     nbar = w.nbar
-    if nbar >= 1 and not np.all(w.down_inc[:nbar] > 0):
+    if not np.all(w.down_inc[:nbar] > 0):
         raise ConfigError("weights are not strictly decreasing below the target level")
     if not np.all(w.up_inc[nbar + 1 : w.plateau + 1] > 0):
         raise ConfigError("weights are not strictly increasing above the target level")

@@ -27,8 +27,10 @@ in first-seen order, and a row without a key gets an empty cell.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
+import os
 import sys
 from types import SimpleNamespace
 from typing import Any, Iterable, Iterator, Sequence, TextIO
@@ -297,17 +299,34 @@ def emit_rows(
         _emit(cfg, stream, write_csv, *sweep_table(rows))
 
 
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write --out {path}: {exc.strerror or exc}")
+
+
+def check_out(path: str) -> None:
+    """Refuse an out path that names a directory or whose parent is no
+    directory, with the error opening it would give, and create nothing."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        # the trailing separator fails for a parent that is no directory too
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
 def _emit(cfg, stream, write, *payload) -> None:
     """Run write(stream, cfg, *payload) on the stream, stdout or a fresh cfg.out file.
 
-    An out path that cannot be opened for writing is a ConfigError.
+    An out path that cannot be opened for writing is a ConfigError; `check_out`
+    refuses the foreseeable cases before the run.
     """
     own = stream is None and cfg.out is not None
     if own:
         try:
             stream = open(cfg.out, "w", encoding="utf-8", newline="\n")
         except OSError as exc:
-            raise ConfigError(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from exc
+            raise _unwritable(cfg.out, exc) from exc
     elif stream is None:
         stream = sys.stdout
     try:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ReservoirParams
+from .dynamics import ReservoirParams, window_top
 from .errors import AmbiguousSteadyStateError, ConfigError, PerturbationInvalidError, StepValidityError
 from .kraus import KrausSet, bands, transition_rates
 # re-exported: the acceptance suite and the benchmark import them from here
@@ -149,13 +149,13 @@ def reduced_from_rates(d: np.ndarray, e: np.ndarray, tp: ThermalParams) -> Reduc
 
 def build_reduced(params: ReservoirParams, tp: ThermalParams, dim: int) -> ReducedDynamics:
     """Reduced dynamics with the trapping-area reservoir rates of `transition_rates`."""
-    if dim < 4 * params.nbar + 4:
-        raise ConfigError(f"dim {dim} must cover the invariant window 0..{4 * params.nbar + 3}")
+    if dim <= window_top(params.nbar):
+        raise ConfigError(f"dim {dim} must cover the invariant window 0..{window_top(params.nbar)}")
     tp.check_step_validity(dim)
     d = np.empty(dim)
     e = np.empty(dim)
     for n in range(dim):
-        d[n], e[n] = transition_rates(params, n)
+        d[n], e[n] = transition_rates(params.nbar, params.theta2, n)
     return reduced_from_rates(d, e, tp)
 
 
@@ -257,14 +257,14 @@ def steady_population_correction(
     upward rate vanishes at the trapping area.
     """
     nbar = params.nbar
-    m_cap = 3 * nbar + 3
+    m_cap = window_top(nbar) - nbar
     if not 0 < p_at <= 1.0:
         raise ConfigError(f"p_at must lie in (0, 1], got {p_at}")
     top = nbar + m_cap
     d = np.empty(top + 2)
     e = np.empty(top + 2)
     for n in range(top + 2):
-        dn, en = transition_rates(params, n)
+        dn, en = transition_rates(nbar, params.theta2, n)
         d[n], e[n] = p_at * dn, p_at * en
     if e[nbar - 1] <= 1e-12:
         raise PerturbationInvalidError(

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import experiments, kernels, oracle, output
 from .config import ExperimentConfig
-from .dynamics import composite_propagator, make_params, trapping_theta1
+from .dynamics import composite_propagator, default_dim, make_params, trapping_theta1, window_top
 from .fock import fock_density, random_density
 from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, ladder_defects
-from .lyapunov import build_weights, window_top
+from .lyapunov import build_weights
 from .thermal import ThermalParams, build_reduced, reduced_from_channel, stationary
 
 
@@ -42,18 +42,18 @@ def rows() -> list[tuple[str, bool, str]]:
 
     nbar = 2
     params = make_params(nbar, theta2=float(rng.uniform(0.3, 2.0)), phi=float(rng.uniform(0, 2 * math.pi)))
-    k = analytic_kraus(params, 9 * (nbar + 1))
+    k = analytic_kraus(params, default_dim(nbar))
     checks.append(
         ("analytic_completeness", k.completeness_defect < 1e-12, f"defect {k.completeness_defect:.2e}")
     )
 
-    kn = extract_kraus(composite_propagator(make_params(nbar, theta2=1.0 / math.sqrt(nbar)), 9 * (nbar + 1)))
+    kn = extract_kraus(composite_propagator(make_params(nbar, theta2=1.0 / math.sqrt(nbar)), default_dim(nbar)))
     checks.append(
         ("numeric_completeness", kn.completeness_defect < 1e-10, f"defect {kn.completeness_defect:.2e}")
     )
 
     p0 = make_params(nbar, theta2=1.0 / math.sqrt(nbar))
-    k0 = analytic_kraus(p0, 9 * (nbar + 1))
+    k0 = analytic_kraus(p0, default_dim(nbar))
     rho_t = fock_density(nbar, k0.dim)
     fp_dev = float(np.abs(oracle.apply_map(k0, rho_t) - rho_t).max())
     checks.append(("analytic_fixed_point", fp_dev < 1e-12, f"max dev {fp_dev:.2e}"))
@@ -105,7 +105,7 @@ def rows() -> list[tuple[str, bool, str]]:
         theta1=trapping_theta1(nb) * (1.0 + float(rng.uniform(-0.03, 0.03))),
         phi=float(rng.uniform(0, 2 * math.pi)),
     )
-    db = 9 * (nb + 1)
+    db = default_dim(nb)
     ub = composite_propagator(pb, db)
     dense_u = ub.dense()
     bdev = float(np.abs(dense_u - oracle.dense_composite(pb, db)).max())
@@ -126,7 +126,7 @@ def rows() -> list[tuple[str, bool, str]]:
         theta2=float(rng.uniform(0.6, 0.9)) * math.pi / math.sqrt(ns),
         phi=float(rng.uniform(-0.3, 0.3)),
     )
-    ds = 9 * (ns + 1)
+    ds = default_dim(ns)
     ks = analytic_kraus(ps, ds)
     gs, es, ms = bands(ks)
     r_perron, gap = stationary(kernels.step_matrix(gs, es, ms, tp.gamma_minus, tp.gamma_plus, tp.p_at))
@@ -165,7 +165,7 @@ def rows() -> list[tuple[str, bool, str]]:
     pc = make_params(
         nc, theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nc), phi=float(rng.uniform(0, 2 * math.pi))
     )
-    gc, ec, mc = bands(analytic_kraus(pc, 9 * (nc + 1)))
+    gc, ec, mc = bands(analytic_kraus(pc, default_dim(nc)))
     rates = (tp.gamma_minus, tp.gamma_plus, tp.p_at)
     combed = kernels.step_matrix(gc, ec, mc, *rates)
     unit = kernels._population_cycle(gc, ec, mc, *rates)(np.eye(len(ec), dtype=np.complex128)).real.T

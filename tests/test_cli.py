@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from fockstab import experiments
 from fockstab.cli import build_parser, main
 from fockstab.config import SCENARIOS, ExperimentConfig
 from fockstab.errors import ConfigError
@@ -220,11 +221,17 @@ def test_config_file_value_the_scenario_does_not_read_is_refused(tmp_path, capsy
     assert "does not read steps; leave them unset" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scenario", ["converge", "tune-phase"])
-def test_a_middle_pulse_too_short_to_last_exits_2(scenario, tmp_path, capsys):
-    # theta2 = 1e-320 is positive, but t_s = theta2/omega rounds to 0 s
+@pytest.mark.parametrize("argv", [
+    ["converge"],
+    ["tune-phase"],
+    ["converge", "--phi", "0.5", "--steps", "5"],
+    ["steady", "--nbars", "2", "--phi", "0.5"],
+], ids=["converge", "tune-phase", "converge-phi", "steady-phi"])
+def test_a_middle_pulse_too_short_to_last_exits_2(argv, tmp_path, capsys):
+    # theta2 = 1e-320 is positive, but t_s = theta2/omega rounds to 0 s; an
+    # explicit phi has a middle segment to act in all the same
     out = tmp_path / "out.csv"
-    assert main([scenario, "--nbar", "2", "--theta2", "1e-320", "--out", str(out)]) == 2
+    assert main([*argv, "--nbar", "2", "--theta2", "1e-320", "--out", str(out)]) == 2
     assert "schedule segments must have positive durations" in capsys.readouterr().err
     assert not out.exists()
 
@@ -235,7 +242,13 @@ def test_a_middle_pulse_too_short_to_last_exits_2(scenario, tmp_path, capsys):
     ["sweep-theta2", "--nbar", "1"],
 ])
 @pytest.mark.parametrize("where, cause", [("missing/x.csv", "No such file or directory"), (".", "Is a directory")])
-def test_an_unwritable_out_exits_2(argv, where, cause, tmp_path, capsys):
+def test_an_unwritable_out_exits_2(argv, where, cause, tmp_path, capsys, monkeypatch):
+    # refused before the run: no runner is called
+    def no_run(*args, **kwargs):
+        raise AssertionError("a runner ran before the --out refusal")
+
+    for runner in ("run_record", "run_steady_sweep", "tune_phase", "optimize_theta2", "run_robustness"):
+        monkeypatch.setattr(experiments, runner, no_run)
     out = tmp_path / where
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()

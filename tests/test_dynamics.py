@@ -70,6 +70,15 @@ def test_schedule_degenerates_without_middle_pulse():
     assert segment == (pytest.approx(2 * math.pi / (OMEGA * math.sqrt(4))), -p.delta_g)
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.5])
+def test_a_middle_pulse_rounding_to_zero_is_the_schedule_refusal(phi):
+    # theta2 > 0 has a middle segment, so no phi is refused for its absence
+    p = make_params(2, theta2=1e-320, phi=phi)
+    for build in (composite_propagator, dense_composite):
+        with pytest.raises(ConfigError, match="^schedule segments must have positive durations$"):
+            build(p, 12)
+
+
 def test_hamiltonian_hermitian_and_elements():
     p = make_params(2, theta2=0.8)
     d = 12

@@ -86,14 +86,14 @@ def test_analytic_diagonal_rates_match_closed_form():
         got_d = (k.m_m.conj().T @ k.m_m)[n, n].real
         assert got_e == pytest.approx(e_n, abs=1e-12)
         assert got_d == pytest.approx(d_n, abs=1e-12)
-        dd, ee = transition_rates(p, n)
+        dd, ee = transition_rates(p.nbar, p.theta2, n)
         assert (dd, ee) == (pytest.approx(d_n, abs=1e-14), pytest.approx(e_n, abs=1e-14))
 
 
 def test_transition_rates_vanish_at_dark_levels():
     p = make_params(3, theta2=0.9)
     for level in (3, 15):
-        d, e = transition_rates(p, level)
+        d, e = transition_rates(p.nbar, p.theta2, level)
         if level == 3:
             assert d == pytest.approx(0.0, abs=1e-30)
         assert e == pytest.approx(0.0, abs=1e-25)
@@ -104,7 +104,7 @@ def test_rates_sum_with_survival_probability():
     p = make_params(2, theta2=1.4)
     k = analytic_kraus(p, 27)
     for n in range(20):
-        d, e = transition_rates(p, n)
+        d, e = transition_rates(p.nbar, p.theta2, n)
         surv = abs(k.m_e[n, n]) ** 2
         assert d + e + surv == pytest.approx(1.0, abs=1e-12)
 
