@@ -105,8 +105,9 @@ def run(cfg: ExperimentConfig) -> int:
 
     if cfg.scenario == "tune-phase":
         phi_opt, fid, table = experiments.tune_phase(cfg)
-        summary = {"phi_opt": phi_opt, "fidelity": fid, "ill_conditioned": experiments.ill_conditioned(table)}
-        output.emit_rows(cfg, table, summary=summary)
+        answer = {"phi_opt": phi_opt, "fidelity": fid}
+        summary = {**answer, "ill_conditioned": experiments.ill_conditioned(table)}
+        output.emit_rows(cfg, table, summary=summary, answer=answer)
         print(f"phi_opt: {phi_opt:.6f} rad  fidelity: {fid:.6f}", file=sys.stderr)
         return 0
 

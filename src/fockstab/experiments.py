@@ -10,13 +10,15 @@ route is `oracle`; no runner calls it, and the test suite and
 `fockstab.validation` pin the two against each other.
 
 Every time series is one `run_record`: the converge, trajectory and ladder
-scenarios differ only in their config defaults, and the Walther baselines of
-the steady and robustness tables are run_record calls on replaced configs.
-Its rows are the powers M^k applied to the initial populations
-(`kernels.record_rows`); only `--sample-atoms` runs, whose map changes from
-atom to atom, step the cycle one atom at a time. The tuning objective's
-no-environment settle (`_settled`) reads one entry of M^TUNE_SETTLE_STEPS.
-The atom-by-atom loop `kernels.evolve` is the oracle of both. Phase tuning
+scenarios differ only in their config defaults. Its rows are the powers M^k
+applied to the initial populations (`kernels.record_rows`); only
+`--sample-atoms` runs, whose map changes from atom to atom, step the cycle
+one atom at a time. Tables that read a few rows of a long horizon read only
+those, from one `kernels.power_rows` call: the Walther baselines of the
+steady and robustness tables (`_target_fidelities` on replaced configs) and
+the tuning objective's no-environment settle (`_settled`), the target
+population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
+`kernels.evolve` is the oracle of both kernels. Phase tuning
 builds the channels of its grid in stacks of PHASE_STACK phases
 (`build_channel` with phis) and solves each phase on its own.
 
@@ -181,8 +183,8 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
 
     Without an environment this is the fidelity after a fixed settle of
     TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
-    of the step matrix. With one, it is the stationary fidelity, reported
-    together with its spectral gap. The channels of all phases are built as
+    of the step matrix (one `kernels.power_rows` row). With one, it is the
+    stationary fidelity, reported together with its spectral gap. The channels of all phases are built as
     one stack; each is then solved on its own, in phase order.
     """
     params = reservoir_params(cfg)
@@ -196,12 +198,13 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
         # phase-by-phase run meets, a solve of an earlier phase included
         return [row for phi in phis for row in _settled(cfg, [phi])]
     settle = tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
+    target = np.diag(fock_density(cfg.nbar, cfg.dim)).real
     rows = []
     for k in channels:
         g, e, m = bands(k)
         if settle:
             step = kernels.step_matrix(g, e, m, 0.0, 0.0, 1.0)
-            rows.append({"fidelity": float(np.linalg.matrix_power(step, TUNE_SETTLE_STEPS)[cfg.nbar, cfg.nbar])})
+            rows.append({"fidelity": float(kernels.power_rows(step, target, [TUNE_SETTLE_STEPS])[0, cfg.nbar])})
         else:
             populations, gap = stationary(kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at))
             rows.append({"fidelity": float(populations[cfg.nbar]), "spectral_gap": gap})
@@ -303,6 +306,16 @@ def run_record(cfg: ExperimentConfig) -> RunRecord:
 run_convergence = run_trajectory = ladder_check = run_record
 
 
+def _target_fidelities(cfg: ExperimentConfig, ks: Sequence[int]) -> np.ndarray:
+    """Target fidelity of the configured channel (phase cfg.phi, not tuned)
+    after each of the sorted atom counts ks from the initial state: the
+    rows of one `kernels.power_rows` call, for tables that read only those."""
+    g, e, m = bands(build_channel(cfg, reservoir_params(cfg, phi=cfg.phi)))
+    tp = thermal_params(cfg)
+    step = kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at)
+    return kernels.power_rows(step, np.diag(initial_state(cfg)).real, ks)[:, cfg.nbar]
+
+
 def _sampled_evolution(g, e, m, rho0, tp: ThermalParams, steps: int, seed: int | None):
     """Bernoulli atom presence per cycle (visual mode, excluded from acceptance).
 
@@ -367,9 +380,8 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         x1 = steady_population_correction(params, tp, p_at=sub.pat)
         fid_reduced = float(stationary(build_reduced(params, tp, sub.dim).step_matrix(sub.pat))[0][nbar])
 
-        walther = replace(sub, scheme="walther", channel="analytic", theta1_err=0.0, phi=0.0, init="vacuum",
-                          steps=int(WALTHER_SECONDS / sub.ts), sample_atoms=False)
-        fid_walther = run_record(walther).summary["final_fidelity"]
+        walther = replace(sub, scheme="walther", channel="analytic", theta1_err=0.0, phi=0.0, init="vacuum")
+        fid_walther = float(_target_fidelities(walther, [int(WALTHER_SECONDS / sub.ts)])[0])
 
         errs = {}
         for err in (-0.02, 0.02):
@@ -430,15 +442,15 @@ def run_robustness(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     for err in (-0.02, 0.02):
         for pat in sorted({cfg.pat, 1.0}):
             walther = replace(cfg, scheme="walther", channel="analytic", theta1_err=err, phi=0.0, kappa=0.0,
-                              nth=0.0, pat=pat, init=f"fock:{cfg.nbar}", steps=k_025, sample_atoms=False)
-            fid = run_record(walther).fidelity
+                              nth=0.0, pat=pat, init=f"fock:{cfg.nbar}")
+            fid_01, fid_025 = _target_fidelities(walther, [k_01, k_025])
             rows.append(
                 {
                     "case": "walther_theta_err",
                     "theta1_err": err,
                     "p_at": pat,
-                    "fid_0p1s": float(fid[k_01]),
-                    "fid_0p25s": float(fid[k_025]),
+                    "fid_0p1s": float(fid_01),
+                    "fid_0p25s": float(fid_025),
                 }
             )
 

@@ -16,8 +16,12 @@ applies on its diagonal, at O(dim) per cycle. `step_matrix` writes that cycle
 as a real (dim, dim) matrix M, read off one cycle of five combs of levels,
 and the runs read powers of it: K atoms are M^K. `record_rows` returns
 every row M^k d0 of a recorded run from a stack of the first powers, one
-matrix product per chunk of rows, and the Perron vector of M
-(`thermal.stationary`) is every stationary population the program reports.
+matrix product per chunk of rows. `power_rows` returns only the rows at a
+few k, each from binary powers of M in `np.linalg.matrix_power`'s order:
+the answer-only tables (decay rows, Walther baselines, the tuning settle)
+read a handful of rows of horizons up to 66,666 atoms. The Perron vector
+of M (`thermal.stationary`) is every stationary population the program
+reports.
 The loops over the cycle are oracles for tests and `fockstab validate`:
 `evolve` iterates it atom by atom, bit-identical to reading the diagonal of
 the full-matrix cycle, and `evolve_to_fixed_point` iterates it with
@@ -37,6 +41,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -137,7 +143,7 @@ def step_matrix(
     zeroed complex buffer laid out as the cycle of the identity would be,
     and M is its real part transposed: the same strided layout as
     `cycle(np.eye(dim)).real.T`, because a C-contiguous M changes the
-    rounding of the products in `record_rows` and `np.linalg.matrix_power`.
+    rounding of the products in `record_rows` and `power_rows`.
     """
     dim = len(e)
     combs, dst, src = _combs(dim)
@@ -171,6 +177,39 @@ def record_rows(m: np.ndarray, d0: np.ndarray, n_steps: int) -> np.ndarray:
     for start in range(0, n_steps, chunk):
         count = min(chunk, n_steps - start)
         rows[start + 1:start + 1 + count] = (stack[:count * dim] @ rows[start]).reshape(count, dim)
+    return rows
+
+
+def power_rows(m: np.ndarray, d0: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """The rows M^k d0 for a sorted sequence ks of k >= 0, as a (len(ks), dim) array.
+
+    For runs that read a few rows of a long horizon. Each M^k is formed in
+    the order `np.linalg.matrix_power` forms it, its products for k <= 3
+    included, so row k is bit for bit `matrix_power(m, k) @ d0` (M^0 d0 is
+    d0 itself); the squarings M^(2^i) are formed once for all of ks. That
+    holds for m in the strided layout `step_matrix` returns: products round
+    by layout, so m is used as given, never copied. Repeated ks are allowed.
+    """
+    ks = [operator.index(k) for k in ks]
+    if any(k < 0 for k in ks) or any(a > b for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"ks must be a sorted sequence of k >= 0, got {ks}")
+    rows = np.empty((len(ks), len(d0)))
+    squares = [m]
+    for row, k in zip(rows, ks):
+        if k == 0:
+            row[:] = d0
+            continue
+        while len(squares) < k.bit_length():
+            squares.append(squares[-1] @ squares[-1])
+        if k == 3:
+            # the one short cut whose product order the binary loop reverses
+            power = squares[1] @ m
+        else:
+            bits = [squares[i] for i in range(k.bit_length()) if k >> i & 1]
+            power = bits[0]
+            for square in bits[1:]:
+                power = power @ square
+        row[:] = power @ d0
     return rows
 
 

@@ -1,7 +1,8 @@
 """Deterministic CSV/JSON emission for runs and sweep tables.
 
-CSV files start with '#'-prefixed metadata lines (config echo and tool
-version), then a header row and data rows with floats printed to 12
+CSV files start with '#'-prefixed metadata lines (config echo, tool
+version and, for a table with one, the run's answer such as the tuned
+phase), then a header row and data rows with floats printed to 12
 significant digits. Identical configs therefore produce byte-identical files;
 wall-clock timings live only in the JSON summary, never in CSV.
 
@@ -61,9 +62,9 @@ def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
     return d
 
 
-def _metadata_lines(cfg: ExperimentConfig) -> list[str]:
+def _metadata_lines(cfg: ExperimentConfig, answer: dict[str, Any]) -> list[str]:
     echo = json.dumps(_config_echo(cfg), sort_keys=True)
-    return [f"# config: {echo}", f"# version: {__version__}"]
+    return [f"# config: {echo}", f"# version: {__version__}"] + [f"# {k}: {_fmt(v)}" for k, v in answer.items()]
 
 
 def record_table(cfg: ExperimentConfig, record: RunRecord) -> tuple[list[str], Iterable[str]]:
@@ -245,8 +246,14 @@ def sweep_table(rows: Sequence[dict[str, Any]]) -> tuple[list[str], list[str]]:
     return header, [",".join(_fmt(r[h]) if h in r else "" for h in header) + "\n" for r in rows]
 
 
-def write_csv(stream: TextIO, cfg: ExperimentConfig, header: Sequence[str], chunks: Iterable[str]) -> None:
-    for line in _metadata_lines(cfg):
+def write_csv(
+    stream: TextIO,
+    cfg: ExperimentConfig,
+    header: Sequence[str],
+    chunks: Iterable[str],
+    answer: dict[str, Any] | None = None,
+) -> None:
+    for line in _metadata_lines(cfg, answer or {}):
         stream.write(line + "\n")
     stream.write(",".join(header) + "\n")
     stream.writelines(chunks)
@@ -291,12 +298,18 @@ def emit_rows(
     rows: Sequence[dict[str, Any]],
     summary: dict[str, Any] | None = None,
     stream: TextIO | None = None,
+    answer: dict[str, Any] | None = None,
 ) -> None:
-    """Write a sweep table in the configured format to cfg.out (or the stream)."""
+    """Write a sweep table in the configured format to cfg.out (or the stream).
+
+    answer holds the run's result entries, which a JSON file carries in its
+    summary; a CSV carries them as one metadata line each after the version
+    line.
+    """
     if cfg.fmt == "json":
         _emit(cfg, stream, write_json, list(rows), summary or {})
     else:
-        _emit(cfg, stream, write_csv, *sweep_table(rows))
+        _emit(cfg, stream, write_csv, *sweep_table(rows), answer)
 
 
 def _unwritable(path: str, exc: OSError) -> ConfigError:

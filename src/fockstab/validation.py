@@ -4,11 +4,12 @@ running numpy.
 `rows` returns one (name, ok, detail) row per check. The first fourteen pin
 the production route of almost every module to the dense operator route of
 `oracle`, or to the atom-by-atom loops `kernels.evolve` and
-`kernels.evolve_to_fixed_point`, at seeded random points; the last,
-`record_format`, pins the run-CSV formatter to `'%.12g' % x`. This module is
-the one production caller of `oracle`, and it imports `experiments` and
-`kernels` itself, so `oracle` stays a leaf. The CLI imports it only for
-`validate`.
+`kernels.evolve_to_fixed_point`, at seeded random points. `power_rows`
+pins the answer-only rows to the recorded ones of `kernels.record_rows`,
+and the last, `record_format`, pins the run-CSV formatter to
+`'%.12g' % x`. This module is the one production caller of `oracle`, and
+it imports `experiments` and `kernels` itself, so `oracle` stays a leaf.
+The CLI imports it only for `validate`.
 """
 
 from __future__ import annotations
@@ -172,6 +173,15 @@ def rows() -> list[tuple[str, bool, str]]:
     same = np.array_equal(combed, unit) and combed.strides == unit.strides
     cdev = float(np.abs(combed - unit).max())
     checks.append(("step_matrix", same, f"nbar {nc}, max dev {cdev:.2e}, strides {combed.strides}"))
+
+    # the answer-only rows (binary powers of M) against the power stack of
+    # the recorded runs, at the cavity, from a random start, for ks that
+    # take numpy's short cuts and its binary loop
+    atoms = [0, 1, 2, 3, *sorted(rng.integers(4, 2000, size=3).tolist())]
+    d0 = rng.dirichlet(np.ones(len(ec)))
+    answer = kernels.power_rows(combed, d0, atoms)
+    wdev = float(np.abs(answer - kernels.record_rows(combed, d0, atoms[-1])[atoms]).max())
+    checks.append(("power_rows", wdev < 1e-11, f"nbar {nc}, k up to {atoms[-1]}, max dev {wdev:.2e}"))
 
     checks.append(record_format_check())
     return checks

@@ -358,7 +358,7 @@ VALIDATE_ROWS = [
     "shift_identity", "analytic_completeness", "numeric_completeness", "analytic_fixed_point",
     "lyapunov_identity", "banded_channel_kernel", "thermal_kernel", "reduced_vs_full_steady",
     "population_engine", "block_propagator", "ladder_extraction", "stationary_solver", "population_powers",
-    "step_matrix", "record_format",
+    "step_matrix", "power_rows", "record_format",
 ]
 
 
@@ -562,6 +562,34 @@ def test_no_run_computes_eigenvectors_of_a_cycle_matrix(tmp_path, monkeypatch):
     assert main(["validate"]) == 0
 
 
+def test_answer_only_tables_record_no_rows(monkeypatch):
+    # the decay rows, the 4-s baselines and the no-environment tuning settle
+    # read a few rows of a long horizon through `kernels.power_rows`; neither
+    # the row-recording engine nor a power of numpy's own is reached, under
+    # any name a loaded module binds them to. The converge run shows that
+    # the patch bites
+    from fockstab import kernels
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an answer-only table recorded rows")
+
+    ids = {id(kernels.record_rows), id(np.linalg.matrix_power)}
+    for name, module in list(sys.modules.items()):
+        if name == "fockstab" or name.startswith("fockstab."):
+            for key, value in list(vars(module).items()):
+                if id(value) in ids:
+                    monkeypatch.setattr(module, key, unreachable)
+    monkeypatch.setattr(np.linalg, "matrix_power", unreachable)
+    decay = [r for r in ex.run_robustness(resolved(scenario="robustness", nbar=2)) if r["case"] == "walther_theta_err"]
+    assert len(decay) == 4
+    (row,) = ex.run_steady_sweep(resolved(scenario="steady", nbars=[2]))
+    assert 0.0 < row["fid_walther_4s"] < 1.0
+    phi_opt, fid, table = ex.tune_phase(resolved(scenario="tune-phase", nbar=2, kappa=0.0))
+    assert len(table) == 64 and "spectral_gap" not in table[0]
+    with pytest.raises(AssertionError, match="recorded rows"):
+        ex.run_record(resolved(scenario="converge", nbar=1, steps=5, phi=0.0))
+
+
 def test_tune_grid_has_no_swallowed_phases(tmp_path):
     # the nbar-1 grid at x = 3pi/4 in the cavity: 44 of its 64 phases were
     # once refused and written as fidelity 0.0, though every gap is >= 1e-5
@@ -669,9 +697,9 @@ def test_a_failing_phase_raises_the_error_the_phase_by_phase_loop_meets_first(mo
 def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
     # four stacks of 16 grid phases, then the golden section's 13 phases
     # (2 + 11 steps of (sqrt(5) - 1)/2 narrow 2 * 2pi/64 to 1e-3) one each;
-    # building phase by phase would make 77 calls. The CSV holds the grid
-    # only, so the golden-section result is checked on stderr, as the
-    # phase-by-phase build printed it
+    # building phase by phase would make 77 calls. The golden-section
+    # result is checked on stderr, as the phase-by-phase build printed it,
+    # and in the CSV's metadata lines
     sizes = []
     build = ex.composite_propagator
 
@@ -685,3 +713,5 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
     assert ex.PHASE_STACK == 16
     assert sizes == [16] * 4 + [1] * 13
     assert "phi_opt: 5.905913 rad  fidelity: 0.970298" in capsys.readouterr().err
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[2:4] == ["# phi_opt: 5.90591284661", "# fidelity: 0.970297828117"]

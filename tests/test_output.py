@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import subprocess
 import sys
@@ -221,6 +222,25 @@ def test_sweep_table_formats_each_type_exactly():
         "0.1,3,1,None,nan,inf,-inf,-0,1;2;0;0.333333333333\n",
         "1e-07,-4,0,a b,2,1e+300,-1e-300,0,\n",
     ]
+
+
+@pytest.mark.parametrize("cavity", [[], ["--kappa", "10", "--nth", "0.05", "--pat", "0.3"]],
+                         ids=["no-environment", "cavity"])
+def test_tune_phase_csv_carries_its_answer_after_the_version_line(cavity, tmp_path):
+    # the CSV holds the JSON summary's phi_opt and fidelity as %.12g cells,
+    # then the grid rows the JSON records hold
+    argv = ["tune-phase", "--nbar", "1", *cavity]
+    assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 0
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "t.json")]) == 0
+    doc = json.loads((tmp_path / "t.json").read_text())
+    lines = (tmp_path / "t.csv").read_text().splitlines(keepends=True)
+    assert lines[1].startswith("# version: ")
+    summary = doc["summary"]
+    assert lines[2:4] == [f"# phi_opt: {summary['phi_opt']:.12g}\n", f"# fidelity: {summary['fidelity']:.12g}\n"]
+    # the JSON sorts each record's keys; the table leads with phi
+    header, rows = output.sweep_table([{"phi": r["phi"], **r} for r in doc["records"]])
+    assert len(rows) == 64
+    assert lines[4:] == [",".join(header) + "\n", *rows]
 
 
 def test_ragged_sweep_rows_get_the_union_header_and_empty_cells():
