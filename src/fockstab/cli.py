@@ -113,8 +113,9 @@ def run(cfg: ExperimentConfig) -> int:
 
     if cfg.scenario == "sweep-theta2":
         theta2_opt, table = experiments.optimize_theta2(cfg)
-        summary = {"theta2_opt": theta2_opt, "ill_conditioned": experiments.ill_conditioned(table)}
-        output.emit_rows(cfg, table, summary=summary)
+        answer = {"theta2_opt": theta2_opt}
+        summary = {**answer, "ill_conditioned": experiments.ill_conditioned(table)}
+        output.emit_rows(cfg, table, summary=summary, answer=answer)
         print(f"theta2_opt: {theta2_opt:.6f} rad", file=sys.stderr)
         return 0
 

@@ -4,8 +4,9 @@ robustness and the invariant-ladder check.
 Every runner consumes a resolved ExperimentConfig and returns either a
 RunRecord (per-step time series) or a list of table rows (one dict per sweep
 point, sorted by the sweep key so output bytes never depend on evaluation
-order). Runs read the population cycle of a channel as its step matrix M
-(`kernels.step_matrix`), so K atoms are the power M^K. The dense operator
+order). Runs read one cycle of a channel and the configured environment as
+its step matrix M, which `cycle_matrix` alone builds (on
+`kernels.step_matrix`), so K atoms are the power M^K. The dense operator
 route is `oracle`; no runner calls it, and the test suite and
 `fockstab.validation` pin the two against each other.
 
@@ -23,7 +24,7 @@ builds the channels of its grid in stacks of PHASE_STACK phases
 (`build_channel` with phis) and solves each phase on its own.
 
 Every stationary quantity is one solve for the Perron vector of a cycle
-matrix (`thermal.stationary`): `kernels.step_matrix` for a channel, so the
+matrix (`thermal.stationary`): `cycle_matrix` for a channel, so the
 answer is the fixed point of exactly the map `kernels.evolve` iterates, and
 `ReducedDynamics.step_matrix` for the trapping-rate model. Each solve reports
 its spectral gap. Renormalized iteration (`steady_fidelity`,
@@ -98,6 +99,12 @@ def thermal_params(cfg: ExperimentConfig) -> ThermalParams:
     return tp
 
 
+def cycle_matrix(cfg: ExperimentConfig, k: KrausSet) -> np.ndarray:
+    """`kernels.step_matrix` of one cycle of channel k and the configured environment."""
+    tp = thermal_params(cfg)
+    return kernels.step_matrix(*bands(k), tp.gamma_minus, tp.gamma_plus, tp.p_at)
+
+
 def build_channel(
     cfg: ExperimentConfig,
     params: ReservoirParams,
@@ -167,9 +174,7 @@ def resolve_phi(cfg: ExperimentConfig) -> tuple[float, dict[str, Any]]:
 def stationary_fidelity(cfg: ExperimentConfig, params: ReservoirParams) -> tuple[float, float]:
     """Stationary target fidelity of the configured channel with the
     environment, and the spectral gap of its cycle matrix."""
-    g, e, m = bands(build_channel(cfg, params))
-    tp = thermal_params(cfg)
-    populations, gap = stationary(kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at))
+    populations, gap = stationary(cycle_matrix(cfg, build_channel(cfg, params)))
     return float(populations[cfg.nbar]), gap
 
 
@@ -198,15 +203,16 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
         # phase-by-phase run meets, a solve of an earlier phase included
         return [row for phi in phis for row in _settled(cfg, [phi])]
     settle = tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
+    # the settle sends an atom through every cycle
+    cycle_cfg = replace(cfg, pat=1.0) if settle else cfg
     target = np.diag(fock_density(cfg.nbar, cfg.dim)).real
     rows = []
     for k in channels:
-        g, e, m = bands(k)
+        step = cycle_matrix(cycle_cfg, k)
         if settle:
-            step = kernels.step_matrix(g, e, m, 0.0, 0.0, 1.0)
             rows.append({"fidelity": float(kernels.power_rows(step, target, [TUNE_SETTLE_STEPS])[0, cfg.nbar])})
         else:
-            populations, gap = stationary(kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at))
+            populations, gap = stationary(step)
             rows.append({"fidelity": float(populations[cfg.nbar]), "spectral_gap": gap})
     return rows
 
@@ -275,13 +281,10 @@ def run_record(cfg: ExperimentConfig) -> RunRecord:
     rho0 = initial_state(cfg)
     phi, phi_info = resolve_phi(cfg)
     k = build_channel(cfg, reservoir_params(cfg, phi=phi))
-    g, e, m = bands(k)
-    tp = thermal_params(cfg)
     if cfg.sample_atoms:
-        diag, trace = _sampled_evolution(g, e, m, rho0, tp, cfg.steps, cfg.seed)
+        diag, trace = _sampled_evolution(*bands(k), rho0, thermal_params(cfg), cfg.steps, cfg.seed)
     else:
-        step = kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at)
-        diag = kernels.record_rows(step, np.diag(rho0).real, cfg.steps)
+        diag = kernels.record_rows(cycle_matrix(cfg, k), np.diag(rho0).real, cfg.steps)
         trace = diag.sum(axis=1)
     final = diag[-1]
     dark = [cfg.nbar]
@@ -310,9 +313,7 @@ def _target_fidelities(cfg: ExperimentConfig, ks: Sequence[int]) -> np.ndarray:
     """Target fidelity of the configured channel (phase cfg.phi, not tuned)
     after each of the sorted atom counts ks from the initial state: the
     rows of one `kernels.power_rows` call, for tables that read only those."""
-    g, e, m = bands(build_channel(cfg, reservoir_params(cfg, phi=cfg.phi)))
-    tp = thermal_params(cfg)
-    step = kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at)
+    step = cycle_matrix(cfg, build_channel(cfg, reservoir_params(cfg, phi=cfg.phi)))
     return kernels.power_rows(step, np.diag(initial_state(cfg)).real, ks)[:, cfg.nbar]
 
 

@@ -45,13 +45,8 @@ from .experiments import RunRecord
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, (list, tuple)):
-        return ";".join(_fmt(v) for v in value)
-    return str(value)
+    """A table or answer cell: a float to 12 significant digits, an int or str as is."""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:

@@ -17,6 +17,9 @@ level n gains G+ * n from level n-1 and G- * (n+1) from level n+1; the gain
 G+ * dim out of the top level has nowhere to go and is dropped, so the last
 column of B undercounts by exactly that amount (the recorded truncation
 defect).
+`ReducedDynamics` holds the reservoir rates d, e and the environment, and
+forms A and B from them; `build_reduced` takes the rates of the trapping
+ladder, `reduced_from_channel` reads them off a channel.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CAVITY_KAPPA, CAVITY_NTH, CAVITY_PAT, CAVITY_TS
 from .dynamics import ReservoirParams, window_top
 from .errors import AmbiguousSteadyStateError, ConfigError, PerturbationInvalidError, StepValidityError
 from .kraus import KrausSet, bands, transition_rates
@@ -74,48 +78,47 @@ class ThermalParams:
             )
 
 
-def cavity_thermal(p_at: float = 0.3) -> ThermalParams:
-    """Realistic cryogenic defaults: 1/kappa = 0.1 s, n_th = 0.05, Ts = 60 us."""
-    return ThermalParams(kappa=10.0, n_th=0.05, Ts=60e-6, p_at=p_at)
+def cavity_thermal(p_at: float = CAVITY_PAT) -> ThermalParams:
+    """The cavity the thermal scenarios default to: 1/kappa = 0.1 s, n_th = 0.05, Ts = 60 us."""
+    return ThermalParams(kappa=CAVITY_KAPPA, n_th=CAVITY_NTH, Ts=CAVITY_TS, p_at=p_at)
 
 
 @dataclass(frozen=True)
 class ReducedDynamics:
-    """Tridiagonal population dynamics r' = B A r, stored as diagonals.
+    """Tridiagonal population dynamics r' = B A r of reservoir rates d, e and environment tp.
 
-    a_down[n] = d_n and a_up[n] = e_n are the reservoir flows out of level n
-    (downward/upward); a_main = 1 - d - e. b_down[n] = gamma_minus * n and
-    b_up[n] = gamma_plus * (n + 1) are the environment flows out of level n;
-    b_main = 1 - b_down - b_up. The b_up flow out of the last level is the
-    truncated defect: column dim-1 of B sums to 1 - gamma_plus * dim.
+    d[n] and e[n] are the reservoir flows out of level n (downward/upward);
+    A keeps 1 - d - e on its diagonal. The environment flows out of level n
+    are gamma_minus * n downward and gamma_plus * (n + 1) upward; B keeps
+    1 - down - up. The upward flow out of the last level is the truncation
+    defect: column dim-1 of B sums to 1 - gamma_plus * dim.
     """
 
-    a_main: np.ndarray
-    a_down: np.ndarray
-    a_up: np.ndarray
-    b_main: np.ndarray
-    b_down: np.ndarray
-    b_up: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    tp: ThermalParams
 
     @property
     def dim(self) -> int:
-        return len(self.a_main)
+        return len(self.d)
 
     @property
     def truncation_defect(self) -> float:
-        return float(self.b_up[-1])
+        return self.tp.gamma_plus * self.dim
 
     def a_matrix(self) -> np.ndarray:
-        return _tridiag(self.a_main, self.a_down, self.a_up)
+        return _tridiag(1.0 - self.d - self.e, self.d, self.e)
 
     def b_matrix(self) -> np.ndarray:
-        return _tridiag(self.b_main, self.b_down, self.b_up)
+        n = np.arange(self.dim, dtype=np.float64)
+        down = self.tp.gamma_minus * n
+        up = self.tp.gamma_plus * (n + 1.0)
+        return _tridiag(1.0 - down - up, down, up)
 
     def step_matrix(self, p_at: float) -> np.ndarray:
         """B ((1 - p_at) I + p_at A): the cycle matrix whose `stationary`
         vector is the trapping-rate model's long-run populations."""
-        dim = self.dim
-        return self.b_matrix() @ ((1.0 - p_at) * np.eye(dim) + p_at * self.a_matrix())
+        return self.b_matrix() @ ((1.0 - p_at) * np.eye(self.dim) + p_at * self.a_matrix())
 
 
 def _tridiag(main: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -128,23 +131,9 @@ def _tridiag(main: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
     return m
 
 
-def reduced_from_rates(d: np.ndarray, e: np.ndarray, tp: ThermalParams) -> ReducedDynamics:
-    dim = len(d)
-    n = np.arange(dim, dtype=np.float64)
-    b_down = tp.gamma_minus * n
-    b_up = tp.gamma_plus * (n + 1.0)
-    rd = ReducedDynamics(
-        a_main=1.0 - d - e,
-        a_down=np.asarray(d, dtype=np.float64),
-        a_up=np.asarray(e, dtype=np.float64),
-        b_main=1.0 - b_down - b_up,
-        b_down=b_down,
-        b_up=b_up,
-    )
-    for name, arr in (("A", rd.a_main), ("B", rd.b_main)):
-        if arr.min() < -1e-12:
-            warnings.warn(f"{name} has a negative main diagonal entry ({arr.min():.3g})", stacklevel=3)
-    return rd
+def _trapping_rates(params: ReservoirParams, levels: int) -> np.ndarray:
+    """The `transition_rates` of levels 0..levels-1: rows d and e."""
+    return np.array([transition_rates(params.nbar, params.theta2, n) for n in range(levels)]).T
 
 
 def build_reduced(params: ReservoirParams, tp: ThermalParams, dim: int) -> ReducedDynamics:
@@ -152,25 +141,26 @@ def build_reduced(params: ReservoirParams, tp: ThermalParams, dim: int) -> Reduc
     if dim <= window_top(params.nbar):
         raise ConfigError(f"dim {dim} must cover the invariant window 0..{window_top(params.nbar)}")
     tp.check_step_validity(dim)
-    d = np.empty(dim)
-    e = np.empty(dim)
-    for n in range(dim):
-        d[n], e[n] = transition_rates(params.nbar, params.theta2, n)
-    return reduced_from_rates(d, e, tp)
+    return ReducedDynamics(*_trapping_rates(params, dim), tp)
 
 
-# an oracle for `kernels.step_matrix`, kept here because it is built on
-# `reduced_from_rates`, which the leaf `oracle` cannot import
+# an oracle for `kernels.step_matrix`, kept here because it builds a
+# `ReducedDynamics`, which the leaf `oracle` cannot import
 def reduced_from_channel(k: KrausSet, tp: ThermalParams) -> ReducedDynamics:
     """Reduced dynamics read off an arbitrary one-band channel.
 
     Exact for any ladder channel (including detuned pulse areas where the
     trapping-condition rates do not apply): d_n = |<n-1|M_m|n>|^2 and
-    e_n = |<n+1|M_g|n>|^2.
+    e_n = |<n+1|M_g|n>|^2. Warns when a level's rates sum above 1, which
+    leaves A a negative diagonal entry.
     """
     tp.check_step_validity(k.dim)
     g, _, m = bands(k)
-    return reduced_from_rates(np.abs(m) ** 2, np.abs(g) ** 2, tp)
+    rd = ReducedDynamics(np.abs(m) ** 2, np.abs(g) ** 2, tp)
+    stay = (1.0 - rd.d - rd.e).min()
+    if stay < -1e-12:
+        warnings.warn(f"A has a negative main diagonal entry ({stay:.3g})", stacklevel=2)
+    return rd
 
 
 def stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -260,12 +250,8 @@ def steady_population_correction(
     m_cap = window_top(nbar) - nbar
     if not 0 < p_at <= 1.0:
         raise ConfigError(f"p_at must lie in (0, 1], got {p_at}")
-    top = nbar + m_cap
-    d = np.empty(top + 2)
-    e = np.empty(top + 2)
-    for n in range(top + 2):
-        dn, en = transition_rates(nbar, params.theta2, n)
-        d[n], e[n] = p_at * dn, p_at * en
+    d, e = _trapping_rates(params, window_top(nbar) + 2)
+    d, e = p_at * d, p_at * e
     if e[nbar - 1] <= 1e-12:
         raise PerturbationInvalidError(
             f"upward rate e_{nbar - 1} = {e[nbar - 1]:.3e} vanishes; recurrence invalid"

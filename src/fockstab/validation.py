@@ -25,7 +25,7 @@ from .dynamics import composite_propagator, default_dim, make_params, trapping_t
 from .fock import fock_density, random_density
 from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, ladder_defects
 from .lyapunov import build_weights
-from .thermal import ThermalParams, build_reduced, reduced_from_channel, stationary
+from .thermal import build_reduced, cavity_thermal, reduced_from_channel, stationary
 
 
 def rows() -> list[tuple[str, bool, str]]:
@@ -72,7 +72,7 @@ def rows() -> list[tuple[str, bool, str]]:
     kdev = float(np.abs(oracle.channel_step(g, e, m, rho) - oracle.dense_channel(k0, rho)).max())
     checks.append(("banded_channel_kernel", kdev < 1e-13, f"max dev {kdev:.2e}"))
 
-    tp = ThermalParams(kappa=10.0, n_th=0.05, Ts=60e-6, p_at=0.3)
+    tp = cavity_thermal()
     tdev = float(
         np.abs(
             oracle.thermal_step(rho, tp.gamma_minus, tp.gamma_plus)

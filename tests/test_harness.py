@@ -265,6 +265,8 @@ def test_cli_exit_codes():
         ["converge", "--init", "blob"],
         ["converge", "--phi", "0", "--init", "diag:1,nan"],
         ["steady", "--nbars", "1,x"],
+        ["steady", "--nbars", "0"],
+        ["steady", "--nbars", "2,-1"],
     ],
 )
 def test_cli_malformed_input_exits_with_config_error(argv, capsys):
@@ -279,6 +281,9 @@ def test_malformed_config_values_raise_config_error():
             ExperimentConfig.from_dict({"scenario": "steady", "nbars": nbars})
     with pytest.raises(ConfigError):
         resolved(scenario="converge", init="fock:")
+    # a level below 1 has no trapping angle
+    with pytest.raises(ConfigError, match="nbars levels must be >= 1"):
+        resolved(scenario="steady", nbars=(0,))
     for nbars, want in (([3, 1], (3, 1)), ([2.0], (2,)), ([2], (2,)), ("1,2", (1, 2))):
         got = ExperimentConfig.from_dict({"scenario": "steady", "nbars": nbars}).nbars
         assert got == want and all(type(n) is int for n in got)
@@ -460,7 +465,7 @@ def test_csv_floats_use_twelve_significant_digits():
     assert _fmt(6e-05) == "6e-05"
     assert _fmt(0.998860489858543) == "0.998860489859"
     assert _fmt(7) == "7"
-    assert _fmt(True) == "1"
+    assert _fmt("phase_offset") == "phase_offset"
 
 
 def test_steady_fidelity_stable_under_dim_doubling():

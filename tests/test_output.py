@@ -54,8 +54,12 @@ RECORD_GOLDENS = [
 # the tuning grid, built in stacks of phases, as the phase-by-phase build wrote it
 TUNE_GOLDEN = ("tune_phase_nbar2_kappa10_nth0.05_pat0.3.csv",
                ["tune-phase", "--nbar", "2", "--kappa", "10", "--nth", "0.05", "--pat", "0.3"])
-GOLDEN_RUNS = pytest.mark.parametrize("name, argv", [*RECORD_GOLDENS, TUNE_GOLDEN],
-                                      ids=["trajectory", "converge", "ladder", "tune-phase"])
+# the tables the trapping-rate chain feeds: the steady table's fid_reduced
+# column and the theta2 sweep, answer line included
+TABLE_GOLDENS = [("steady_nbars1-2.csv", ["steady", "--nbars", "1,2"]),
+                 ("sweep_theta2_nbar2.csv", ["sweep-theta2", "--nbar", "2"])]
+GOLDEN_RUNS = pytest.mark.parametrize("name, argv", [*RECORD_GOLDENS, TUNE_GOLDEN, *TABLE_GOLDENS],
+                                      ids=["trajectory", "converge", "ladder", "tune-phase", "steady", "sweep-theta2"])
 RECORD_GOLDEN_RUNS = pytest.mark.parametrize("name, argv", RECORD_GOLDENS, ids=["trajectory", "converge", "ladder"])
 
 
@@ -208,19 +212,19 @@ def test_importing_the_cli_does_not_build_the_format_tables(src_env):
 
 
 def test_sweep_table_formats_each_type_exactly():
+    # table cells hold str, int and float
     rows = [
-        {"x": 0.1, "n": 3, "ok": True, "note": None, "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
-         "zero": -0.0, "path": [1.0, 2, False, 1 / 3]},
-        {"x": 1e-07, "n": -4, "ok": False, "note": "a b", "nan": 2.0, "inf": 1e300, "ninf": -1e-300,
-         "zero": 0.0, "path": []},
+        {"x": 0.1, "n": 3, "note": "phase_offset", "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
+         "zero": -0.0},
+        {"x": 1e-07, "n": -4, "note": "a b", "nan": 2.0, "inf": 1e300, "ninf": -1e-300, "zero": 0.0},
     ]
     cfg = ExperimentConfig(scenario="sweep-theta2", nbar=2).resolved()
     lines = emitted(cfg, output.emit_rows, rows).splitlines(keepends=True)
     assert lines[0].startswith("# config: ") and lines[1].startswith("# version: ")
     assert lines[2:] == [
-        "x,n,ok,note,nan,inf,ninf,zero,path\n",
-        "0.1,3,1,None,nan,inf,-inf,-0,1;2;0;0.333333333333\n",
-        "1e-07,-4,0,a b,2,1e+300,-1e-300,0,\n",
+        "x,n,note,nan,inf,ninf,zero\n",
+        "0.1,3,phase_offset,nan,inf,-inf,-0\n",
+        "1e-07,-4,a b,2,1e+300,-1e-300,0\n",
     ]
 
 
@@ -241,6 +245,24 @@ def test_tune_phase_csv_carries_its_answer_after_the_version_line(cavity, tmp_pa
     header, rows = output.sweep_table([{"phi": r["phi"], **r} for r in doc["records"]])
     assert len(rows) == 64
     assert lines[4:] == [",".join(header) + "\n", *rows]
+
+
+def test_sweep_theta2_csv_carries_its_answer_after_the_version_line(tmp_path):
+    # the CSV holds the JSON summary's theta2_opt as a %.12g cell, then the
+    # grid rows the JSON records hold
+    argv = ["sweep-theta2", "--nbar", "2"]
+    assert main([*argv, "--out", str(tmp_path / "s.csv")]) == 0
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+    doc = json.loads((tmp_path / "s.json").read_text())
+    lines = (tmp_path / "s.csv").read_text().splitlines(keepends=True)
+    assert lines[1].startswith("# version: ")
+    theta2_opt = doc["summary"]["theta2_opt"]
+    assert theta2_opt == max(doc["records"], key=lambda r: r["fid_verified"])["theta2"]
+    assert lines[2] == f"# theta2_opt: {theta2_opt:.12g}\n"
+    # the JSON sorts each record's keys; the table keeps the runner's order
+    keys = ["theta2", "theta2_sqrt_nbar", "fid_surrogate", "fid_verified", "spectral_gap"]
+    header, rows = output.sweep_table([{k: r[k] for k in keys} for r in doc["records"]])
+    assert lines[3:] == [",".join(header) + "\n", *rows]
 
 
 def test_ragged_sweep_rows_get_the_union_header_and_empty_cells():

@@ -13,7 +13,7 @@ from fockstab.errors import (
     StepValidityError,
 )
 from fockstab.fock import fock_density, random_density
-from fockstab.kraus import analytic_kraus, bands, extract_kraus
+from fockstab.kraus import analytic_kraus, bands, extract_kraus, transition_rates, walther_kraus
 from fockstab.oracle import apply_map, decoherence_step, dense_thermal, reservoir_step, steady_state
 from fockstab.thermal import (
     STATIONARY_GAP_TOL,
@@ -140,6 +140,46 @@ def test_reduced_from_channel_matches_trapping_rates():
     via_rates = build_reduced(p, tp, dim)
     via_channel = reduced_from_channel(analytic_kraus(p, dim), tp)
     assert np.abs(via_rates.a_matrix() - via_channel.a_matrix()).max() < 1e-12
+
+
+def written_out_cycle(d, e, gm, gp, p_at):
+    """A, B and B((1 - p_at) I + p_at A), entry by entry from the reservoir
+    rates d, e and the environment rates gm, gp."""
+    dim = len(d)
+    a = np.zeros((dim, dim))
+    b = np.zeros((dim, dim))
+    for n in range(dim):
+        down, up = gm * float(n), gp * (float(n) + 1.0)
+        a[n, n] = 1.0 - d[n] - e[n]
+        b[n, n] = 1.0 - down - up
+        if n > 0:
+            a[n - 1, n], b[n - 1, n] = d[n], down
+        if n + 1 < dim:
+            a[n + 1, n], b[n + 1, n] = e[n], up
+    return a, b, b @ ((1.0 - p_at) * np.eye(dim) + p_at * a)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reduced_matrices_are_the_written_out_chain_bit_for_bit(seed):
+    # both builders hold only their rates; every matrix entry is formed from
+    # them with the arithmetic written out above
+    rng = np.random.default_rng(seed)
+    nbar = int(rng.integers(1, 7))
+    p = make_params(nbar, theta2=float(rng.uniform(0.3, 2.8)) / math.sqrt(nbar))
+    dim = default_dim(nbar) - int(rng.integers(0, 4 * nbar))
+    tp = ThermalParams(kappa=float(rng.uniform(0.0, 20.0)), n_th=float(rng.uniform(0.0, 0.2)), Ts=60e-6,
+                       p_at=float(rng.uniform(0.1, 1.0)))
+    rates = np.array([transition_rates(nbar, p.theta2, n) for n in range(dim)])
+    cases = [(build_reduced(p, tp, dim), rates[:, 0], rates[:, 1])]
+    for k in (analytic_kraus(p, dim), walther_kraus(nbar, 2.0 * p.theta1, dim)):
+        g, _, m = bands(k)
+        cases.append((reduced_from_channel(k, tp), np.abs(m) ** 2, np.abs(g) ** 2))
+    for rd, d, e in cases:
+        a, b, step = written_out_cycle(d, e, tp.gamma_minus, tp.gamma_plus, tp.p_at)
+        assert rd.dim == dim and rd.truncation_defect == tp.gamma_plus * dim
+        assert np.array_equal(rd.a_matrix(), a)
+        assert np.array_equal(rd.b_matrix(), b)
+        assert np.array_equal(rd.step_matrix(tp.p_at), step)
 
 
 def test_steady_state_without_environment_is_target():
@@ -317,4 +357,4 @@ def test_correction_against_reduced_eigenvector(nbar):
 def test_rates_example_b3():
     tp = cavity_thermal()
     rd = build_reduced(make_params(3, theta2=1.0), tp, 36)
-    assert rd.b_down[3] == pytest.approx(3 * tp.gamma_minus)
+    assert rd.b_matrix()[2, 3] == pytest.approx(3 * tp.gamma_minus)
