@@ -132,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError("nbars grid must not be empty")
         if self.nbars is not None and min(self.nbars) < 1:
             raise ConfigError(f"nbars levels must be >= 1, got {min(self.nbars)}")
+        if self.nbars is not None and len(set(self.nbars)) < len(self.nbars):
+            raise ConfigError(f"nbars levels must be distinct, got {','.join(map(str, self.nbars))}")
         if self.dim is not None and self.init is not None:
             kind, values = parse_init(self.init)
             top = len(values) - 1 if kind == "diag" else max(values, default=0)

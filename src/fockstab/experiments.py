@@ -21,7 +21,8 @@ the tuning objective's no-environment settle (`_settled`), the target
 population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
 `kernels.evolve` is the oracle of both kernels. Phase tuning
 builds the channels of its grid in stacks of PHASE_STACK phases
-(`build_channel` with phis) and solves each phase on its own.
+(`build_channel` with phis), and their step matrices and stationary solves
+as stacks too (`_settled`).
 
 Every stationary quantity is one solve for the Perron vector of a cycle
 matrix (`thermal.stationary`): `cycle_matrix` for a channel, so the
@@ -56,6 +57,10 @@ PHI_GRID_POINTS = 64
 # grid phases per stacked channel build in `tune_phase`: larger stacks were a
 # few percent faster but raised peak memory (see README)
 PHASE_STACK = 16
+# matrix entries per stacked step-matrix build and stationary solve in
+# `_settled`: 16 phases up to dim 36, 10 at dim 45 and 3 at dim 81, which
+# keeps the phase_scan peak memory (see README)
+SOLVE_ENTRIES = 16 * 36 * 36
 THETA2_GRID_POINTS = 64
 STATIONARITY_TOL = 1e-10
 STATIONARITY_CAP = 1_000_000
@@ -99,10 +104,12 @@ def thermal_params(cfg: ExperimentConfig) -> ThermalParams:
     return tp
 
 
-def cycle_matrix(cfg: ExperimentConfig, k: KrausSet) -> np.ndarray:
-    """`kernels.step_matrix` of one cycle of channel k and the configured environment."""
+def cycle_matrix(cfg: ExperimentConfig, k: KrausSet | Sequence[KrausSet]) -> np.ndarray:
+    """`kernels.step_matrix` of one cycle of channel k and the configured
+    environment; given a sequence of channels, their (s, dim, dim) stack."""
     tp = thermal_params(cfg)
-    return kernels.step_matrix(*bands(k), tp.gamma_minus, tp.gamma_plus, tp.p_at)
+    g, e, m = bands(k) if isinstance(k, KrausSet) else (np.stack(band) for band in zip(*map(bands, k)))
+    return kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at)
 
 
 def build_channel(
@@ -189,8 +196,11 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
     Without an environment this is the fidelity after a fixed settle of
     TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
     of the step matrix (one `kernels.power_rows` row). With one, it is the
-    stationary fidelity, reported together with its spectral gap. The channels of all phases are built as
-    one stack; each is then solved on its own, in phase order.
+    stationary fidelity, reported together with its spectral gap. The
+    channels of all phases are built as one stack; their step matrices are
+    then built and solved as stacks of at most SOLVE_ENTRIES // dim^2
+    phases, one `cycle_matrix` and one `stationary` call each, in phase
+    order. Every number is bit for bit that of a phase-by-phase run.
     """
     params = reservoir_params(cfg)
     tp = thermal_params(cfg)
@@ -205,15 +215,26 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
     settle = tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
     # the settle sends an atom through every cycle
     cycle_cfg = replace(cfg, pat=1.0) if settle else cfg
-    target = np.diag(fock_density(cfg.nbar, cfg.dim)).real
+    if settle:
+        target = np.zeros(cfg.dim)
+        target[cfg.nbar] = 1.0
+    chunk = max(1, SOLVE_ENTRIES // cfg.dim**2)
     rows = []
-    for k in channels:
-        step = cycle_matrix(cycle_cfg, k)
+    for start in range(0, len(channels), chunk):
+        matrices = cycle_matrix(cycle_cfg, channels[start:start + chunk])
         if settle:
-            rows.append({"fidelity": float(kernels.power_rows(step, target, [TUNE_SETTLE_STEPS])[0, cfg.nbar])})
-        else:
-            populations, gap = stationary(step)
-            rows.append({"fidelity": float(populations[cfg.nbar]), "spectral_gap": gap})
+            rows += [{"fidelity": float(kernels.power_rows(step, target, [TUNE_SETTLE_STEPS])[0, cfg.nbar])}
+                     for step in matrices]
+            continue
+        try:
+            solved = [stationary(matrices)]
+        except np.linalg.LinAlgError:
+            if len(matrices) == 1:
+                raise
+            # as for a failed build: the first error a phase-by-phase run meets
+            solved = [stationary(step[None]) for step in matrices]
+        rows += [{"fidelity": float(populations[cfg.nbar]), "spectral_gap": float(gap)}
+                 for stack, gaps in solved for populations, gap in zip(stack, gaps)]
     return rows
 
 
@@ -225,8 +246,9 @@ def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]
     then refines around the best grid point to 1e-3 rad. Ties break to the
     smallest phi; a landscape flat to 1e-6 returns phi = 0. Each grid row
     holds phi and the fidelity, plus the spectral gap of the stationary
-    solve when there is an environment. The grid is built in stacks of
-    PHASE_STACK phases, the golden section one phase at a time.
+    solve when there is an environment. The grid is built and solved in
+    stacks of PHASE_STACK phases (`_settled`), the golden section one phase
+    at a time.
     """
     if cfg.theta2 <= 0.0:
         return 0.0, _settled(cfg, [0.0])[0]["fidelity"], []

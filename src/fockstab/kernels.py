@@ -13,7 +13,8 @@ is a function of that diagonal.
 `_population_cycle` applies, entry by entry, exactly the arithmetic that the
 full-matrix cycle `oracle.thermal_step((1-p) rho + p oracle.channel_step(rho))`
 applies on its diagonal, at O(dim) per cycle. `step_matrix` writes that cycle
-as a real (dim, dim) matrix M, read off one cycle of five combs of levels,
+as a real (dim, dim) matrix M, read off one cycle of five combs of levels
+(bands stacked on a leading axis give a stack of them, one per channel),
 and the runs read powers of it: K atoms are M^K. `record_rows` returns
 every row M^k d0 of a recorded run from a stack of the first powers, one
 matrix product per chunk of rows. `power_rows` returns only the rows at a
@@ -65,20 +66,22 @@ def _population_cycle(g, e, m, gm, gp, p_at):
     Bands are conjugated and the environment coefficients are formed once
     here; each entry then sees the same operations, in the same order, as the
     diagonal entry of `oracle.thermal_step((1-p) rho + p oracle.channel_step(rho))`.
-    The levels run along the last axis, so a (batch, dim) stack of diagonals
-    advances row by row with the same arithmetic.
+    The levels run along the last axis, of the bands as of the diagonals, so
+    a (batch, dim) stack of diagonals advances row by row with the same
+    arithmetic, and bands with leading axes give one cycle per channel,
+    broadcast against the diagonals.
     """
     g = np.asarray(g, dtype=np.complex128)
     e = np.asarray(e, dtype=np.complex128)
     m = np.asarray(m, dtype=np.complex128)
-    g_lo, gc_lo = g[:-1], g[:-1].conj()
-    m_hi, mc_hi = m[1:], m[1:].conj()
+    g_lo, gc_lo = g[..., :-1], g[..., :-1].conj()
+    m_hi, mc_hi = m[..., 1:], m[..., 1:].conj()
     ec = e.conj()
     mixing = p_at != 1.0
     keep = 1.0 - p_at
     environment = gm != 0.0 or gp != 0.0
     if environment:
-        n = np.arange(len(e), dtype=np.float64)
+        n = np.arange(e.shape[-1], dtype=np.float64)
         factor = 1.0 - 0.5 * gm * (n + n) - 0.5 * gp * (n + n + 2.0)
         root = np.sqrt(n + 1.0)
         rr = root[:-1] * root[:-1]
@@ -144,13 +147,18 @@ def step_matrix(
     and M is its real part transposed: the same strided layout as
     `cycle(np.eye(dim)).real.T`, because a C-contiguous M changes the
     rounding of the products in `record_rows` and `power_rows`.
+
+    Bands of shape (s, dim), one row per channel, give an (s, dim, dim)
+    stack from the same one cycle call, on an (s, COMB, dim) batch; each
+    item equals the single call on its row in values and in strides.
     """
-    dim = len(e)
+    g, e, m = (np.asarray(band, dtype=np.complex128)[..., None, :] for band in (g, e, m))
+    lead, dim = e.shape[:-2], e.shape[-1]
     combs, dst, src = _combs(dim)
     cycle = _population_cycle(g, e, m, float(gm), float(gp), float(p_at))
-    buf = np.zeros((dim, dim), dtype=np.complex128)
-    buf.reshape(-1)[dst] = cycle(combs).reshape(-1)[src]
-    return buf.real.T
+    buf = np.zeros((*lead, dim, dim), dtype=np.complex128)
+    buf.reshape(*lead, -1)[..., dst] = cycle(combs).reshape(*lead, -1)[..., src]
+    return buf.real.swapaxes(-1, -2)
 
 
 def record_rows(m: np.ndarray, d0: np.ndarray, n_steps: int) -> np.ndarray:

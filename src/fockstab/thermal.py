@@ -163,7 +163,7 @@ def reduced_from_channel(k: KrausSet, tp: ThermalParams) -> ReducedDynamics:
     return rd
 
 
-def stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
+def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Stationary populations of the cycle matrix m, with its spectral gap.
 
     The long-run populations of r' = m r are the Perron vector of m: the
@@ -178,19 +178,28 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
     vector comes from inverse iteration shifted just above lam1, started from
     the uniform vector, with no eigenvectors computed.
 
+    An (s, n, n) stack of matrices gives populations (s, n) and gaps (s,)
+    from one `eigvals`, one `inv` and one inverse iteration that advances
+    only the items not yet settled; a (n, n) matrix runs the same code as a
+    stack of one. Each item's numbers are bit for bit those of its own call.
+
     Raises AmbiguousSteadyStateError when the gap is at rounding level (two
     closed classes, as in a channel without environment), when an entry is
     clearly negative, or when the residual |m v - rho v|_1 exceeds rounding,
-    where rho = sum(m v) / sum(v) is the Rayleigh quotient of v.
+    where rho = sum(m v) / sum(v) is the Rayleigh quotient of v. In a stack
+    the first failing item raises, with the message of its own call; an item
+    below the gap floor stays out of `inv`.
     """
-    lam = np.linalg.eigvals(m)
-    top = int(np.argmax(lam.real))
-    lam1 = float(lam[top].real)
-    gap = lam1 - float(np.abs(np.delete(lam, top)).max())
-    if gap < STATIONARY_GAP_TOL:
-        raise AmbiguousSteadyStateError(
-            f"leading eigenvalue {lam1:.15f} is not separated: spectral gap {gap:.3e}"
-        )
+    ms = m[None] if m.ndim == 2 else m
+    items, n = ms.shape[0], ms.shape[-1]
+    lam = np.linalg.eigvals(ms)
+    every = np.arange(items)
+    top = np.argmax(lam.real, axis=-1)
+    lam1 = lam.real[every, top]
+    others = np.abs(lam)
+    others[every, top] = -np.inf
+    gaps = lam1 - others.max(axis=-1)
+    live = np.flatnonzero(~(gaps < STATIONARY_GAP_TOL))
     # inverse iteration at sigma just above the Perron root, where
     # (sigma I - m)^-1 is entrywise positive, so a positive start stays
     # positive. The offset delta = sigma - lam1 stays well inside the gap and
@@ -200,28 +209,48 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
     # at the gap floor, where delta is the floor; 64 halvings take any start
     # below double rounding, hence the step cap. The inverse is formed once,
     # as numpy keeps no reusable LU factorization.
-    sigma = lam1 + max(STATIONARY_SHIFT * gap, STATIONARY_GAP_TOL)
-    solve = np.linalg.inv(sigma * np.eye(len(lam)) - m)
-    step_tol = STATIONARY_ULPS * np.finfo(np.float64).eps
-    r = np.full(len(lam), 1.0 / len(lam))
-    for _ in range(STATIONARY_MAX_STEPS):
-        nxt = solve @ r
-        nxt /= nxt.sum()
-        change = float(np.abs(nxt - r).max())
-        r = nxt
-        if change <= step_tol:
-            break
-    # the comparisons are written to fail on NaN as well
-    if not r.min() >= -1e-10:
-        raise AmbiguousSteadyStateError(f"stationary vector has negative entry {r.min():.3e}")
+    r = np.full((items, n), 1.0 / n)
+    if live.size:
+        sigma = lam1[live] + np.maximum(STATIONARY_SHIFT * gaps[live], STATIONARY_GAP_TOL)
+        solve = np.linalg.inv(sigma[:, None, None] * np.eye(n) - (ms if live.size == items else ms[live]))
+        step_tol = STATIONARY_ULPS * np.finfo(np.float64).eps
+        # the items still iterating: their rows of r, inverses and vectors
+        rows, vectors = live, r[live]
+        for _ in range(STATIONARY_MAX_STEPS):
+            nxt = (solve @ vectors[..., None])[..., 0]
+            nxt /= nxt.sum(axis=-1, keepdims=True)
+            settled = np.abs(nxt - vectors).max(axis=-1) <= step_tol
+            vectors = nxt
+            if settled.any():
+                r[rows] = nxt
+                going = ~settled
+                rows, solve, vectors = rows[going], solve[going], nxt[going]
+                if not rows.size:
+                    break
+        r[rows] = vectors
     # against the Rayleigh quotient of r rather than lam1, whose rounding in
-    # `eigvals` can exceed the bound when the gap is small
-    mr = m @ r
-    residual = float(np.abs(mr - (mr.sum() / r.sum()) * r).sum())
-    bound = STATIONARY_ULPS * len(r) * np.finfo(np.float64).eps * float(np.abs(m).sum(axis=0).max())
-    if not residual <= bound:
-        raise AmbiguousSteadyStateError(f"eigenvector residual {residual:.3e} exceeds rounding ({bound:.3e})")
-    return r, gap
+    # `eigvals` can exceed the bound when the gap is small; the items below
+    # the gap floor keep the uniform start, which is never read
+    mr = (ms @ r[..., None])[..., 0]
+    rayleigh = mr.sum(axis=-1, keepdims=True) / r.sum(axis=-1, keepdims=True)
+    residuals = np.abs(mr - rayleigh * r).sum(axis=-1)
+    bounds = STATIONARY_ULPS * n * np.finfo(np.float64).eps * np.abs(ms).sum(axis=-2).max(axis=-1)
+    # in phase order, as one call per item would raise; the comparisons are
+    # written to fail on NaN as well
+    for i in range(items):
+        if gaps[i] < STATIONARY_GAP_TOL:
+            raise AmbiguousSteadyStateError(
+                f"leading eigenvalue {lam1[i]:.15f} is not separated: spectral gap {gaps[i]:.3e}"
+            )
+        if not r[i].min() >= -1e-10:
+            raise AmbiguousSteadyStateError(f"stationary vector has negative entry {r[i].min():.3e}")
+        if not residuals[i] <= bounds[i]:
+            raise AmbiguousSteadyStateError(
+                f"eigenvector residual {residuals[i]:.3e} exceeds rounding ({bounds[i]:.3e})"
+            )
+    if m.ndim == 2:
+        return r[0], float(gaps[0])
+    return r, gaps
 
 
 def steady_population_correction(

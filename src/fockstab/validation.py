@@ -1,13 +1,14 @@
 """The rows of `fockstab validate`: the core identities, re-checked on the
 running numpy.
 
-`rows` returns one (name, ok, detail) row per check. The first fourteen pin
-the production route of almost every module to the dense operator route of
-`oracle`, or to the atom-by-atom loops `kernels.evolve` and
-`kernels.evolve_to_fixed_point`, at seeded random points. `power_rows`
-pins the answer-only rows to the recorded ones of `kernels.record_rows`,
-and the last, `record_format`, pins the run-CSV formatter to
-`'%.12g' % x`. This module is the one production caller of `oracle`, and
+`rows` returns one (name, ok, detail) row per check, seventeen in all.
+The first fourteen pin the production route of almost every module to the
+dense operator route of `oracle`, or to the atom-by-atom loops
+`kernels.evolve` and `kernels.evolve_to_fixed_point`, at seeded random
+points. `power_rows` pins the answer-only rows to the recorded ones of
+`kernels.record_rows`, `stationary_stack` a stacked stationary solve to
+its per-matrix solves, and the last, `record_format`, pins the run-CSV
+formatter to `'%.12g' % x`. This module is the one production caller of `oracle`, and
 it imports `experiments` and `kernels` itself, so `oracle` stays a leaf.
 The CLI imports it only for `validate`.
 """
@@ -182,6 +183,19 @@ def rows() -> list[tuple[str, bool, str]]:
     answer = kernels.power_rows(combed, d0, atoms)
     wdev = float(np.abs(answer - kernels.record_rows(combed, d0, atoms[-1])[atoms]).max())
     checks.append(("power_rows", wdev < 1e-11, f"nbar {nc}, k up to {atoms[-1]}, max dev {wdev:.2e}"))
+
+    # the stacked stationary solve of the tuning grid against one solve per
+    # matrix, bit for bit: it rests on numpy's stacked eigvals, inv, matmul
+    # and row sums rounding each item as their per-matrix calls do
+    nt = int(rng.integers(1, 9))
+    pt = make_params(nt, theta2=0.75 * math.pi / math.sqrt(nt) * float(rng.uniform(0.98, 1.02)))
+    phis = rng.uniform(0, 2 * math.pi, 4).tolist()
+    channels = extract_kraus(composite_propagator(pt, default_dim(nt), phis))
+    stack = kernels.step_matrix(*(np.stack(band) for band in zip(*map(bands, channels))), *rates)
+    populations, gaps = stationary(stack)
+    singles = [stationary(item) for item in stack]
+    same = all(np.array_equal(r, r1) and gap == gap1 for r, gap, (r1, gap1) in zip(populations, gaps, singles))
+    checks.append(("stationary_stack", same, f"nbar {nt}, {len(phis)} phases, smallest gap {gaps.min():.2e}"))
 
     checks.append(record_format_check())
     return checks

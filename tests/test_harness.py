@@ -267,6 +267,7 @@ def test_cli_exit_codes():
         ["steady", "--nbars", "1,x"],
         ["steady", "--nbars", "0"],
         ["steady", "--nbars", "2,-1"],
+        ["steady", "--nbars", "2,2"],
     ],
 )
 def test_cli_malformed_input_exits_with_config_error(argv, capsys):
@@ -363,7 +364,7 @@ VALIDATE_ROWS = [
     "shift_identity", "analytic_completeness", "numeric_completeness", "analytic_fixed_point",
     "lyapunov_identity", "banded_channel_kernel", "thermal_kernel", "reduced_vs_full_steady",
     "population_engine", "block_propagator", "ladder_extraction", "stationary_solver", "population_powers",
-    "step_matrix", "power_rows", "record_format",
+    "step_matrix", "power_rows", "stationary_stack", "record_format",
 ]
 
 
@@ -699,24 +700,67 @@ def test_a_failing_phase_raises_the_error_the_phase_by_phase_loop_meets_first(mo
         assert first_error(run) == (AmbiguousSteadyStateError, "solve of phase 1 refused")
 
 
+def test_a_stack_below_the_gap_floor_raises_the_message_of_its_first_failing_phase():
+    # grid phases 46 and 47 of this nbar-8 tuning both fall below the gap
+    # floor; the stack raises what the phase-by-phase loop meets first
+    from fockstab.errors import AmbiguousSteadyStateError
+    from fockstab.thermal import stationary
+
+    cfg = resolved(scenario="tune-phase", nbar=8, theta2=0.8330405509046935, theta1_err=0.02, **CAVITY_CFG)
+    grid = [2.0 * math.pi * i / ex.PHI_GRID_POINTS for i in range(ex.PHI_GRID_POINTS)]
+    for phis, gap in ((grid[45:48], "6.517e-14"), (grid[46:48], "6.517e-14"), ([grid[47], grid[46]], "5.584e-14")):
+        with pytest.raises(AmbiguousSteadyStateError, match=f"spectral gap {gap}$") as stacked:
+            ex._settled(cfg, phis)
+        with pytest.raises(AmbiguousSteadyStateError) as looped:
+            phase_by_phase(cfg, phis)
+        assert str(stacked.value) == str(looped.value)
+        channels = ex.build_channel(cfg, ex.reservoir_params(cfg), phis=phis)
+        with pytest.raises(AmbiguousSteadyStateError, match=f"spectral gap {gap}$"):
+            stationary(ex.cycle_matrix(cfg, channels))
+
+
+def test_a_lapack_error_re_solves_the_stack_one_phase_at_a_time(monkeypatch):
+    solve = ex.stationary
+    sizes = []
+
+    def refuses_stacks(m):
+        sizes.append(len(m))
+        if len(m) > 1:
+            raise np.linalg.LinAlgError("stacked solve refused")
+        return solve(m)
+
+    cfg = resolved(scenario="tune-phase", nbar=2, **CAVITY_CFG)
+    phis = [0.1, 1.1, 2.1]
+    want = ex._settled(cfg, phis)
+    monkeypatch.setattr(ex, "stationary", refuses_stacks)
+    assert ex._settled(cfg, phis) == want
+    assert sizes == [3, 1, 1, 1]
+
+
 def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
     # four stacks of 16 grid phases, then the golden section's 13 phases
-    # (2 + 11 steps of (sqrt(5) - 1)/2 narrow 2 * 2pi/64 to 1e-3) one each;
-    # building phase by phase would make 77 calls. The golden-section
-    # result is checked on stderr, as the phase-by-phase build printed it,
-    # and in the CSV's metadata lines
-    sizes = []
-    build = ex.composite_propagator
+    # (2 + 11 steps of (sqrt(5) - 1)/2 narrow 2 * 2pi/64 to 1e-3) one each,
+    # for the channel builds and for the stationary solves alike; phase by
+    # phase would make 77 calls of each. The golden-section result is
+    # checked on stderr, as the phase-by-phase run printed it, and in the
+    # CSV's metadata lines
+    sizes, solved = [], []
+    build, solve = ex.composite_propagator, ex.stationary
 
     def counted(params, field_dim, phis=None):
         sizes.append(None if phis is None else len(phis))
         return build(params, field_dim, phis)
 
+    def counted_solve(m):
+        solved.append(len(m))
+        return solve(m)
+
     monkeypatch.setattr(ex, "composite_propagator", counted)
+    monkeypatch.setattr(ex, "stationary", counted_solve)
     argv = ["tune-phase", "--nbar", "2", "--kappa", "10", "--nth", "0.05", "--pat", "0.3", "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 0
     assert ex.PHASE_STACK == 16
-    assert sizes == [16] * 4 + [1] * 13
+    assert sizes == solved == [16] * 4 + [1] * 13
     assert "phi_opt: 5.905913 rad  fidelity: 0.970298" in capsys.readouterr().err
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[2:4] == ["# phi_opt: 5.90591284661", "# fidelity: 0.970297828117"]

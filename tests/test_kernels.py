@@ -352,6 +352,47 @@ def test_step_matrix_cycles_one_batch_of_five_combs(channel, monkeypatch):
     assert shapes == [(5, len(e)), (5, 3)]
 
 
+@pytest.fixture(scope="module")
+def cavity_stacks():
+    """Seeded numeric channels at the cavity (kappa 10, n_th 0.05, p_at 0.3),
+    three per level nbar 1-8: theta2 within 2 % of 3pi/(4 sqrt(nbar)) and
+    random phases. One (rates, stacked bands) pair per level."""
+    rng = np.random.default_rng(43)
+    stacks = []
+    for nbar in range(1, 9):
+        theta2 = 0.75 * math.pi / math.sqrt(nbar) * float(rng.uniform(0.98, 1.02))
+        cfg = ExperimentConfig(scenario="tune-phase", nbar=nbar, theta2=theta2, kappa=10.0, nth=0.05,
+                               pat=0.3).resolved()
+        phis = rng.uniform(0.0, 2.0 * math.pi, 3).tolist()
+        channels = experiments.build_channel(cfg, experiments.reservoir_params(cfg), phis=phis)
+        tp = experiments.thermal_params(cfg)
+        stacks.append(((tp.gamma_minus, tp.gamma_plus, tp.p_at), [np.stack(b) for b in zip(*map(bands, channels))]))
+    return stacks
+
+
+def test_a_step_matrix_stack_holds_the_single_calls_in_values_and_strides(cavity_stacks):
+    # 24 channels; the layout is pinned as well because it sets the
+    # rounding of `power_rows` and `record_rows`
+    for rates, (g, e, m) in cavity_stacks:
+        stack = kernels.step_matrix(g, e, m, *rates)
+        dim = e.shape[-1]
+        assert stack.shape == (3, dim, dim)
+        for item, row in zip(stack, zip(g, e, m)):
+            single = kernels.step_matrix(*row, *rates)
+            assert np.array_equal(item.view(np.int64), single.view(np.int64))
+            assert item.strides == single.strides
+
+
+def test_a_stationary_stack_equals_the_per_matrix_solves(cavity_stacks):
+    for rates, (g, e, m) in cavity_stacks:
+        for stack in (kernels.step_matrix(g, e, m, *rates), kernels.step_matrix(g[1:], e[1:], m[1:], *rates)):
+            populations, gaps = stationary(stack)
+            assert populations.shape == stack.shape[:2] and gaps.shape == stack.shape[:1]
+            for item, r, gap in zip(stack, populations, gaps):
+                r1, gap1 = stationary(item)
+                assert np.array_equal(r, r1) and gap == gap1 and type(gap1) is float
+
+
 @pytest.mark.parametrize("scheme", ["symmetric", "walther"])
 @pytest.mark.parametrize("environment", [False, True])
 def test_record_rows_match_the_evolve_loop_over_random_physics(scheme, environment):
