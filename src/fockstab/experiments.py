@@ -19,10 +19,9 @@ those, from one `kernels.power_rows` call: the Walther baselines of the
 steady and robustness tables (`_target_fidelities` on replaced configs) and
 the tuning objective's no-environment settle (`_settled`), the target
 population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
-`kernels.evolve` is the oracle of both kernels. Phase tuning
-builds the channels of its grid in stacks of PHASE_STACK phases
-(`build_channel` with phis), and their step matrices and stationary solves
-as stacks too (`_settled`).
+`kernels.evolve` is the oracle of both kernels. Phase tuning builds, steps
+and solves its grid in one pass of stacks of at most SOLVE_ENTRIES // dim^2
+phases (`_settled`).
 
 Every stationary quantity is one solve for the Perron vector of a cycle
 matrix (`thermal.stationary`): `cycle_matrix` for a channel, so the
@@ -54,12 +53,10 @@ from .lyapunov import build_weights, validate_theta2
 from .thermal import ThermalParams, build_reduced, stationary, steady_population_correction
 
 PHI_GRID_POINTS = 64
-# grid phases per stacked channel build in `tune_phase`: larger stacks were a
-# few percent faster but raised peak memory (see README)
-PHASE_STACK = 16
-# matrix entries per stacked step-matrix build and stationary solve in
-# `_settled`: 16 phases up to dim 36, 10 at dim 45 and 3 at dim 81, which
-# keeps the phase_scan peak memory (see README)
+# matrix entries per stack of `_settled`, bounding its channel builds, step
+# matrices and stationary solves alike: 64 phases at dim 18, 28 at dim 27,
+# 16 at dim 36, 10 at dim 45 and 3 at dim 81, which keeps the phase_scan
+# peak memory (see README)
 SOLVE_ENTRIES = 16 * 36 * 36
 THETA2_GRID_POINTS = 64
 STATIONARITY_TOL = 1e-10
@@ -196,45 +193,38 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
     Without an environment this is the fidelity after a fixed settle of
     TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
     of the step matrix (one `kernels.power_rows` row). With one, it is the
-    stationary fidelity, reported together with its spectral gap. The
-    channels of all phases are built as one stack; their step matrices are
-    then built and solved as stacks of at most SOLVE_ENTRIES // dim^2
-    phases, one `cycle_matrix` and one `stationary` call each, in phase
-    order. Every number is bit for bit that of a phase-by-phase run.
+    stationary fidelity, reported together with its spectral gap. The phases
+    run in phase order as stacks of at most SOLVE_ENTRIES // dim^2, each one
+    `build_channel`, one `cycle_matrix` and then one `stationary` call or the
+    settle's `power_rows`. A stack whose build or solve fails is replayed one
+    phase at a time, so every number, and the first error raised, is that of
+    a phase-by-phase run.
     """
     params = reservoir_params(cfg)
     tp = thermal_params(cfg)
-    try:
-        channels = build_channel(cfg, params, phis=phis)
-    except ValueError:
-        if len(phis) == 1:
-            raise
-        # one phase at a time, so the error raised is the first one a
-        # phase-by-phase run meets, a solve of an earlier phase included
-        return [row for phi in phis for row in _settled(cfg, [phi])]
     settle = tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
     # the settle sends an atom through every cycle
     cycle_cfg = replace(cfg, pat=1.0) if settle else cfg
-    if settle:
-        target = np.zeros(cfg.dim)
-        target[cfg.nbar] = 1.0
+    target = np.eye(cfg.dim)[cfg.nbar]
     chunk = max(1, SOLVE_ENTRIES // cfg.dim**2)
     rows = []
-    for start in range(0, len(channels), chunk):
-        matrices = cycle_matrix(cycle_cfg, channels[start:start + chunk])
-        if settle:
-            rows += [{"fidelity": float(kernels.power_rows(step, target, [TUNE_SETTLE_STEPS])[0, cfg.nbar])}
-                     for step in matrices]
-            continue
+    for start in range(0, len(phis), chunk):
+        stack = phis[start:start + chunk]
         try:
-            solved = [stationary(matrices)]
-        except np.linalg.LinAlgError:
-            if len(matrices) == 1:
+            matrices = cycle_matrix(cycle_cfg, build_channel(cfg, params, phis=stack))
+            if settle:
+                rows += [{"fidelity": float(kernels.power_rows(step, target, [TUNE_SETTLE_STEPS])[0, cfg.nbar])}
+                         for step in matrices]
+            else:
+                populations, gaps = stationary(matrices)
+                rows += [{"fidelity": float(r[cfg.nbar]), "spectral_gap": float(gap)}
+                         for r, gap in zip(populations, gaps)]
+        except ValueError:  # np.linalg.LinAlgError is a ValueError
+            if len(stack) == 1:
                 raise
-            # as for a failed build: the first error a phase-by-phase run meets
-            solved = [stationary(step[None]) for step in matrices]
-        rows += [{"fidelity": float(populations[cfg.nbar]), "spectral_gap": float(gap)}
-                 for stack, gaps in solved for populations, gap in zip(stack, gaps)]
+            # one phase at a time, so the error raised is the first one a
+            # phase-by-phase run meets, a solve of an earlier phase included
+            rows += [row for phi in stack for row in _settled(cfg, [phi])]
     return rows
 
 
@@ -246,17 +236,13 @@ def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]
     then refines around the best grid point to 1e-3 rad. Ties break to the
     smallest phi; a landscape flat to 1e-6 returns phi = 0. Each grid row
     holds phi and the fidelity, plus the spectral gap of the stationary
-    solve when there is an environment. The grid is built and solved in
-    stacks of PHASE_STACK phases (`_settled`), the golden section one phase
-    at a time.
+    solve when there is an environment. The whole grid is one `_settled`
+    call, the golden section one phase at a time.
     """
     if cfg.theta2 <= 0.0:
         return 0.0, _settled(cfg, [0.0])[0]["fidelity"], []
     grid = [2.0 * math.pi * i / PHI_GRID_POINTS for i in range(PHI_GRID_POINTS)]
-    table = []
-    for start in range(0, PHI_GRID_POINTS, PHASE_STACK):
-        stack = grid[start:start + PHASE_STACK]
-        table += [{"phi": p, **row} for p, row in zip(stack, _settled(cfg, stack))]
+    table = [{"phi": p, **row} for p, row in zip(grid, _settled(cfg, grid))]
     fids = [r["fidelity"] for r in table]
     if max(fids) - min(fids) < 1e-6:
         fid0 = fids[0]
@@ -400,8 +386,8 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         tp = thermal_params(sub)
 
         fid_sim, gap = stationary_fidelity(sub, params)
-        x1 = steady_population_correction(params, tp, p_at=sub.pat)
-        fid_reduced = float(stationary(build_reduced(params, tp, sub.dim).step_matrix(sub.pat))[0][nbar])
+        x1 = steady_population_correction(params, tp)
+        fid_reduced = float(stationary(build_reduced(params, tp, sub.dim).step_matrix())[0][nbar])
 
         walther = replace(sub, scheme="walther", channel="analytic", theta1_err=0.0, phi=0.0, init="vacuum")
         fid_walther = float(_target_fidelities(walther, [int(WALTHER_SECONDS / sub.ts)])[0])
@@ -441,8 +427,8 @@ def optimize_theta2(cfg: ExperimentConfig) -> tuple[float, list[dict[str, Any]]]
             continue
         sub = replace(cfg, theta2=theta2)
         params = reservoir_params(sub)
-        surrogate = 1.0 + steady_population_correction(params, tp, p_at=cfg.pat)
-        populations, gap = stationary(build_reduced(params, tp, cfg.dim).step_matrix(cfg.pat))
+        surrogate = 1.0 + steady_population_correction(params, tp)
+        populations, gap = stationary(build_reduced(params, tp, cfg.dim).step_matrix())
         rows.append(
             {"theta2": theta2, "theta2_sqrt_nbar": x, "fid_surrogate": surrogate,
              "fid_verified": float(populations[cfg.nbar]), "spectral_gap": gap}

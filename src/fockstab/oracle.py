@@ -304,16 +304,19 @@ def reservoir_step(rho: np.ndarray, k, tp) -> np.ndarray:
 
 
 def steady_state(rd, p_at: float) -> np.ndarray:
-    """Stationary population vector of the reduced cycle map `rd.step_matrix(p_at)`.
+    """Stationary population vector of the reduced cycle map `rd.step_matrix()`.
 
     Solves (B A_eff - I) r = 0 with the normalization row appended (a
     deterministic least-squares problem), verifies the unit eigenvalue is
     simple, and cross-checks the solution as a fixed point of normalized
-    power iteration to below ORACLE_POWER_TOL. It refuses any gap below 1e-7.
-    Production runs use `thermal.stationary`; this independent route is kept
-    for the tests, `fockstab validate` and the benchmark's checks.
+    power iteration to below ORACLE_POWER_TOL. It refuses any gap below 1e-7,
+    and any p_at but the rd.tp.p_at the map is built with. Production runs
+    use `thermal.stationary`; this independent route is kept for the tests,
+    `fockstab validate` and the benchmark's checks.
     """
-    m = rd.step_matrix(p_at)
+    if p_at != rd.tp.p_at:
+        raise ValueError(f"p_at {p_at} differs from the environment's p_at {rd.tp.p_at}")
+    m = rd.step_matrix()
     dim = m.shape[0]
     lam = np.linalg.eigvals(m)
     dist = np.sort(np.abs(lam - 1.0))

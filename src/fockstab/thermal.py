@@ -115,9 +115,10 @@ class ReducedDynamics:
         up = self.tp.gamma_plus * (n + 1.0)
         return _tridiag(1.0 - down - up, down, up)
 
-    def step_matrix(self, p_at: float) -> np.ndarray:
-        """B ((1 - p_at) I + p_at A): the cycle matrix whose `stationary`
-        vector is the trapping-rate model's long-run populations."""
+    def step_matrix(self) -> np.ndarray:
+        """B ((1 - p_at) I + p_at A) at tp.p_at: the cycle matrix whose
+        `stationary` vector is the trapping-rate model's long-run populations."""
+        p_at = self.tp.p_at
         return self.b_matrix() @ ((1.0 - p_at) * np.eye(self.dim) + p_at * self.a_matrix())
 
 
@@ -256,7 +257,7 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
 def steady_population_correction(
     params: ReservoirParams,
     tp: ThermalParams,
-    p_at: float = 1.0,
+    p_at: float | None = None,
 ) -> float:
     """First-order thermal correction x1 <= 0 to the target-level population.
 
@@ -270,13 +271,17 @@ def steady_population_correction(
     environment flows out of the target level (c must match the dense step,
     where thermal excitation out of level n runs at gamma_plus * (n + 1); the
     smaller index loses a full order of accuracy). Reservoir rates are scaled
-    by p_at (the per-cycle channel is applied with that probability).
+    by p_at (the per-cycle channel is applied with that probability), which
+    is tp.p_at; p_at may only restate it.
     1 + x1 estimates the stationary fidelity with an error of order x1^2. The
     upper sum is capped at the invariant window edge 4*nbar+3, where the
     upward rate vanishes at the trapping area.
     """
     nbar = params.nbar
     m_cap = window_top(nbar) - nbar
+    if p_at not in (None, tp.p_at):
+        raise ValueError(f"p_at {p_at} differs from the environment's p_at {tp.p_at}")
+    p_at = tp.p_at
     if not 0 < p_at <= 1.0:
         raise ConfigError(f"p_at must lie in (0, 1], got {p_at}")
     d, e = _trapping_rates(params, window_top(nbar) + 2)

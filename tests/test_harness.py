@@ -501,9 +501,9 @@ def test_steady_sweep_honours_dim_for_the_configured_level(tmp_path):
     cfg = resolved(scenario="steady", nbar=2, dim=40)
     params = ex.reservoir_params(cfg, phi=row["phi_used"])
     tp = ex.thermal_params(cfg)
-    assert row["fid_reduced"] == float(stationary(build_reduced(params, tp, 40).step_matrix(cfg.pat))[0][2])
+    assert row["fid_reduced"] == float(stationary(build_reduced(params, tp, 40).step_matrix())[0][2])
     # the default truncation (27 levels) gives a different value, so the flag was not ignored
-    assert row["fid_reduced"] != float(stationary(build_reduced(params, tp, 27).step_matrix(cfg.pat))[0][2])
+    assert row["fid_reduced"] != float(stationary(build_reduced(params, tp, 27).step_matrix())[0][2])
 
 
 def test_production_runs_reach_no_oracle(tmp_path, monkeypatch):
@@ -738,12 +738,13 @@ def test_a_lapack_error_re_solves_the_stack_one_phase_at_a_time(monkeypatch):
 
 
 def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
-    # four stacks of 16 grid phases, then the golden section's 13 phases
-    # (2 + 11 steps of (sqrt(5) - 1)/2 narrow 2 * 2pi/64 to 1e-3) one each,
-    # for the channel builds and for the stationary solves alike; phase by
-    # phase would make 77 calls of each. The golden-section result is
-    # checked on stderr, as the phase-by-phase run printed it, and in the
-    # CSV's metadata lines
+    # the 64 grid phases run as stacks of SOLVE_ENTRIES // dim^2 phases, 28
+    # at nbar 2 (dim 27) and 3 at nbar 8 (dim 81), then the golden
+    # section's 13 phases (2 + 11 steps of (sqrt(5) - 1)/2 narrow
+    # 2 * 2pi/64 to 1e-3) one each, for the channel builds and for the
+    # stationary solves alike; phase by phase would make 77 calls of each.
+    # The nbar-2 golden-section result is checked on stderr, as the
+    # phase-by-phase run printed it, and in the CSV's metadata lines
     sizes, solved = [], []
     build, solve = ex.composite_propagator, ex.stationary
 
@@ -757,10 +758,45 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(ex, "composite_propagator", counted)
     monkeypatch.setattr(ex, "stationary", counted_solve)
-    argv = ["tune-phase", "--nbar", "2", "--kappa", "10", "--nth", "0.05", "--pat", "0.3", "--out", str(tmp_path / "t.csv")]
-    assert main(argv) == 0
-    assert ex.PHASE_STACK == 16
-    assert sizes == solved == [16] * 4 + [1] * 13
+    for nbar, grid in ((2, [28, 28, 8]), (8, [3] * 21 + [1])):
+        sizes.clear()
+        solved.clear()
+        argv = ["tune-phase", "--nbar", str(nbar), "--kappa", "10", "--nth", "0.05", "--pat", "0.3",
+                "--out", str(tmp_path / f"t{nbar}.csv")]
+        assert main(argv) == 0
+        assert sizes == solved == grid + [1] * 13
     assert "phi_opt: 5.905913 rad  fidelity: 0.970298" in capsys.readouterr().err
-    lines = (tmp_path / "t.csv").read_text().splitlines()
+    lines = (tmp_path / "t2.csv").read_text().splitlines()
     assert lines[2:4] == ["# phi_opt: 5.90591284661", "# fidelity: 0.970297828117"]
+
+
+def test_a_solve_in_one_stack_fails_before_the_build_of_the_next(monkeypatch):
+    # 17 phases at dim 36 run as stacks of 16 and 1: phase 1 fails its
+    # solve in the first stack and phase 16, alone in the second, fails its
+    # build; the solve failure is raised, as the phase-by-phase loop meets
+    # it first
+    from fockstab import thermal
+    from fockstab.errors import AmbiguousSteadyStateError
+
+    cfg = resolved(scenario="tune-phase", nbar=3, **CAVITY_CFG)
+    assert ex.SOLVE_ENTRIES // cfg.dim**2 == 16
+    phases = [2.0 * math.pi * i / 17 for i in range(17)]
+    refused = ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg, phi=phases[1])))
+    build, solve = ex.composite_propagator, thermal.stationary
+
+    def failing_build(params, field_dim, phis=None):
+        if phases[16] in ([params.phi] if phis is None else phis):
+            raise ValueError("build of phase 16 refused")
+        return build(params, field_dim, phis)
+
+    def failing_solve(m):
+        if any(np.array_equal(step, refused) for step in m.reshape(-1, *refused.shape)):
+            raise AmbiguousSteadyStateError("solve of phase 1 refused")
+        return solve(m)
+
+    monkeypatch.setattr(ex, "composite_propagator", failing_build)
+    monkeypatch.setattr(ex, "stationary", failing_solve)
+    monkeypatch.setattr(thermal, "stationary", failing_solve)
+    for run in (ex._settled, phase_by_phase):
+        with pytest.raises(AmbiguousSteadyStateError, match="solve of phase 1 refused"):
+            run(cfg, phases)

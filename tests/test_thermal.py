@@ -129,7 +129,7 @@ def test_reduced_diagonal_matches_full_channel():
     # full cycle against the raw dense operator route (no renormalization)
     mix = (1 - tp.p_at) * rho + tp.p_at * apply_map(k, rho)
     raw = dense_thermal(mix, tp.gamma_minus, tp.gamma_plus)
-    assert np.abs(rd.step_matrix(tp.p_at) @ r - np.diag(raw).real).max() < 1e-12
+    assert np.abs(rd.step_matrix() @ r - np.diag(raw).real).max() < 1e-12
 
 
 def test_reduced_from_channel_matches_trapping_rates():
@@ -179,7 +179,7 @@ def test_reduced_matrices_are_the_written_out_chain_bit_for_bit(seed):
         assert rd.dim == dim and rd.truncation_defect == tp.gamma_plus * dim
         assert np.array_equal(rd.a_matrix(), a)
         assert np.array_equal(rd.b_matrix(), b)
-        assert np.array_equal(rd.step_matrix(tp.p_at), step)
+        assert np.array_equal(rd.step_matrix(), step)
 
 
 def test_steady_state_without_environment_is_target():
@@ -190,7 +190,7 @@ def test_steady_state_without_environment_is_target():
         # the second dark level makes the unit eigenvalue degenerate on this dim
         steady_state(rd, 1.0)
     with pytest.raises(AmbiguousSteadyStateError):
-        stationary(rd.step_matrix(1.0))
+        stationary(rd.step_matrix())
     with pytest.raises(AmbiguousSteadyStateError):
         # the channel's own cycle matrix has the same two closed classes
         stationary(kernels.step_matrix(*bands(analytic_kraus(make_params(nbar, theta2=1.3), dim)), 0.0, 0.0, 1.0))
@@ -198,7 +198,7 @@ def test_steady_state_without_environment_is_target():
     rd_win = build_reduced(make_params(nbar, theta2=1.3), ThermalParams(0.0, 0.0, 60e-6), 16)
     r = steady_state(rd_win, 1.0)
     assert r[nbar] == pytest.approx(1.0, abs=1e-9)
-    r, gap = stationary(rd_win.step_matrix(1.0))
+    r, gap = stationary(rd_win.step_matrix())
     assert r[nbar] == pytest.approx(1.0, abs=1e-12) and gap > 1e-3
 
 
@@ -210,7 +210,7 @@ def test_steady_state_properties():
     assert r.sum() == pytest.approx(1.0, abs=1e-12)
     assert r.min() > -1e-10
     assert r[nbar] > 0.5
-    perron, gap = stationary(rd.step_matrix(tp.p_at))
+    perron, gap = stationary(rd.step_matrix())
     assert perron.sum() == pytest.approx(1.0, abs=1e-14)
     assert 0.0 < gap < 1.0
     assert np.abs(perron - r).max() < 1e-9
@@ -341,6 +341,20 @@ def test_correction_invalid_when_middle_pulse_off():
     p = make_params(3, theta2=1e-12)
     with pytest.raises(PerturbationInvalidError, match="d_4"):
         steady_population_correction(p, cavity_thermal())
+
+
+def test_reduced_routes_refuse_a_p_at_other_than_the_environments():
+    # the reduced map and the correction read p_at from tp; a p_at passed
+    # beside it may only restate it
+    p = make_params(3, theta2=1.2)
+    tp = cavity_thermal()
+    rd = build_reduced(p, tp, 36)
+    assert steady_population_correction(p, tp) == steady_population_correction(p, tp, p_at=0.3)
+    assert steady_population_correction(p, tp) != steady_population_correction(p, cavity_thermal(1.0))
+    with pytest.raises(ValueError, match="differs from the environment's p_at 0.3"):
+        steady_state(rd, 1.0)
+    with pytest.raises(ValueError, match="differs from the environment's p_at 0.3"):
+        steady_population_correction(p, tp, p_at=1.0)
 
 
 @pytest.mark.parametrize("nbar", range(1, 9))
