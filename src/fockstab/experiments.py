@@ -20,8 +20,9 @@ steady and robustness tables (`_target_fidelities` on replaced configs) and
 the tuning objective's no-environment settle (`_settled`), the target
 population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
 `kernels.evolve` is the oracle of both kernels. Phase tuning builds, steps
-and solves its grid in one pass of stacks of at most SOLVE_ENTRIES // dim^2
-phases (`_settled`).
+and solves its grid in stacks of at most SOLVE_ENTRIES // dim^2 phases, the
+even-numbered ones on the calling thread and the odd-numbered ones on a
+helper thread started for that call (`_settled`).
 
 Every stationary quantity is one solve for the Perron vector of a cycle
 matrix (`thermal.stationary`): `cycle_matrix` for a channel, so the
@@ -36,6 +37,7 @@ runner reaches them.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -54,10 +56,12 @@ from .thermal import ThermalParams, build_reduced, stationary, steady_population
 
 PHI_GRID_POINTS = 64
 # matrix entries per stack of `_settled`, bounding its channel builds, step
-# matrices and stationary solves alike: 64 phases at dim 18, 28 at dim 27,
-# 16 at dim 36, 10 at dim 45 and 3 at dim 81, which keeps the phase_scan
-# peak memory (see README)
-SOLVE_ENTRIES = 16 * 36 * 36
+# matrices and stationary solves alike: the whole 64-phase grid at dims 18
+# and 27, 40 phases at dim 36, 25 at dim 45 and 8 at dim 81. numpy releases
+# the GIL in a linalg call on a stack only when stack size x dim exceeds
+# 500, which every such stack does, so `_settled` can overlap two of them
+# on two threads (see README)
+SOLVE_ENTRIES = 8 * 81 * 81
 THETA2_GRID_POINTS = 64
 STATIONARITY_TOL = 1e-10
 STATIONARITY_CAP = 1_000_000
@@ -194,11 +198,15 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
     TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
     of the step matrix (one `kernels.power_rows` row). With one, it is the
     stationary fidelity, reported together with its spectral gap. The phases
-    run in phase order as stacks of at most SOLVE_ENTRIES // dim^2, each one
-    `build_channel`, one `cycle_matrix` and then one `stationary` call or the
-    settle's `power_rows`. A stack whose build or solve fails is replayed one
-    phase at a time, so every number, and the first error raised, is that of
-    a phase-by-phase run.
+    run as stacks of at most SOLVE_ENTRIES // dim^2, each one `build_channel`,
+    one `cycle_matrix` and then one `stationary` call or the settle's
+    `power_rows`. With more than one stack, a helper thread solves stacks 1,
+    3, 5, ... while the caller solves stacks 0, 2, 4, ...; numpy releases the
+    GIL in the stacked LAPACK calls, so the two overlap. The caller joins the
+    helper and reads the stacks in phase order: one whose build or solve
+    raised `ValueError` is replayed one phase at a time, and any other error,
+    met on either thread, is raised when its stack comes. So every number,
+    and the first error raised, is that of a phase-by-phase run.
     """
     params = reservoir_params(cfg)
     tp = thermal_params(cfg)
@@ -206,25 +214,46 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
     # the settle sends an atom through every cycle
     cycle_cfg = replace(cfg, pat=1.0) if settle else cfg
     target = np.eye(cfg.dim)[cfg.nbar]
+
+    def solved(stack: Sequence[float]) -> list[dict[str, float]]:
+        matrices = cycle_matrix(cycle_cfg, build_channel(cfg, params, phis=stack))
+        if settle:
+            return [{"fidelity": float(kernels.power_rows(step, target, [TUNE_SETTLE_STEPS])[0, cfg.nbar])}
+                    for step in matrices]
+        populations, gaps = stationary(matrices)
+        return [{"fidelity": float(r[cfg.nbar]), "spectral_gap": float(gap)} for r, gap in zip(populations, gaps)]
+
     chunk = max(1, SOLVE_ENTRIES // cfg.dim**2)
+    stacks = [phis[start:start + chunk] for start in range(0, len(phis), chunk)]
+    outcomes: list[Any] = [None] * len(stacks)
+
+    def run(first: int) -> None:
+        # every other stack from first; each writes only its own outcomes
+        for i in range(first, len(stacks), 2):
+            try:
+                outcomes[i] = solved(stacks[i])
+            except Exception as exc:  # whatever it is, the caller raises it in phase order
+                outcomes[i] = exc
+
+    helper = threading.Thread(target=run, args=(1,), name="fockstab-phase-stacks") if len(stacks) > 1 else None
+    if helper is not None:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        if helper is not None:
+            helper.join()
     rows = []
-    for start in range(0, len(phis), chunk):
-        stack = phis[start:start + chunk]
-        try:
-            matrices = cycle_matrix(cycle_cfg, build_channel(cfg, params, phis=stack))
-            if settle:
-                rows += [{"fidelity": float(kernels.power_rows(step, target, [TUNE_SETTLE_STEPS])[0, cfg.nbar])}
-                         for step in matrices]
-            else:
-                populations, gaps = stationary(matrices)
-                rows += [{"fidelity": float(r[cfg.nbar]), "spectral_gap": float(gap)}
-                         for r, gap in zip(populations, gaps)]
-        except ValueError:  # np.linalg.LinAlgError is a ValueError
-            if len(stack) == 1:
-                raise
+    for stack, outcome in zip(stacks, outcomes):
+        # np.linalg.LinAlgError is a ValueError
+        if isinstance(outcome, ValueError) and len(stack) > 1:
             # one phase at a time, so the error raised is the first one a
             # phase-by-phase run meets, a solve of an earlier phase included
             rows += [row for phi in stack for row in _settled(cfg, [phi])]
+        elif isinstance(outcome, Exception):
+            raise outcome
+        else:
+            rows += outcome
     return rows
 
 

@@ -213,19 +213,26 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     r = np.full((items, n), 1.0 / n)
     if live.size:
         sigma = lam1[live] + np.maximum(STATIONARY_SHIFT * gaps[live], STATIONARY_GAP_TOL)
-        solve = np.linalg.inv(sigma[:, None, None] * np.eye(n) - (ms if live.size == items else ms[live]))
+        # sigma I - m in one buffer, as 0 - m with sigma added on the
+        # diagonal: the same numbers as sigma * I - m
+        solve = np.subtract(0.0, ms if live.size == items else ms[live])
+        solve[:, np.arange(n), np.arange(n)] += sigma[:, None]
+        solve = np.linalg.inv(solve)
         step_tol = STATIONARY_ULPS * np.finfo(np.float64).eps
-        # the items still iterating: their rows of r, inverses and vectors
+        # the items still iterating: their rows of r and their vectors; their
+        # inverses are moved to the front of solve in place, not copied
         rows, vectors = live, r[live]
         for _ in range(STATIONARY_MAX_STEPS):
-            nxt = (solve @ vectors[..., None])[..., 0]
+            nxt = (solve[:rows.size] @ vectors[..., None])[..., 0]
             nxt /= nxt.sum(axis=-1, keepdims=True)
             settled = np.abs(nxt - vectors).max(axis=-1) <= step_tol
             vectors = nxt
             if settled.any():
                 r[rows] = nxt
-                going = ~settled
-                rows, solve, vectors = rows[going], solve[going], nxt[going]
+                going = np.flatnonzero(~settled)
+                for j, i in enumerate(going):
+                    solve[j] = solve[i]
+                rows, vectors = rows[going], nxt[going]
                 if not rows.size:
                     break
         r[rows] = vectors

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -685,18 +686,18 @@ def test_a_failing_phase_raises_the_error_the_phase_by_phase_loop_meets_first(mo
         ValueError, f"propagator unitarity defect {defects[k]:.3e} exceeds {max(defects[:k]):.1e}")
 
     solve = thermal.stationary
+    refused = ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg, phi=phis[1])))
+
+    def failing(m):
+        # the solve of phase j = 1 fails in either route, found by its matrix
+        # since stacks on two threads call in no fixed order
+        if any(np.array_equal(step, refused) for step in m.reshape(-1, *refused.shape)):
+            raise AmbiguousSteadyStateError("solve of phase 1 refused")
+        return solve(m)
+
+    monkeypatch.setattr(ex, "stationary", failing)
+    monkeypatch.setattr(thermal, "stationary", failing)
     for run in (ex._settled, phase_by_phase):
-        calls = []
-
-        def failing(m, calls=calls):
-            # the second solve, that of phase j = 1, fails in either route
-            calls.append(m)
-            if len(calls) == 2:
-                raise AmbiguousSteadyStateError("solve of phase 1 refused")
-            return solve(m)
-
-        monkeypatch.setattr(ex, "stationary", failing)
-        monkeypatch.setattr(thermal, "stationary", failing)
         assert first_error(run) == (AmbiguousSteadyStateError, "solve of phase 1 refused")
 
 
@@ -738,13 +739,15 @@ def test_a_lapack_error_re_solves_the_stack_one_phase_at_a_time(monkeypatch):
 
 
 def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
-    # the 64 grid phases run as stacks of SOLVE_ENTRIES // dim^2 phases, 28
-    # at nbar 2 (dim 27) and 3 at nbar 8 (dim 81), then the golden
+    # the 64 grid phases run as stacks of SOLVE_ENTRIES // dim^2 phases, all
+    # 64 at nbar 2 (dim 27) and 8 at nbar 8 (dim 81), then the golden
     # section's 13 phases (2 + 11 steps of (sqrt(5) - 1)/2 narrow
     # 2 * 2pi/64 to 1e-3) one each, for the channel builds and for the
     # stationary solves alike; phase by phase would make 77 calls of each.
-    # The nbar-2 golden-section result is checked on stderr, as the
-    # phase-by-phase run printed it, and in the CSV's metadata lines
+    # The stacks of one grid have one size, so the order in which the two
+    # threads call does not show. The nbar-2 golden-section result is
+    # checked on stderr, as the phase-by-phase run printed it, and in the
+    # CSV's metadata lines
     sizes, solved = [], []
     build, solve = ex.composite_propagator, ex.stationary
 
@@ -758,7 +761,7 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(ex, "composite_propagator", counted)
     monkeypatch.setattr(ex, "stationary", counted_solve)
-    for nbar, grid in ((2, [28, 28, 8]), (8, [3] * 21 + [1])):
+    for nbar, grid in ((2, [64]), (8, [8] * 8)):
         sizes.clear()
         solved.clear()
         argv = ["tune-phase", "--nbar", str(nbar), "--kappa", "10", "--nth", "0.05", "--pat", "0.3",
@@ -771,22 +774,23 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
 
 
 def test_a_solve_in_one_stack_fails_before_the_build_of_the_next(monkeypatch):
-    # 17 phases at dim 36 run as stacks of 16 and 1: phase 1 fails its
-    # solve in the first stack and phase 16, alone in the second, fails its
-    # build; the solve failure is raised, as the phase-by-phase loop meets
-    # it first
+    # 41 phases at dim 36 run as stacks of 40 and 1, the second on the
+    # helper thread: phase 1 fails its solve in the first stack and phase
+    # 40, alone in the second, fails its build; the solve failure is raised,
+    # as the phase-by-phase loop meets it first, whichever thread fails first
     from fockstab import thermal
     from fockstab.errors import AmbiguousSteadyStateError
 
     cfg = resolved(scenario="tune-phase", nbar=3, **CAVITY_CFG)
-    assert ex.SOLVE_ENTRIES // cfg.dim**2 == 16
-    phases = [2.0 * math.pi * i / 17 for i in range(17)]
+    chunk = ex.SOLVE_ENTRIES // cfg.dim**2
+    assert chunk == 40
+    phases = [2.0 * math.pi * i / (chunk + 1) for i in range(chunk + 1)]
     refused = ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg, phi=phases[1])))
     build, solve = ex.composite_propagator, thermal.stationary
 
     def failing_build(params, field_dim, phis=None):
-        if phases[16] in ([params.phi] if phis is None else phis):
-            raise ValueError("build of phase 16 refused")
+        if phases[chunk] in ([params.phi] if phis is None else phis):
+            raise ValueError(f"build of phase {chunk} refused")
         return build(params, field_dim, phis)
 
     def failing_solve(m):
@@ -800,3 +804,191 @@ def test_a_solve_in_one_stack_fails_before_the_build_of_the_next(monkeypatch):
     for run in (ex._settled, phase_by_phase):
         with pytest.raises(AmbiguousSteadyStateError, match="solve of phase 1 refused"):
             run(cfg, phases)
+
+
+GRID = [2.0 * math.pi * i / ex.PHI_GRID_POINTS for i in range(ex.PHI_GRID_POINTS)]
+# seconds any wait of a threaded test may take before it fails
+WAIT_S = 30.0
+
+
+def nbar8_cavity():
+    """The nbar-8 cavity tuning: dim 81, so its grid runs as 8 stacks of 8."""
+    cfg = resolved(scenario="tune-phase", nbar=8, **CAVITY_CFG)
+    assert ex.SOLVE_ENTRIES // cfg.dim**2 == 8
+    return cfg
+
+
+def refusing_solve(cfg, phases, before_raise=lambda phase: None):
+    """`thermal.stationary` refusing every stack that holds the step matrix of
+    a grid phase in phases, with the message of the first such phase in the
+    stack. before_raise(phase) runs just before the refusal."""
+    from fockstab import thermal
+    from fockstab.errors import AmbiguousSteadyStateError
+
+    solve = thermal.stationary
+    steps = {p: ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg, phi=GRID[p]))) for p in phases}
+
+    def failing(m):
+        for step in m.reshape(-1, cfg.dim, cfg.dim):
+            for p, refused in steps.items():
+                if np.array_equal(step, refused):
+                    before_raise(p)
+                    raise AmbiguousSteadyStateError(f"solve of phase {p} refused")
+        return solve(m)
+
+    return failing
+
+
+def test_the_threaded_grid_equals_the_phase_by_phase_loop(monkeypatch):
+    # the odd stacks run on the helper thread, and every row is still that
+    # of the loop, bit for bit
+    cfg = nbar8_cavity()
+    threads, solve = set(), ex.stationary
+
+    def recorded(m):
+        threads.add(threading.get_ident())
+        return solve(m)
+
+    monkeypatch.setattr(ex, "stationary", recorded)
+    before = threading.active_count()
+    assert ex._settled(cfg, GRID) == phase_by_phase(cfg, GRID)
+    assert len(threads) == 2
+    assert threading.active_count() == before
+
+
+def test_each_stationary_stack_is_one_eigvals_and_one_inv_call(monkeypatch):
+    # numpy releases the GIL in a linalg call only when stack size x dim
+    # exceeds 500; a loop over single matrices would hold it and quietly
+    # lose the overlap of the two tuning threads
+    cfg = nbar8_cavity()
+    calls = {"eigvals": [], "inv": []}
+    for name, shapes in calls.items():
+        def spy(a, original=getattr(np.linalg, name), shapes=shapes):
+            shapes.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    ex._settled(cfg, GRID)
+    assert calls["eigvals"] == calls["inv"] == [(8, cfg.dim, cfg.dim)] * 8
+
+
+def test_a_failure_only_in_a_helper_stack_raises_its_error(monkeypatch):
+    # phase 9 sits in stack 1, which the helper thread solves
+    from fockstab.errors import AmbiguousSteadyStateError
+
+    cfg = nbar8_cavity()
+    failed_on = []
+    monkeypatch.setattr(ex, "stationary",
+                        refusing_solve(cfg, [9], lambda p: failed_on.append(threading.current_thread())))
+    before = threading.active_count()
+    with pytest.raises(AmbiguousSteadyStateError, match="^solve of phase 9 refused$"):
+        ex._settled(cfg, GRID)
+    assert threading.active_count() == before
+    assert failed_on and failed_on[0] is not threading.main_thread()
+
+
+@pytest.mark.parametrize("earlier, later", [(12, 17), (20, 25)], ids=["helper-then-caller", "caller-then-helper"])
+def test_failures_on_both_threads_raise_that_of_the_earlier_phase(monkeypatch, earlier, later):
+    # each failing phase lies in a stack of its own thread; the earlier
+    # phase is held back until the later one has failed, so the error met
+    # first in time is the wrong one to raise
+    from fockstab.errors import AmbiguousSteadyStateError
+
+    cfg = nbar8_cavity()
+    assert earlier // 8 % 2 != later // 8 % 2
+    later_failed = threading.Event()
+
+    def before_raise(phase):
+        if phase == later:
+            later_failed.set()
+        else:
+            assert later_failed.wait(timeout=WAIT_S)
+
+    monkeypatch.setattr(ex, "stationary", refusing_solve(cfg, [earlier, later], before_raise))
+    before = threading.active_count()
+    with pytest.raises(AmbiguousSteadyStateError, match=f"^solve of phase {earlier} refused$"):
+        ex._settled(cfg, GRID)
+    assert later_failed.is_set()
+    assert threading.active_count() == before
+
+
+def test_any_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
+    class Refused(Exception):
+        pass
+
+    cfg = nbar8_cavity()
+    solve = ex.stationary
+
+    def helper_fails(m):
+        if threading.current_thread() is not threading.main_thread():
+            raise Refused("the helper refused")
+        return solve(m)
+
+    monkeypatch.setattr(ex, "stationary", helper_fails)
+    before = threading.active_count()
+    with pytest.raises(Refused, match="the helper refused"):
+        ex._settled(cfg, GRID)
+    assert threading.active_count() == before
+
+
+def test_the_helper_is_joined_before_an_error_of_the_caller_propagates(monkeypatch):
+    # an error that is no Exception ends the caller's share at once; it
+    # reaches the test only after the helper has solved its four stacks
+    class Interrupted(BaseException):
+        pass
+
+    cfg = nbar8_cavity()
+    solve, helper_stacks, helper_busy = ex.stationary, [], threading.Event()
+
+    def caller_interrupted(m):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_busy.wait(timeout=WAIT_S)
+            raise Interrupted
+        helper_busy.set()
+        result = solve(m)
+        helper_stacks.append(len(m))
+        return result
+
+    monkeypatch.setattr(ex, "stationary", caller_interrupted)
+    before = threading.active_count()
+    with pytest.raises(Interrupted):
+        ex._settled(cfg, GRID)
+    assert helper_stacks == [8] * 4
+    assert threading.active_count() == before
+
+
+def test_the_gap_floor_tuning_still_exits_3(tmp_path, capsys):
+    # grid phases 46 and 47 fall below the gap floor; they sit in stack 5,
+    # which the helper thread solves
+    argv = ["tune-phase", "--nbar", "8", "--theta2", "0.8330405509046935", "--kappa", "10", "--nth", "0.05",
+            "--pat", "0.3", "--theta1-err", "0.02", "--out", str(tmp_path / "tune.csv")]
+    before = threading.active_count()
+    assert main(argv) == 3
+    assert "spectral gap 6.517e-14" in capsys.readouterr().err
+    assert threading.active_count() == before
+
+
+def test_concurrent_tunings_under_a_short_switch_interval_keep_every_row():
+    # three callers at once, each with its own helper thread, so six threads
+    # share two cores and switch every microsecond; every caller still gets
+    # the rows of the phase-by-phase loop
+    cfg = resolved(scenario="tune-phase", nbar=4, **CAVITY_CFG)
+    assert -(-ex.PHI_GRID_POINTS // (ex.SOLVE_ENTRIES // cfg.dim**2)) == 3
+    want = phase_by_phase(cfg, GRID)
+    got = [None] * 3
+
+    def tune(i):
+        got[i] = ex._settled(cfg, GRID)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=tune, args=(i,)) for i in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=WAIT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [want] * 3
