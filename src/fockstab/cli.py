@@ -44,12 +44,19 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per scenario, offering only the options it reads."""
+def build_parser(scenario: str | None = None) -> argparse.ArgumentParser:
+    """One subcommand per scenario, offering only the options it reads.
+
+    Given a scenario, only its subcommand gets its options. The others are
+    still registered, so the top-level usage, help and choices stay those of
+    the full parser.
+    """
     parser = argparse.ArgumentParser(prog="fockstab", description=__doc__)
     sub = parser.add_subparsers(dest="scenario", required=True)
     for name, (help_line, reads) in SCENARIOS.items():
         p = sub.add_parser(name, help=help_line)
+        if scenario not in (None, name):
+            continue
         for field, kwargs in _OPTIONS.items():
             if field in reads:
                 p.add_argument("--" + field.replace("_", "-"), dest=field, **kwargs)
@@ -128,8 +135,10 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # the first argument names the subcommand whenever it is a scenario
+        args = build_parser(argv[0] if argv and argv[0] in SCENARIOS else None).parse_args(argv)
     except SystemExit as exc:
         # argparse exits after --help (0) and for a refused option (2)
         return exc.code

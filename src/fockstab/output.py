@@ -17,10 +17,12 @@ record of words from small lookup tables (separator, sign, `0.` prefix and
 first digit; point and three digits; two groups of four digits; exponent);
 unused bytes are zero, and one `bytes.translate` drops them. The
 digits are `|x| * 10**(11 - e)` rounded to an integer, which is exact away
-from a rounding tie. Every cell the fast path cannot prove exact (near a
-tie, a non-finite value, |x| outside [1e-99, 9e99), or a fixed-notation
-value >= 1 with a fraction) is printed by `'%.12g' % x` itself, and
-`fockstab validate` checks the formatter against it on the running numpy
+from a rounding tie. A fixed-notation value in [1, 10) with a fraction is
+printed as a scientific mantissa without the exponent. Every cell the fast
+path cannot prove exact (near a tie, a non-finite value, |x| outside
+[1e-99, 9e99), or a fixed-notation value >= 10 with a fraction) is printed
+by `'%.12g' % x` itself (`_fallback`), and `fockstab validate` checks the
+formatter against it on the running numpy
 (`validation.record_format_check`). Sweep rows are dicts of mixed types
 and go through `_fmt` cell by cell; the header is the union of their keys
 in first-seen order, and a row without a key gets an empty cell.
@@ -76,9 +78,12 @@ def record_table(cfg: ExperimentConfig, record: RunRecord) -> tuple[list[str], I
     return header, format_rows([steps, steps * cfg.ts, record.fidelity, record.v, record.trace, record.diag])
 
 
-# cells formatted at a time: the block's buffers stay small, and the text of
-# the whole table is never held
-BLOCK_CELLS = 4096
+# cells formatted at a time. A block's numpy calls cost about 100 us however
+# few its cells, so blocks are large, but not so large that glibc's malloc
+# hands their buffers back to the system after each block: a 6,667 x 41
+# table took 314 page faults in 8,192-cell blocks and 6,200 in 12,288-cell
+# ones. The text of the whole table is never held
+BLOCK_CELLS = 8192
 # bytes of one cell's record: the separator before the cell, sign, "0.000"
 # prefix and first digit (0-7), point and three digits (8-11), two groups of
 # four digits (12-19) and the exponent (20-23)
@@ -165,6 +170,11 @@ def format_rows(columns: Sequence[np.ndarray]) -> Iterator[str]:
         yield _format_block(block)
 
 
+def _fallback(values: list[float]) -> list[str]:
+    """`'%.12g' % x` of each cell the fast path cannot prove exact."""
+    return ["%.12g" % v for v in values]
+
+
 def _format_block(block: np.ndarray) -> str:
     """The text of a (rows, cols) float64 block, one line per row."""
     t = _tables()
@@ -197,9 +207,12 @@ def _format_block(block: np.ndarray) -> str:
     sci = (e < -4) | (e >= 12)
     fixed_int = ~sci & (e >= 0)
     fixed_int[fixed_int] = m[fixed_int] % t.int10[11 - e[fixed_int]] == 0
-    # a fixed-notation value >= 1 with a fraction puts its point inside the
-    # digits; those cells take the fallback
-    fast &= sci | (e < 0) | fixed_int
+    # a fixed-notation value in [1, 10) with a fraction is a scientific
+    # mantissa without the exponent word; one >= 10 puts its point inside
+    # the digit groups, and takes the fallback
+    fast &= sci | (e <= 0) | fixed_int
+    strip = ~fixed_int
+    point = sci | ((e == 0) & strip)
 
     rec = np.empty((x.size + 1, _CELL), dtype=np.uint8)
     w64 = rec.view(np.uint64)
@@ -209,13 +222,13 @@ def _format_block(block: np.ndarray) -> str:
     # block's buffers few. Each group is stripped of its trailing zeros where
     # all later groups are zero, but an integer keeps its zeros and is
     # masked to its e + 1 digits instead
-    strip = ~fixed_int
     hi = m // 100_000_000  # d1 and g3
     m -= hi * 100_000_000  # g4a and g4b
-    w32[:-1, 2] = t.point3[hi % 1000 + 1000 * sci + 2000 * (strip & (m == 0))]
-    hi //= 1000  # d1
-    hi += 10 * np.signbit(x) + 20 * np.where((e < 0) & ~sci, -e, 0)
-    w64[:-1, 0] = t.prefix[hi]
+    d1 = hi // 1000
+    hi -= d1 * 1000  # g3
+    w32[:-1, 2] = t.point3[hi + 1000 * point + 2000 * (strip & (m == 0))]
+    d1 += 10 * np.signbit(x) - 20 * e * ((e < 0) & ~sci)
+    w64[:-1, 0] = t.prefix[d1]
     g4a = m // 10_000
     m -= g4a * 10_000  # g4b
     w32[:-1, 3] = t.group4[g4a + 10_000 * (strip & (m == 0))]
@@ -224,7 +237,7 @@ def _format_block(block: np.ndarray) -> str:
     w32[ints, 2:5] &= t.keep[e[ints]]
 
     slow = np.flatnonzero(~fast)
-    text = np.array(["%.12g" % v for v in x[slow].tolist()], dtype=f"S{_CELL - 1}")
+    text = np.array(_fallback(x[slow].tolist()), dtype=f"S{_CELL - 1}")
     rec[slow, 1:] = text.view(np.uint8).reshape(-1, _CELL - 1)
     # each row starts after the line break that ends the row before it, and
     # the block's last line ends in the spare record after its last cell

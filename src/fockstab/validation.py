@@ -207,8 +207,9 @@ def record_format_check() -> tuple[str, bool, str]:
     The fast path is exact only where this numpy's product, rint and float
     to integer conversion round as IEEE arithmetic requires, so the row
     checks it on the running build: random-bit floats, floats of the fast
-    path's range, and floats near a tie at the twelfth digit, on both sides
-    of the margin that sends a cell to the fallback.
+    path's range, floats near a tie at the twelfth digit, on both sides
+    of the margin that sends a cell to the fallback, and the same two kinds
+    in [1, 10), where the point follows the first digit.
     """
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2**64, size=10_000, dtype=np.uint64).view(np.float64)
@@ -217,7 +218,13 @@ def record_format_check() -> tuple[str, bool, str]:
     ties = [float(f"{m}.{f:06d}e{k}") for m, f, k in zip(rng.integers(10**11, 10**12, 6_000).tolist(),
                                                        rng.integers(490_000, 510_001, 6_000).tolist(),
                                                        rng.integers(-110, 100, 6_000).tolist())]
-    table = np.concatenate([bits, ranged, ties]).reshape(-1, 13)
+    # [1, 10), where the point follows the first digit: fractions, and near
+    # ties at the twelfth digit, in both signs
+    signs = rng.choice([-1.0, 1.0], 5_200)
+    units = rng.uniform(1.0, 10.0, 2_600)
+    unit_ties = [float(f"{m}.{f:06d}e-11") for m, f in zip(rng.integers(10**11, 10**12, 2_600).tolist(),
+                                                          rng.integers(490_000, 510_001, 2_600).tolist())]
+    table = np.concatenate([bits, ranged, ties, signs * np.concatenate([units, unit_ties])]).reshape(-1, 13)
     steps = np.arange(1, len(table) + 1)
     want = ["%d," % k + ",".join(["%.12g"] * table.shape[1]) % tuple(row) + "\n"
             for k, row in zip(steps.tolist(), table.tolist())]

@@ -91,6 +91,26 @@ def test_main_returns_the_exit_code_of_argparse(capsys):
     assert "--sample-atoms" in capsys.readouterr().out
 
 
+PARSE_FAILURES = [
+    *([s, "--help"] for s in SCENARIOS),
+    *([s, "--bogus", "1"] for s in SCENARIOS),
+    *([s, "--format", "xml"] for s, (_, reads) in SCENARIOS.items() if reads),
+    ["converge", "--channel", "bogus"],
+    ["bogus"], ["bogus", "--nbar", "2"], ["--help"], [],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_FAILURES, ids=" ".join)
+def test_main_parses_as_the_full_parser_does(argv, capsys):
+    # main gives only the named subcommand its options; what it prints and
+    # returns for help and refusals is what the parser of every option gives
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert main(argv) == full.value.code
+    assert capsys.readouterr() == want
+
+
 def test_config_file_scenario_defaults_to_the_subcommand(tmp_path):
     cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
     cfg_file.write_text(json.dumps({"nbar": 1, "steps": 5, "phi": 0.0}))

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -142,10 +143,17 @@ def formatter_cases():
                 999999999999.6, 99999999999.5]
     integers = rng.integers(1, 10**12, 5_000).astype(np.float64)
     fractions = integers + rng.random(5_000)
+    # [1, 10), where the point follows the first digit: random fractions,
+    # near ties at the twelfth digit, 1 and the carry from 9.99... to 10
+    unit_rng = np.random.default_rng(12)
+    units = 1.0 + 9.0 * unit_rng.random(5_000)
+    unit_near = [float(f"{m}.{500_000 + d:06d}e-11") for m in unit_rng.integers(10**11, 10**12, 1_000).tolist()
+                 for d in (-2_000, -1_100, -900, 0, 900, 1_100, 2_000)]
+    unit_edges = [1.0, 9.99999999999949, 9.9999999999995, 10.0]
     specials = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
                 1.7976931348623157e308]
     cases = np.concatenate([with_neighbours(ties), near, with_neighbours(powers), with_neighbours(switches),
-                            integers, fractions, specials])
+                            integers, fractions, units, unit_near, with_neighbours(unit_edges), specials])
     return np.concatenate([cases, -cases, random_bit_floats(rng, 100_000)])
 
 
@@ -189,6 +197,35 @@ def test_format_rows_takes_two_dimensional_and_integer_columns():
     ints = rng.integers(-10**11, 10**11, 25)
     lines = joined_lines(output.format_rows([steps, ints, diag]))
     assert lines == template_lines(5, np.column_stack([ints, diag]))
+
+
+def near_a_tie(value):
+    """Whether |value|'s twelfth significant digit is within 0.0015 of a
+    rounding tie, where the fast path's 1e-3 margin sends it to the fallback."""
+    exact = abs(Decimal(value))
+    return abs(exact.scaleb(11 - exact.adjusted()) % 1 - Decimal("0.5")) < Decimal("0.0015")
+
+
+@pytest.mark.parametrize("scenario", ["converge", "ladder"])
+def test_default_record_tables_take_the_fallback_only_near_a_tie(scenario, monkeypatch):
+    # values in [1, 10) with a fraction, such as the ladder's time cells from
+    # 1 s on, print on the fast path; only cells near a rounding tie reach
+    # '%.12g'
+    cfg = cli_config([scenario])
+    record = ex.run_record(cfg)
+    slow = []
+    fallback = output._fallback
+
+    def counted(values):
+        slow.extend(values)
+        return fallback(values)
+
+    monkeypatch.setattr(output, "_fallback", counted)
+    header, chunks = output.record_table(cfg, record)
+    assert sum(chunk.count("\n") for chunk in chunks) == cfg.steps + 1
+    assert [v for v in slow if not (math.isfinite(v) and near_a_tie(v))] == []
+    # about 2e-3 of all cells lie that close to a tie
+    assert len(slow) < 3e-3 * (cfg.steps + 1) * len(header)
 
 
 def test_record_format_validation_row_catches_a_wrong_digit(monkeypatch):
