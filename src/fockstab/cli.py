@@ -7,14 +7,24 @@ mirroring ExperimentConfig; explicit flags override file values, and a file
 value the scenario does not read must equal its default. validate prints
 the rows of `fockstab.validation`, which only that subcommand imports.
 Exit codes: 0 success, 2 configuration error (an unwritable --out among
-them), 3 numerical-validity error or a failed validate row.
+them), 3 numerical-validity error or a failed validate row. Importing this
+module sets OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set; outputs do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
+
+# numpy's OpenBLAS starts a worker pool when numpy loads, and a worker
+# busy-waits for about 60 ms although no BLAS or LAPACK call of fockstab
+# hands it work (README, "BLAS threads"); so before the import below loads
+# numpy, the CLI asks for one thread unless the user chose a count.
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .config import CHANNELS, FORMATS, SCENARIOS, SCHEMES, ExperimentConfig, parse_nbars, resolve_reads
 from .errors import ConfigError, NumericalValidityError

@@ -194,6 +194,8 @@ def resolve_reads(cfg: ExperimentConfig) -> ExperimentConfig:
     inert = {}  # read fields that another setting leaves without effect, with that setting
     if cfg.scenario == "steady" and full.nbar not in full.nbars:
         inert.update(dict.fromkeys(("nbar", "theta2", "dim"), "nbar not in nbars"))  # no sweep level
+    if full.scheme == "walther" and "phi" in SCENARIOS[cfg.scenario][1]:
+        inert["phi"] = "scheme = walther"  # the baseline pulse has no middle segment
     if full.kappa == 0.0:
         inert["nth"] = "kappa = 0"  # it scales only the rates of the absent environment
         if cfg.scenario == "tune-phase":

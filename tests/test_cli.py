@@ -233,6 +233,23 @@ def test_a_setting_of_an_absent_environment_exits_2(argv, field, value, tmp_path
     assert main([*argv, flag(field), repr(value), "--kappa", "1", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--nbar", "1", "--steps", "50", "--channel", "analytic"],
+    ["steady", "--nbars", "1", "--nbar", "1", "--channel", "analytic", "--ts", "1e-3"],
+], ids=["converge", "steady"])
+def test_a_phase_with_the_walther_scheme_exits_2(argv, tmp_path, capsys):
+    # the baseline pulse has no middle segment; phi once passed unread, and
+    # converge echoed it as phi_used with the same data rows at every phi
+    cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
+    cfg_file.write_text(json.dumps({"phi": 1.0}))
+    for given in (["--phi", "1"], ["--config", str(cfg_file)]):
+        assert main([*argv, "--scheme", "walther", *given, "--out", str(out)]) == 2
+        assert "does not read phi with scheme = walther;" in capsys.readouterr().err
+        assert not out.exists()
+    # without a phase the baseline runs
+    assert main([*argv, "--scheme", "walther", "--out", str(out)]) == 0
+
+
 def test_config_file_value_the_scenario_does_not_read_is_refused(tmp_path, capsys):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"scenario": "robustness", "nbar": 2, "steps": 5, "eta": 0.5}))
@@ -318,6 +335,12 @@ ALTERNATIVE = {
 }
 
 
+def without(argv, option):
+    """argv without option and its value."""
+    i = argv.index(option)
+    return argv[:i] + argv[i + 2:]
+
+
 def data_rows(tmp_path, argv):
     out = tmp_path / "out.txt"
     assert main([*argv, "--out", str(out)]) == 0, argv
@@ -334,7 +357,12 @@ def test_every_offered_option_changes_the_data_rows(scenario, tmp_path):
     base_rows = data_rows(tmp_path, base)
     ignored = []
     for field in sorted(reads - {"seed"}):
-        if data_rows(tmp_path, [*base, *ALTERNATIVE[field]]) == base_rows:
+        before, before_rows = base, base_rows
+        if field == "scheme" and "phi" in reads:
+            # the walther scheme does not read phi, so neither run sets it
+            before = without(base, "--phi")
+            before_rows = data_rows(tmp_path, before)
+        if data_rows(tmp_path, [*before, *ALTERNATIVE[field]]) == before_rows:
             ignored.append(field)
     assert ignored == []
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -384,6 +385,61 @@ def test_importing_the_cli_does_not_load_the_validate_rows(src_env):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def numpy_blas_is_openblas():
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(name).lower()
+
+
+def without_blas_threads(env):
+    """env with no BLAS thread count set."""
+    return {k: v for k, v in env.items() if k not in BLAS_THREAD_VARIABLES}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not numpy_blas_is_openblas(),
+                    reason="counts OpenBLAS's worker threads in /proc/self/task")
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+                         ids=["unset", "openblas-2", "omp-2"])
+def test_importing_the_cli_starts_no_blas_worker_unless_asked(preset, src_env):
+    # OpenBLAS starts its pool when numpy loads; the CLI asks for one thread
+    # first, and a count the user chose is kept
+    code = ("import json, os, fockstab.cli; print(json.dumps([len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS')]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**without_blas_threads(src_env), **preset}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tasks, openblas, omp = json.loads(proc.stdout)
+    if preset:
+        # OpenBLAS runs at most one thread per usable core
+        assert tasks == min(2, len(os.sched_getaffinity(0)))
+        assert (openblas, omp) == (preset.get("OPENBLAS_NUM_THREADS"), preset.get("OMP_NUM_THREADS"))
+    else:
+        assert (tasks, openblas, omp) == (1, "1", None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--nbar", "3", "--steps", "300"],
+    ["tune-phase", "--nbar", "8", "--kappa", "10", "--nth", "0.05", "--pat", "0.3"],
+], ids=["converge", "tune-phase"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(argv, tmp_path, src_env):
+    outputs = []
+    for preset in ({"OPENBLAS_NUM_THREADS": "2"}, {}):
+        # the same relative --out, so the echoed configs match too
+        cwd = tmp_path / f"threads{len(outputs)}"
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "fockstab.cli", *argv, "--out", "out.csv"], cwd=cwd,
+                              capture_output=True, text=True, env={**without_blas_threads(src_env), **preset},
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((cwd / "out.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_entrypoint_subprocess(tmp_path, src_env):
