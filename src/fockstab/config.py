@@ -20,7 +20,9 @@ from .errors import ConfigError
 
 # help line and the ExperimentConfig fields each scenario reads (out and fmt
 # aside): the trapping-rate sweep reads only the cavity, phase tuning also the
-# channel, and the record runs everything but the sweep levels
+# channel, and the record runs everything but the sweep levels. The
+# robustness table studies the symmetric pulse beside its own Walther rows,
+# so it reads no scheme
 _CAVITY = frozenset({"nbar", "dim", "kappa", "nth", "ts", "pat"})
 _CHANNEL = _CAVITY | {"theta2", "theta1_err", "channel", "scheme"}
 _RECORD = _CHANNEL | {"phi", "eta", "steps", "init", "sample_atoms", "seed"}
@@ -31,7 +33,7 @@ SCENARIOS = {
     "steady": ("stationary-fidelity table per target level (five-column sweep)", _CHANNEL | {"phi", "nbars"}),
     "tune-phase": ("scan the middle-segment phase for maximal fidelity", _CHANNEL),
     "sweep-theta2": ("scan theta2 for maximal stationary fidelity", _CAVITY),
-    "robustness": ("pulse-area and phase error studies", _CHANNEL | {"phi"}),
+    "robustness": ("pulse-area and phase error studies", _CHANNEL - {"scheme"} | {"phi"}),
     "ladder": ("long run checking population settles on the dark levels", _RECORD),
     "validate": ("run the fast invariant self-checks", frozenset()),
 }

@@ -15,11 +15,11 @@ scenarios differ only in their config defaults. Its rows are the powers M^k
 applied to the initial populations (`kernels.record_rows`); only
 `--sample-atoms` runs, whose map changes from atom to atom, step the cycle
 one atom at a time. Tables that read a few rows of a long horizon read only
-those, from one `kernels.power_rows` call: the Walther baselines of the
-steady and robustness tables (`_target_fidelities` on replaced configs) and
-the tuning objective's no-environment settle (`_settled`), the target
+those, from `np.linalg.matrix_power`: the Walther baselines of the steady
+and robustness tables (`_target_fidelities` on replaced configs) and the
+tuning objective's no-environment settle (`_settled`), the target
 population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
-`kernels.evolve` is the oracle of both kernels. Phase tuning builds, steps
+`kernels.evolve` is the oracle of both routes. Phase tuning builds, steps
 and solves its grid in stacks of at most SOLVE_ENTRIES // dim^2 phases, the
 even-numbered ones on the calling thread and the odd-numbered ones on a
 helper thread started for that call (`_settled`).
@@ -196,13 +196,13 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
 
     Without an environment this is the fidelity after a fixed settle of
     TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
-    of the step matrix (one `kernels.power_rows` row). With one, it is the
-    stationary fidelity, reported together with its spectral gap. The phases
-    run as stacks of at most SOLVE_ENTRIES // dim^2, each one `build_channel`,
-    one `cycle_matrix` and then one `stationary` call or the settle's
-    `power_rows`. With more than one stack, a helper thread solves stacks 1,
-    3, 5, ... while the caller solves stacks 0, 2, 4, ...; numpy releases the
-    GIL in the stacked LAPACK calls, so the two overlap. The caller joins the
+    of the step matrix. With one, it is the stationary fidelity, reported
+    together with its spectral gap. The phases run as stacks of at most
+    SOLVE_ENTRIES // dim^2, each one `build_channel`, one `cycle_matrix` and
+    then one `stationary` call or one stacked `np.linalg.matrix_power`. With
+    more than one stack, a helper thread solves stacks 1, 3, 5, ... while
+    the caller solves stacks 0, 2, 4, ...; numpy releases the GIL in the
+    stacked LAPACK calls, so the two overlap. The caller joins the
     helper and reads the stacks in phase order: one whose build or solve
     raised `ValueError` is replayed one phase at a time, and any other error,
     met on either thread, is raised when its stack comes. So every number,
@@ -213,13 +213,12 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
     settle = tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
     # the settle sends an atom through every cycle
     cycle_cfg = replace(cfg, pat=1.0) if settle else cfg
-    target = np.eye(cfg.dim)[cfg.nbar]
 
     def solved(stack: Sequence[float]) -> list[dict[str, float]]:
         matrices = cycle_matrix(cycle_cfg, build_channel(cfg, params, phis=stack))
         if settle:
-            return [{"fidelity": float(kernels.power_rows(step, target, [TUNE_SETTLE_STEPS])[0, cfg.nbar])}
-                    for step in matrices]
+            fids = np.linalg.matrix_power(matrices, TUNE_SETTLE_STEPS)[:, cfg.nbar, cfg.nbar]
+            return [{"fidelity": float(fid)} for fid in fids]
         populations, gaps = stationary(matrices)
         return [{"fidelity": float(r[cfg.nbar]), "spectral_gap": float(gap)} for r, gap in zip(populations, gaps)]
 
@@ -346,12 +345,13 @@ def run_record(cfg: ExperimentConfig) -> RunRecord:
 run_convergence = run_trajectory = ladder_check = run_record
 
 
-def _target_fidelities(cfg: ExperimentConfig, ks: Sequence[int]) -> np.ndarray:
+def _target_fidelities(cfg: ExperimentConfig, ks: Sequence[int]) -> list[float]:
     """Target fidelity of the configured channel (phase cfg.phi, not tuned)
-    after each of the sorted atom counts ks from the initial state: the
-    rows of one `kernels.power_rows` call, for tables that read only those."""
+    after each of the atom counts ks from the initial state, for tables that
+    read only those rows: (M^k d0)[nbar], with M^k from `np.linalg.matrix_power`."""
     step = cycle_matrix(cfg, build_channel(cfg, reservoir_params(cfg, phi=cfg.phi)))
-    return kernels.power_rows(step, np.diag(initial_state(cfg)).real, ks)[:, cfg.nbar]
+    d0 = np.diag(initial_state(cfg)).real
+    return [float((np.linalg.matrix_power(step, k) @ d0)[cfg.nbar]) for k in ks]
 
 
 def _sampled_evolution(g, e, m, rho0, tp: ThermalParams, steps: int, seed: int | None):
@@ -419,7 +419,7 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         fid_reduced = float(stationary(build_reduced(params, tp, sub.dim).step_matrix())[0][nbar])
 
         walther = replace(sub, scheme="walther", channel="analytic", theta1_err=0.0, phi=0.0, init="vacuum")
-        fid_walther = float(_target_fidelities(walther, [int(WALTHER_SECONDS / sub.ts)])[0])
+        (fid_walther,) = _target_fidelities(walther, [int(WALTHER_SECONDS / sub.ts)])
 
         errs = {}
         for err in (-0.02, 0.02):
@@ -487,8 +487,8 @@ def run_robustness(cfg: ExperimentConfig) -> list[dict[str, Any]]:
                     "case": "walther_theta_err",
                     "theta1_err": err,
                     "p_at": pat,
-                    "fid_0p1s": float(fid_01),
-                    "fid_0p25s": float(fid_025),
+                    "fid_0p1s": fid_01,
+                    "fid_0p25s": fid_025,
                 }
             )
 

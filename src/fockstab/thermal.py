@@ -180,9 +180,10 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     the uniform vector, with no eigenvectors computed.
 
     An (s, n, n) stack of matrices gives populations (s, n) and gaps (s,)
-    from one `eigvals`, one `inv` and one inverse iteration that advances
-    only the items not yet settled; a (n, n) matrix runs the same code as a
-    stack of one. Each item's numbers are bit for bit those of its own call.
+    from one `eigvals`, one `inv` and one inverse iteration in which every
+    item steps until the last has settled, each keeping the vector of its own
+    settling step; a (n, n) matrix runs the same code as a stack of one.
+    Each item's numbers are bit for bit those of its own call.
 
     Raises AmbiguousSteadyStateError when the gap is at rounding level (two
     closed classes, as in a channel without environment), when an entry is
@@ -219,23 +220,18 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         solve[:, np.arange(n), np.arange(n)] += sigma[:, None]
         solve = np.linalg.inv(solve)
         step_tol = STATIONARY_ULPS * np.finfo(np.float64).eps
-        # the items still iterating: their rows of r and their vectors; their
-        # inverses are moved to the front of solve in place, not copied
-        rows, vectors = live, r[live]
+        # every live item takes each step; one that settles keeps the vector
+        # of the step that settled it
+        vectors, going = r[live], np.ones(live.size, dtype=bool)
         for _ in range(STATIONARY_MAX_STEPS):
-            nxt = (solve[:rows.size] @ vectors[..., None])[..., 0]
+            nxt = (solve @ vectors[..., None])[..., 0]
             nxt /= nxt.sum(axis=-1, keepdims=True)
             settled = np.abs(nxt - vectors).max(axis=-1) <= step_tol
-            vectors = nxt
-            if settled.any():
-                r[rows] = nxt
-                going = np.flatnonzero(~settled)
-                for j, i in enumerate(going):
-                    solve[j] = solve[i]
-                rows, vectors = rows[going], nxt[going]
-                if not rows.size:
-                    break
-        r[rows] = vectors
+            vectors[going] = nxt[going]
+            going &= ~settled
+            if not going.any():
+                break
+        r[live] = vectors
     # against the Rayleigh quotient of r rather than lam1, whose rounding in
     # `eigvals` can exceed the bound when the gap is small; the items below
     # the gap floor keep the uniform start, which is never read

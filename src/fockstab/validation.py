@@ -5,11 +5,12 @@ running numpy.
 The first fourteen pin the production route of almost every module to the
 dense operator route of `oracle`, or to the atom-by-atom loops
 `kernels.evolve` and `kernels.evolve_to_fixed_point`, at seeded random
-points. `power_rows` pins the answer-only rows to the recorded ones of
-`kernels.record_rows`, `stationary_stack` a stacked stationary solve to
-its per-matrix solves, and the last, `record_format`, pins the run-CSV
-formatter to `'%.12g' % x`. This module is the one production caller of `oracle`, and
-it imports `experiments` and `kernels` itself, so `oracle` stays a leaf.
+points. `power_rows` pins the answer-only rows, `np.linalg.matrix_power`
+rows, to the recorded ones of `kernels.record_rows`, `stationary_stack` a
+stacked stationary solve to its per-matrix solves, and the last,
+`record_format`, pins the run-CSV formatter to `'%.12g' % x`. This module
+is the one production caller of `oracle`, and it imports `experiments` and
+`kernels` itself, so `oracle` stays a leaf.
 The CLI imports it only for `validate`.
 """
 
@@ -175,12 +176,12 @@ def rows() -> list[tuple[str, bool, str]]:
     cdev = float(np.abs(combed - unit).max())
     checks.append(("step_matrix", same, f"nbar {nc}, max dev {cdev:.2e}, strides {combed.strides}"))
 
-    # the answer-only rows (binary powers of M) against the power stack of
-    # the recorded runs, at the cavity, from a random start, for ks that
-    # take numpy's short cuts and its binary loop
+    # the answer-only rows (`matrix_power`) against the power stack of the
+    # recorded runs, at the cavity, from a random start, for ks that take
+    # numpy's short cuts and its binary loop
     atoms = [0, 1, 2, 3, *sorted(rng.integers(4, 2000, size=3).tolist())]
     d0 = rng.dirichlet(np.ones(len(ec)))
-    answer = kernels.power_rows(combed, d0, atoms)
+    answer = np.array([np.linalg.matrix_power(combed, k) @ d0 for k in atoms])
     wdev = float(np.abs(answer - kernels.record_rows(combed, d0, atoms[-1])[atoms]).max())
     checks.append(("power_rows", wdev < 1e-11, f"nbar {nc}, k up to {atoms[-1]}, max dev {wdev:.2e}"))
 

@@ -25,14 +25,14 @@ ALL_OPTIONS = (
     "--init --nbars --sample-atoms --seed --out --format --config"
 ).split()
 
-# the options each scenario ignores, from its runner; 52 pairs in all
+# the options each scenario ignores, from its runner; 53 pairs in all
 DROPPED = {
     **{s: ("--nbars",) for s in RECORD_SCENARIOS},
     "steady": ("--eta", "--steps", "--init", "--sample-atoms", "--seed"),
     "tune-phase": ("--phi", "--eta", "--steps", "--init", "--nbars", "--sample-atoms", "--seed"),
     "sweep-theta2": ("--theta2", "--phi", "--theta1-err", "--channel", "--scheme", "--eta", "--steps", "--init",
                      "--nbars", "--sample-atoms", "--seed"),
-    "robustness": ("--eta", "--steps", "--init", "--nbars", "--sample-atoms", "--seed"),
+    "robustness": ("--scheme", "--eta", "--steps", "--init", "--nbars", "--sample-atoms", "--seed"),
     "validate": tuple(ALL_OPTIONS),
 }
 
@@ -57,11 +57,11 @@ def offered(scenario):
 
 
 def test_dropped_pairs_are_the_complement_of_the_read_sets():
-    assert sum(map(len, DROPPED.values())) == 52
+    assert sum(map(len, DROPPED.values())) == 53
     for scenario, (_, reads) in SCENARIOS.items():
         kept = set(ALL_OPTIONS) - set(DROPPED[scenario])
         assert kept == ({flag(f) for f in reads} | IO_OPTIONS if reads else set()), scenario
-    assert sum(len(offered(s)) for s in SCENARIOS) == 108
+    assert sum(len(offered(s)) for s in SCENARIOS) == 107
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
@@ -248,6 +248,20 @@ def test_a_phase_with_the_walther_scheme_exits_2(argv, tmp_path, capsys):
         assert not out.exists()
     # without a phase the baseline runs
     assert main([*argv, "--scheme", "walther", "--out", str(out)]) == 0
+
+
+def test_robustness_refuses_a_scheme(tmp_path, capsys):
+    # the table studies the symmetric pulse beside its own Walther rows; under
+    # walther it once labelled Walther rows symmetric_theta1_err, printed a
+    # stationary fidelity of -3.67e-16 and wrote three identical phase_offset rows
+    out = tmp_path / "out.csv"
+    assert main(["robustness", "--scheme", "walther", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --scheme walther" in capsys.readouterr().err
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"scheme": "walther"}))
+    assert main(["robustness", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "does not read scheme" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_value_the_scenario_does_not_read_is_refused(tmp_path, capsys):

@@ -627,28 +627,41 @@ def test_no_run_computes_eigenvectors_of_a_cycle_matrix(tmp_path, monkeypatch):
 
 def test_answer_only_tables_record_no_rows(monkeypatch):
     # the decay rows, the 4-s baselines and the no-environment tuning settle
-    # read a few rows of a long horizon through `kernels.power_rows`; neither
-    # the row-recording engine nor a power of numpy's own is reached, under
-    # any name a loaded module binds them to. The converge run shows that
-    # the patch bites
+    # read a few rows of a long horizon through `np.linalg.matrix_power`; the
+    # row-recording engine is not reached, under any name a loaded module
+    # binds it to. The converge run shows that the patch bites
     from fockstab import kernels
 
     def unreachable(*args, **kwargs):
         raise AssertionError("an answer-only table recorded rows")
 
-    ids = {id(kernels.record_rows), id(np.linalg.matrix_power)}
     for name, module in list(sys.modules.items()):
         if name == "fockstab" or name.startswith("fockstab."):
             for key, value in list(vars(module).items()):
-                if id(value) in ids:
+                if value is kernels.record_rows:
                     monkeypatch.setattr(module, key, unreachable)
-    monkeypatch.setattr(np.linalg, "matrix_power", unreachable)
+    power = np.linalg.matrix_power
+    exponents = []
+
+    def spy(a, n):
+        exponents.append((np.shape(a)[:-2], n))
+        return power(a, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", spy)
     decay = [r for r in ex.run_robustness(resolved(scenario="robustness", nbar=2)) if r["case"] == "walther_theta_err"]
     assert len(decay) == 4
+    # the 0.1-s and 0.25-s rows at p_at 0.3 and 1, for each pulse-area error
+    assert exponents == [((), 1666), ((), 4166)] * 4
+    exponents.clear()
     (row,) = ex.run_steady_sweep(resolved(scenario="steady", nbars=[2]))
     assert 0.0 < row["fid_walther_4s"] < 1.0
+    assert exponents == [((), 66666)]
+    exponents.clear()
     phi_opt, fid, table = ex.tune_phase(resolved(scenario="tune-phase", nbar=2, kappa=0.0))
     assert len(table) == 64 and "spectral_gap" not in table[0]
+    # the grid as one stack, then the golden section one phase at a time
+    assert exponents[0] == ((64,), ex.TUNE_SETTLE_STEPS)
+    assert len(exponents) > 1 and set(exponents[1:]) == {((1,), ex.TUNE_SETTLE_STEPS)}
     with pytest.raises(AssertionError, match="recorded rows"):
         ex.run_record(resolved(scenario="converge", nbar=1, steps=5, phi=0.0))
 
@@ -774,6 +787,23 @@ def test_a_stack_below_the_gap_floor_raises_the_message_of_its_first_failing_pha
         channels = ex.build_channel(cfg, ex.reservoir_params(cfg), phis=phis)
         with pytest.raises(AmbiguousSteadyStateError, match=f"spectral gap {gap}$"):
             stationary(ex.cycle_matrix(cfg, channels))
+
+
+def test_stack_items_that_settle_at_different_steps_keep_their_own_vectors():
+    # six grid phases of the same tuning, gaps 1.5e-13 to 2.3e-3: the inverse
+    # iteration settles them after 6 to 35 steps, and each item keeps the
+    # vector of its own settling step while the others go on
+    from fockstab.thermal import stationary
+
+    cfg = resolved(scenario="tune-phase", nbar=8, theta2=0.8330405509046935, theta1_err=0.02, **CAVITY_CFG)
+    grid = [2.0 * math.pi * i / ex.PHI_GRID_POINTS for i in range(ex.PHI_GRID_POINTS)]
+    phis = [grid[i] for i in (0, 44, 45, 10, 48, 30)]
+    stack = ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg), phis=phis))
+    populations, gaps = stationary(stack)
+    assert gaps.min() < 2e-13 and gaps.max() > 2e-3
+    for item, r, gap in zip(stack, populations, gaps):
+        r1, gap1 = stationary(item)
+        assert np.array_equal(r.view(np.int64), r1.view(np.int64)) and gap == gap1
 
 
 def test_a_lapack_error_re_solves_the_stack_one_phase_at_a_time(monkeypatch):

@@ -372,7 +372,7 @@ def cavity_stacks():
 
 def test_a_step_matrix_stack_holds_the_single_calls_in_values_and_strides(cavity_stacks):
     # 24 channels; the layout is pinned as well because it sets the
-    # rounding of `power_rows` and `record_rows`
+    # rounding of `matrix_power` and `record_rows`
     for rates, (g, e, m) in cavity_stacks:
         stack = kernels.step_matrix(g, e, m, *rates)
         dim = e.shape[-1]
@@ -456,6 +456,7 @@ def random_step_matrix(scheme, environment, rng):
 @pytest.mark.parametrize("scheme", ["symmetric", "walther"])
 @pytest.mark.parametrize("environment", [False, True])
 def test_power_rows_match_record_rows_and_the_evolve_loop_over_random_physics(scheme, environment):
+    # the answer-only rows `matrix_power(M, k) @ d0` of the strided M, over
     # seeded physics at dim 4-81, from random populations, at sorted ks with
     # a repeat: each row against the same row of the power stack and of the
     # atom-by-atom loop, within the loop's own bound for `record_rows`
@@ -466,39 +467,9 @@ def test_power_rows_match_record_rows_and_the_evolve_loop_over_random_physics(sc
         ks.insert(5, ks[5])
         rho = random_density(cfg.dim, rng)
         d0 = np.diag(rho).real
-        got = kernels.power_rows(step, d0, ks)
+        got = np.array([np.linalg.matrix_power(step, k) @ d0 for k in ks])
         _, diag, _ = kernels.evolve(g, e, m, rho, tp.gamma_minus, tp.gamma_plus, tp.p_at, ks[-1])
         assert got.shape == (len(ks), cfg.dim)
         assert np.array_equal(got[0], d0)
         assert np.abs(got - kernels.record_rows(step, d0, ks[-1])[ks]).max() <= 1e-11
         assert np.abs(got - diag[ks]).max() <= 1e-11
-
-
-@pytest.mark.parametrize("scheme", ["symmetric", "walther"])
-@pytest.mark.parametrize("environment", [False, True])
-def test_power_rows_are_matrix_power_bit_for_bit(scheme, environment):
-    # every row is `np.linalg.matrix_power(M, k) @ d0` on the strided M of
-    # `step_matrix`, the short cuts for k <= 3, the decay rows (4166), the
-    # settle (1200) and the 4-s baseline (66666) among them; from a unit
-    # vector a row is one column of the power
-    rng = np.random.default_rng(50 + 2 * (scheme == "walther") + environment)
-    ks = [0, 1, 2, 3, 4, 1200, 4166, 66666]
-    for _ in range(3):
-        step, _, cfg = random_step_matrix(scheme, environment, rng)
-        powers = [np.linalg.matrix_power(step, k) for k in ks]
-        for d0 in (rng.dirichlet(np.ones(cfg.dim)), np.eye(cfg.dim)[cfg.nbar]):
-            got = kernels.power_rows(step, d0, ks)
-            assert np.array_equal(got, np.array([p @ d0 for p in powers]))
-        assert np.array_equal(got[:, cfg.nbar], [p[cfg.nbar, cfg.nbar] for p in powers])
-
-
-def test_power_rows_take_repeats_and_refuse_unsorted_or_negative_ks(channel):
-    _, (g, e, m) = channel
-    step = kernels.step_matrix(g, e, m, 0.0, 0.0, 1.0)
-    d0 = np.eye(len(e))[2]
-    rows = kernels.power_rows(step, d0, [5, 5, 7])
-    assert np.array_equal(rows[0], rows[1])
-    assert kernels.power_rows(step, d0, []).shape == (0, len(e))
-    for ks in ([7, 5], [-1, 3], [-1]):
-        with pytest.raises(ValueError, match="sorted"):
-            kernels.power_rows(step, d0, ks)

@@ -59,8 +59,15 @@ TUNE_GOLDEN = ("tune_phase_nbar2_kappa10_nth0.05_pat0.3.csv",
 # column and the theta2 sweep, answer line included
 TABLE_GOLDENS = [("steady_nbars1-2.csv", ["steady", "--nbars", "1,2"]),
                  ("sweep_theta2_nbar2.csv", ["sweep-theta2", "--nbar", "2"])]
-GOLDEN_RUNS = pytest.mark.parametrize("name, argv", [*RECORD_GOLDENS, TUNE_GOLDEN, *TABLE_GOLDENS],
-                                      ids=["trajectory", "converge", "ladder", "tune-phase", "steady", "sweep-theta2"])
+# the answer-only powers, as the binary-power kernel that numpy's
+# `matrix_power` replaced wrote them: the no-environment tuning, whose
+# 1,200-atom settle sets its grid rows and answer lines, and the robustness
+# decay rows beside its tuned stationary rows
+POWER_GOLDENS = [("tune_phase_nbar2.csv", ["tune-phase", "--nbar", "2"]),
+                 ("robustness_nbar2.csv", ["robustness", "--nbar", "2"])]
+GOLDEN_RUNS = pytest.mark.parametrize("name, argv", [*RECORD_GOLDENS, TUNE_GOLDEN, *TABLE_GOLDENS, *POWER_GOLDENS],
+                                      ids=["trajectory", "converge", "ladder", "tune-phase", "steady", "sweep-theta2",
+                                           "tune-phase-settle", "robustness"])
 RECORD_GOLDEN_RUNS = pytest.mark.parametrize("name, argv", RECORD_GOLDENS, ids=["trajectory", "converge", "ladder"])
 
 
