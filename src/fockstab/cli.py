@@ -41,7 +41,7 @@ _OPTIONS = {
     "kappa": {"type": float, "help": "environment coupling in 1/s"},
     "nth": {"type": float, "help": "thermal occupancy of the environment"},
     "ts": {"type": float, "help": "cycle period in s (default 60e-6)"},
-    "pat": {"type": float, "help": "atom presence probability in [0,1]"},
+    "pat": {"type": float, "help": "atom presence probability in (0,1]"},
     "phi": {"type": float, "help": "middle-segment phase in rad (default: tuned)"},
     "theta1_err": {"type": float, "help": "relative pulse-area error"},
     "channel": {"choices": CHANNELS, "help": "channel construction route"},
@@ -117,7 +117,7 @@ def run(cfg: ExperimentConfig) -> int:
 
     if cfg.scenario == "steady":
         rows = experiments.run_steady_sweep(cfg)
-        output.emit_rows(cfg, rows)
+        output.emit_rows(cfg, rows, summary={"ill_conditioned": experiments.ill_conditioned(rows)})
         return 0
 
     if cfg.scenario == "tune-phase":

@@ -20,12 +20,12 @@ from .errors import ConfigError
 
 # help line and the ExperimentConfig fields each scenario reads (out and fmt
 # aside): the trapping-rate sweep reads only the cavity, phase tuning also the
-# channel, and the record runs everything but the sweep levels. The
-# robustness table studies the symmetric pulse beside its own Walther rows,
-# so it reads no scheme
+# channel, and the record runs everything but the sweep levels. Only a record
+# run chooses its scheme: the tables study the symmetric pulse, the steady and
+# robustness tables beside their own Walther columns
 _CAVITY = frozenset({"nbar", "dim", "kappa", "nth", "ts", "pat"})
-_CHANNEL = _CAVITY | {"theta2", "theta1_err", "channel", "scheme"}
-_RECORD = _CHANNEL | {"phi", "eta", "steps", "init", "sample_atoms", "seed"}
+_CHANNEL = _CAVITY | {"theta2", "theta1_err", "channel"}
+_RECORD = _CHANNEL | {"scheme", "phi", "eta", "steps", "init", "sample_atoms", "seed"}
 
 SCENARIOS = {
     "converge": ("disturbance-free stabilization run from the initial state", _RECORD),
@@ -33,7 +33,7 @@ SCENARIOS = {
     "steady": ("stationary-fidelity table per target level (five-column sweep)", _CHANNEL | {"phi", "nbars"}),
     "tune-phase": ("scan the middle-segment phase for maximal fidelity", _CHANNEL),
     "sweep-theta2": ("scan theta2 for maximal stationary fidelity", _CAVITY),
-    "robustness": ("pulse-area and phase error studies", _CHANNEL - {"scheme"} | {"phi"}),
+    "robustness": ("pulse-area and phase error studies", _CHANNEL | {"phi"}),
     "ladder": ("long run checking population settles on the dark levels", _RECORD),
     "validate": ("run the fast invariant self-checks", frozenset()),
 }

@@ -48,7 +48,7 @@ import numpy as np
 from . import kernels
 from .config import DECAY_SECONDS, WALTHER_SECONDS, ExperimentConfig, default_theta2, parse_init
 from .dynamics import ReservoirParams, composite_propagator, ladder_top, make_params, trapping_theta1, window_top
-from .errors import NumericalValidityError
+from .errors import ConfigError, NumericalValidityError
 from .fock import diagonal_density, fock_density, uniform_density
 from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, walther_kraus
 from .lyapunov import build_weights, validate_theta2
@@ -121,8 +121,8 @@ def build_channel(
     """The channel selected by (scheme, channel) for the given parameters.
 
     The walther scheme is the resonant two-level baseline with pulse area
-    theta_r = 2 * theta1; its numeric variant is the single-segment propagator
-    (theta2 = 0) of the full three-level model.
+    theta_r = 2 * theta1; its numeric variant is the three-segment cycle of
+    the full three-level model at theta2 = 0 and phi = 0, a single segment.
 
     Given phases phis, a list of channels, one per phase in place of
     params.phi: the numeric symmetric channels come from one stacked
@@ -130,10 +130,10 @@ def build_channel(
     """
     if phis is not None and not (cfg.scheme == "symmetric" and cfg.channel == "numeric"):
         return [build_channel(cfg, replace(params, phi=phi)) for phi in phis]
-    if cfg.scheme == "walther":
-        if cfg.channel == "numeric":
-            return extract_kraus(composite_propagator(replace(params, theta2=0.0, phi=0.0), cfg.dim))
+    if cfg.scheme == "walther" and cfg.channel == "analytic":
         return walther_kraus(params.nbar, 2.0 * params.theta1, cfg.dim)
+    if cfg.scheme == "walther":
+        params = replace(params, theta2=0.0, phi=0.0)
     if cfg.channel == "numeric":
         return extract_kraus(composite_propagator(params, cfg.dim, phis))
     return analytic_kraus(params, cfg.dim)
@@ -265,10 +265,11 @@ def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]
     smallest phi; a landscape flat to 1e-6 returns phi = 0. Each grid row
     holds phi and the fidelity, plus the spectral gap of the stationary
     solve when there is an environment. The whole grid is one `_settled`
-    call, the golden section one phase at a time.
+    call, the golden section one phase at a time. theta2 = 0 is refused:
+    that pulse has no middle segment whose phase could act.
     """
-    if cfg.theta2 <= 0.0:
-        return 0.0, _settled(cfg, [0.0])[0]["fidelity"], []
+    if cfg.theta2 == 0.0:
+        raise ConfigError("phase tuning needs a middle segment; theta2 = 0 has none")
     grid = [2.0 * math.pi * i / PHI_GRID_POINTS for i in range(PHI_GRID_POINTS)]
     table = [{"phi": p, **row} for p, row in zip(grid, _settled(cfg, grid))]
     fids = [r["fidelity"] for r in table]

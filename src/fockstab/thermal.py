@@ -46,7 +46,7 @@ STATIONARY_SHIFT = 1e-3
 @dataclass(frozen=True)
 class ThermalParams:
     """Environment coupling kappa (1/s), thermal occupancy n_th, period Ts (s),
-    and atom presence probability p_at."""
+    and atom presence probability p_at in (0, 1]: with no atom, no pulse acts."""
 
     kappa: float
     n_th: float
@@ -56,8 +56,8 @@ class ThermalParams:
     def __post_init__(self) -> None:
         if self.kappa < 0 or self.n_th < 0 or self.Ts <= 0:
             raise ConfigError("kappa and n_th must be >= 0 and Ts > 0")
-        if not 0.0 <= self.p_at <= 1.0:
-            raise ConfigError(f"p_at must lie in [0, 1], got {self.p_at}")
+        if not 0.0 < self.p_at <= 1.0:
+            raise ConfigError(f"p_at must lie in (0, 1], got {self.p_at}")
 
     @property
     def gamma_minus(self) -> float:
@@ -285,8 +285,6 @@ def steady_population_correction(
     if p_at not in (None, tp.p_at):
         raise ValueError(f"p_at {p_at} differs from the environment's p_at {tp.p_at}")
     p_at = tp.p_at
-    if not 0 < p_at <= 1.0:
-        raise ConfigError(f"p_at must lie in (0, 1], got {p_at}")
     d, e = _trapping_rates(params, window_top(nbar) + 2)
     d, e = p_at * d, p_at * e
     if e[nbar - 1] <= 1e-12:

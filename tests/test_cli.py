@@ -25,11 +25,11 @@ ALL_OPTIONS = (
     "--init --nbars --sample-atoms --seed --out --format --config"
 ).split()
 
-# the options each scenario ignores, from its runner; 53 pairs in all
+# the options each scenario ignores, from its runner; 55 pairs in all
 DROPPED = {
     **{s: ("--nbars",) for s in RECORD_SCENARIOS},
-    "steady": ("--eta", "--steps", "--init", "--sample-atoms", "--seed"),
-    "tune-phase": ("--phi", "--eta", "--steps", "--init", "--nbars", "--sample-atoms", "--seed"),
+    "steady": ("--scheme", "--eta", "--steps", "--init", "--sample-atoms", "--seed"),
+    "tune-phase": ("--scheme", "--phi", "--eta", "--steps", "--init", "--nbars", "--sample-atoms", "--seed"),
     "sweep-theta2": ("--theta2", "--phi", "--theta1-err", "--channel", "--scheme", "--eta", "--steps", "--init",
                      "--nbars", "--sample-atoms", "--seed"),
     "robustness": ("--scheme", "--eta", "--steps", "--init", "--nbars", "--sample-atoms", "--seed"),
@@ -57,11 +57,11 @@ def offered(scenario):
 
 
 def test_dropped_pairs_are_the_complement_of_the_read_sets():
-    assert sum(map(len, DROPPED.values())) == 53
+    assert sum(map(len, DROPPED.values())) == 55
     for scenario, (_, reads) in SCENARIOS.items():
         kept = set(ALL_OPTIONS) - set(DROPPED[scenario])
         assert kept == ({flag(f) for f in reads} | IO_OPTIONS if reads else set()), scenario
-    assert sum(len(offered(s)) for s in SCENARIOS) == 107
+    assert sum(len(offered(s)) for s in SCENARIOS) == 105
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
@@ -235,8 +235,8 @@ def test_a_setting_of_an_absent_environment_exits_2(argv, field, value, tmp_path
 
 @pytest.mark.parametrize("argv", [
     ["converge", "--nbar", "1", "--steps", "50", "--channel", "analytic"],
-    ["steady", "--nbars", "1", "--nbar", "1", "--channel", "analytic", "--ts", "1e-3"],
-], ids=["converge", "steady"])
+    ["ladder", "--nbar", "1", "--steps", "50", "--channel", "numeric"],
+], ids=["converge", "ladder"])
 def test_a_phase_with_the_walther_scheme_exits_2(argv, tmp_path, capsys):
     # the baseline pulse has no middle segment; phi once passed unread, and
     # converge echoed it as phi_used with the same data rows at every phi
@@ -250,17 +250,40 @@ def test_a_phase_with_the_walther_scheme_exits_2(argv, tmp_path, capsys):
     assert main([*argv, "--scheme", "walther", "--out", str(out)]) == 0
 
 
-def test_robustness_refuses_a_scheme(tmp_path, capsys):
-    # the table studies the symmetric pulse beside its own Walther rows; under
-    # walther it once labelled Walther rows symmetric_theta1_err, printed a
-    # stationary fidelity of -3.67e-16 and wrote three identical phase_offset rows
+@pytest.mark.parametrize("scenario", ["robustness", "steady", "tune-phase"])
+def test_a_table_refuses_a_scheme(scenario, tmp_path, capsys):
+    # the tables study the symmetric pulse, steady and robustness beside their
+    # own Walther columns. Under walther, robustness once labelled Walther rows
+    # symmetric_theta1_err and wrote three identical phase_offset rows, steady
+    # mixed two pulses in one row, and tune-phase wrote 64 identical grid rows
     out = tmp_path / "out.csv"
-    assert main(["robustness", "--scheme", "walther", "--out", str(out)]) == 2
+    assert main([scenario, "--scheme", "walther", "--out", str(out)]) == 2
     assert "unrecognized arguments: --scheme walther" in capsys.readouterr().err
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"scheme": "walther"}))
-    assert main(["robustness", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert main([scenario, "--config", str(cfg_file), "--out", str(out)]) == 2
     assert "does not read scheme" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_phase_refuses_a_pulse_without_middle_segment(tmp_path, capsys):
+    # it once evaluated phi = 0 alone and wrote a table without a header
+    out = tmp_path / "out.csv"
+    assert main(["tune-phase", "--theta2", "0", "--out", str(out)]) == 2
+    assert "phase tuning needs a middle segment" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="theta2 = 0 has none"):
+        experiments.tune_phase(ExperimentConfig("tune-phase", nbar=2, theta2=0.0).resolved())
+
+
+@pytest.mark.parametrize("scenario", [s for s, (_, reads) in SCENARIOS.items() if "pat" in reads])
+def test_no_atom_exits_2(scenario, tmp_path, capsys):
+    # with no atom every pulse setting is inert; robustness once wrote six
+    # identical stationary rows. tune-phase reads pat only with an environment
+    out = tmp_path / "out.csv"
+    cavity = ["--kappa", "1"] if scenario == "tune-phase" else []
+    assert main([scenario, "--pat", "0", *cavity, "--out", str(out)]) == 2
+    assert "p_at must lie in (0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 

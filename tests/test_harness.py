@@ -681,6 +681,15 @@ def test_tune_grid_has_no_swallowed_phases(tmp_path):
     assert doc["summary"]["ill_conditioned"] == 0
 
 
+def test_steady_json_summary_counts_ill_conditioned_rows(tmp_path):
+    # its rows carry spectral_gap, yet its summary was once empty
+    out = tmp_path / "steady.json"
+    assert main(["steady", "--nbars", "1,2", "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    gaps = [r["spectral_gap"] for r in doc["records"]]
+    assert doc["summary"] == {"ill_conditioned": sum(g < ex.ILL_CONDITIONED_GAP for g in gaps)}
+
+
 @pytest.mark.parametrize("nbar, ill", [(3, 0), (8, 10)])
 def test_sweep_theta2_answers_every_grid_point(nbar, ill, tmp_path):
     # small theta2 leaves little transport: such points were once written as

@@ -51,6 +51,9 @@ RECORD_GOLDENS = [
      ["converge", "--nbar", "2", "--dim", "12", "--steps", "150", "--phi", "0.3"]),
     ("ladder_nbar1_dim18_steps150_phi0.csv",
      ["ladder", "--nbar", "1", "--dim", "18", "--steps", "150", "--phi", "0"]),
+    # the numeric Walther pulse, the three-segment cycle at theta2 = 0 and phi = 0
+    ("converge_walther_nbar2_dim12_steps150.csv",
+     ["converge", "--nbar", "2", "--dim", "12", "--steps", "150", "--scheme", "walther"]),
 ]
 # the tuning grid, built in stacks of phases, as the phase-by-phase build wrote it
 TUNE_GOLDEN = ("tune_phase_nbar2_kappa10_nth0.05_pat0.3.csv",
@@ -66,9 +69,10 @@ TABLE_GOLDENS = [("steady_nbars1-2.csv", ["steady", "--nbars", "1,2"]),
 POWER_GOLDENS = [("tune_phase_nbar2.csv", ["tune-phase", "--nbar", "2"]),
                  ("robustness_nbar2.csv", ["robustness", "--nbar", "2"])]
 GOLDEN_RUNS = pytest.mark.parametrize("name, argv", [*RECORD_GOLDENS, TUNE_GOLDEN, *TABLE_GOLDENS, *POWER_GOLDENS],
-                                      ids=["trajectory", "converge", "ladder", "tune-phase", "steady", "sweep-theta2",
-                                           "tune-phase-settle", "robustness"])
-RECORD_GOLDEN_RUNS = pytest.mark.parametrize("name, argv", RECORD_GOLDENS, ids=["trajectory", "converge", "ladder"])
+                                      ids=["trajectory", "converge", "ladder", "converge-walther", "tune-phase",
+                                           "steady", "sweep-theta2", "tune-phase-settle", "robustness"])
+RECORD_GOLDEN_RUNS = pytest.mark.parametrize("name, argv", RECORD_GOLDENS,
+                                             ids=["trajectory", "converge", "ladder", "converge-walther"])
 
 
 @GOLDEN_RUNS

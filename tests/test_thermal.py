@@ -88,9 +88,10 @@ def test_reservoir_step_limits():
     rng = np.random.default_rng(6)
     rho = random_density(dim, rng)
     full = ThermalParams(kappa=10.0, n_th=0.05, Ts=60e-6, p_at=1.0)
-    none = ThermalParams(kappa=10.0, n_th=0.05, Ts=60e-6, p_at=0.0)
     assert np.abs(reservoir_step(rho, k, full) - decoherence_step(apply_map(k, rho), full)).max() < 1e-12
-    assert np.abs(reservoir_step(rho, k, none) - decoherence_step(rho, none)).max() < 1e-12
+    # with no atom no pulse acts, so an environment without atoms is refused
+    with pytest.raises(ConfigError, match=r"p_at must lie in \(0, 1\]"):
+        ThermalParams(kappa=10.0, n_th=0.05, Ts=60e-6, p_at=0.0)
     # fixed point without an environment, any presence probability
     hold = ThermalParams(kappa=0.0, n_th=0.0, Ts=60e-6, p_at=0.3)
     target = fock_density(nbar, dim)
