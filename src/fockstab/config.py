@@ -17,6 +17,7 @@ from typing import Any
 
 from .dynamics import default_dim, window_top
 from .errors import ConfigError
+from .lyapunov import validate_theta2
 
 # help line and the ExperimentConfig fields each scenario reads (out and fmt
 # aside): the trapping-rate sweep reads only the cavity, phase tuning also the
@@ -59,6 +60,9 @@ DECAY_SECONDS = (0.1, 0.25)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings. scheme = walther is the pulse without its middle
+    segment, so its theta2 resolves to 0 and a theta2 or phi other than 0 is refused."""
+
     scenario: str
     nbar: int = 3
     theta2: float | None = None
@@ -69,7 +73,7 @@ class ExperimentConfig:
     nth: float | None = None
     ts: float = CAVITY_TS
     pat: float | None = None
-    phi: float | None = None  # None -> tune on the numeric path, 0 on the analytic one
+    phi: float | None = None  # None -> tuned on the numeric path when theta2 > 0, else 0
     theta1_err: float = 0.0
     channel: str | None = None
     scheme: str = "symmetric"
@@ -102,9 +106,11 @@ class ExperimentConfig:
                 f"ts must be <= {horizon} s, the shortest span scenario {self.scenario!r} reads, got {self.ts}"
             )
         thermal = self.scenario in _THERMAL_SCENARIOS
+        # the Walther pulse is the three-segment cycle without its middle segment
+        theta2 = 0.0 if self.scheme == "walther" else default_theta2(self.scenario, self.nbar)
         cfg = replace(
             self,
-            theta2=self.theta2 if self.theta2 is not None else default_theta2(self.scenario, self.nbar),
+            theta2=self.theta2 if self.theta2 is not None else theta2,
             dim=self.dim if self.dim is not None else default_dim(self.nbar),
             steps=self.steps if self.steps is not None else default_steps(self.scenario, self.ts),
             kappa=self.kappa if self.kappa is not None else (CAVITY_KAPPA if thermal else 0.0),
@@ -128,6 +134,9 @@ class ExperimentConfig:
             raise ConfigError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        middle = ", ".join(f"{f} = {getattr(self, f)}" for f in ("theta2", "phi") if getattr(self, f))
+        if self.scheme == "walther" and middle:
+            raise ConfigError(f"scheme = walther has no middle segment, so theta2 and phi must be 0; got {middle}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         if self.nbars is not None and len(self.nbars) == 0:
@@ -143,9 +152,7 @@ class ExperimentConfig:
                 raise ConfigError(f"initial state level {top} does not fit dim {self.dim}")
 
     def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["nbars"] = list(self.nbars) if self.nbars is not None else None
-        return d
+        return asdict(self)  # nbars stays a tuple, which JSON writes as a list
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "ExperimentConfig":
@@ -196,8 +203,8 @@ def resolve_reads(cfg: ExperimentConfig) -> ExperimentConfig:
     inert = {}  # read fields that another setting leaves without effect, with that setting
     if cfg.scenario == "steady" and full.nbar not in full.nbars:
         inert.update(dict.fromkeys(("nbar", "theta2", "dim"), "nbar not in nbars"))  # no sweep level
-    if full.scheme == "walther" and "phi" in SCENARIOS[cfg.scenario][1]:
-        inert["phi"] = "scheme = walther"  # the baseline pulse has no middle segment
+    if "eta" in SCENARIOS[cfg.scenario][1] and (cause := uncertified(full)):
+        inert["eta"] = cause  # it weighs only the certificate
     if full.kappa == 0.0:
         inert["nth"] = "kappa = 0"  # it scales only the rates of the absent environment
         if cfg.scenario == "tune-phase":
@@ -205,7 +212,9 @@ def resolve_reads(cfg: ExperimentConfig) -> ExperimentConfig:
             inert.update(dict.fromkeys(("pat", "ts"), "kappa = 0"))
     reads = (SCENARIOS[cfg.scenario][1] | {"out", "fmt"}) - inert.keys()
     bare = ExperimentConfig(cfg.scenario, **{f: getattr(cfg, f) for f in reads}).resolved()
-    unread = [f for f in ExperimentConfig.__dataclass_fields__ if getattr(full, f) != getattr(bare, f)]
+    # an unread field is named only when set, not for the defaults it moves
+    unread = [f for f, spec in ExperimentConfig.__dataclass_fields__.items() if getattr(full, f) != getattr(bare, f)
+              and (f in inert or getattr(cfg, f) != spec.default)]
     if unread:
         groups = {}
         for f in unread:
@@ -213,6 +222,13 @@ def resolve_reads(cfg: ExperimentConfig) -> ExperimentConfig:
         named = "; ".join(", ".join(fs) + (f" with {cause}" if cause else "") for cause, fs in groups.items())
         raise ConfigError(f"scenario {cfg.scenario!r} does not read {named}; leave them unset")
     return full
+
+
+def uncertified(cfg: ExperimentConfig) -> str | None:
+    """Why a resolved record run has no Lyapunov certificate (its v column NaN, eta inert), or None."""
+    if cfg.dim <= window_top(cfg.nbar):
+        return "dim <= 4*nbar+3"  # the window 0..4*nbar+3 does not fit
+    return None if validate_theta2(cfg.theta2, cfg.nbar) else f"{'resonant ' * (cfg.theta2 > 0)}theta2 = {cfg.theta2:g}"
 
 
 def default_theta2(scenario: str, nbar: int) -> float:

@@ -46,8 +46,8 @@ from typing import Any
 import numpy as np
 
 from . import kernels
-from .config import DECAY_SECONDS, WALTHER_SECONDS, ExperimentConfig, default_theta2, parse_init
-from .dynamics import ReservoirParams, composite_propagator, ladder_top, make_params, trapping_theta1, window_top
+from .config import DECAY_SECONDS, WALTHER_SECONDS, ExperimentConfig, default_theta2, parse_init, uncertified
+from .dynamics import ReservoirParams, composite_propagator, ladder_top, make_params, trapping_theta1
 from .errors import ConfigError, NumericalValidityError
 from .fock import diagonal_density, fock_density, uniform_density
 from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, walther_kraus
@@ -118,24 +118,25 @@ def build_channel(
     params: ReservoirParams,
     phis: Sequence[float] | None = None,
 ) -> KrausSet | list[KrausSet]:
-    """The channel selected by (scheme, channel) for the given parameters.
+    """The channel of the configured pulse at the given parameters.
 
-    The walther scheme is the resonant two-level baseline with pulse area
-    theta_r = 2 * theta1; its numeric variant is the three-segment cycle of
-    the full three-level model at theta2 = 0 and phi = 0, a single segment.
+    The numeric channel is the three-segment cycle of the full three-level
+    model, whatever the scheme: the walther pulse reaches it with theta2 = 0
+    (`ExperimentConfig.resolved`), a single resonant segment. The analytic
+    channel is the closed form of the scheme: `walther_kraus` of the
+    resonant two-level baseline with pulse area theta_r = 2 * theta1, or
+    `analytic_kraus`.
 
     Given phases phis, a list of channels, one per phase in place of
-    params.phi: the numeric symmetric channels come from one stacked
-    propagator, the others are built one by one.
+    params.phi: the numeric channels come from one stacked propagator, the
+    analytic ones are built one by one.
     """
-    if phis is not None and not (cfg.scheme == "symmetric" and cfg.channel == "numeric"):
-        return [build_channel(cfg, replace(params, phi=phi)) for phi in phis]
-    if cfg.scheme == "walther" and cfg.channel == "analytic":
-        return walther_kraus(params.nbar, 2.0 * params.theta1, cfg.dim)
-    if cfg.scheme == "walther":
-        params = replace(params, theta2=0.0, phi=0.0)
     if cfg.channel == "numeric":
         return extract_kraus(composite_propagator(params, cfg.dim, phis))
+    if phis is not None:
+        return [build_channel(cfg, replace(params, phi=phi)) for phi in phis]
+    if cfg.scheme == "walther":
+        return walther_kraus(params.nbar, 2.0 * params.theta1, cfg.dim)
     return analytic_kraus(params, cfg.dim)
 
 
@@ -151,29 +152,18 @@ def initial_state(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _v_series(cfg: ExperimentConfig, diag: np.ndarray) -> np.ndarray:
-    """Lyapunov values along a run; NaN when theta2 gives no valid certificate
-    or dim does not hold its window 0..4*nbar+3."""
-    if cfg.dim <= window_top(cfg.nbar) or not validate_theta2(cfg.theta2, cfg.nbar):
+    """Lyapunov values along a run; NaN where `config.uncertified` names a
+    setting that leaves it without a certificate."""
+    if uncertified(cfg):
         return np.full(diag.shape[0], np.nan)
-    w = build_weights(cfg.nbar, cfg.theta2, cfg.eta, dim=cfg.dim)
-    return diag @ w.f
-
-
-def _record(cfg: ExperimentConfig, diag: np.ndarray, trace: np.ndarray, summary: dict[str, Any]) -> RunRecord:
-    return RunRecord(
-        fidelity=diag[:, cfg.nbar].copy(),
-        v=_v_series(cfg, diag),
-        trace=trace,
-        diag=diag,
-        summary=summary,
-    )
+    return diag @ build_weights(cfg.nbar, cfg.theta2, cfg.eta, dim=cfg.dim).f
 
 
 def resolve_phi(cfg: ExperimentConfig) -> tuple[float, dict[str, Any]]:
-    """The middle-segment phase to run with: explicit, tuned, or nominal 0."""
+    """The middle-segment phase to run with: explicit, tuned (numeric channel, theta2 > 0), or nominal 0."""
     if cfg.phi is not None:
         return cfg.phi, {"phi_used": cfg.phi, "phi_tuned": False}
-    if cfg.channel == "numeric" and cfg.scheme == "symmetric" and cfg.theta2 > 0.0:
+    if cfg.channel == "numeric" and cfg.theta2 > 0.0:
         phi_opt, fid, _ = tune_phase(cfg)
         return phi_opt, {"phi_used": phi_opt, "phi_tuned": True, "phi_tune_fidelity": fid}
     return 0.0, {"phi_used": 0.0, "phi_tuned": False}
@@ -339,7 +329,7 @@ def run_record(cfg: ExperimentConfig) -> RunRecord:
         "wall_time_s": time.perf_counter() - t0,
         **phi_info,
     }
-    return _record(cfg, diag, trace, summary)
+    return RunRecord(diag[:, cfg.nbar].copy(), _v_series(cfg, diag), trace, diag, summary)
 
 
 # the scenario names the acceptance suite calls; all three are run_record
@@ -419,7 +409,7 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         x1 = steady_population_correction(params, tp)
         fid_reduced = float(stationary(build_reduced(params, tp, sub.dim).step_matrix())[0][nbar])
 
-        walther = replace(sub, scheme="walther", channel="analytic", theta1_err=0.0, phi=0.0, init="vacuum")
+        walther = replace(sub, scheme="walther", channel="analytic", theta1_err=0.0, theta2=0.0, phi=0.0, init="vacuum")
         (fid_walther,) = _target_fidelities(walther, [int(WALTHER_SECONDS / sub.ts)])
 
         errs = {}
@@ -480,8 +470,8 @@ def run_robustness(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     k_01, k_025 = (int(seconds / cfg.ts) for seconds in DECAY_SECONDS)
     for err in (-0.02, 0.02):
         for pat in sorted({cfg.pat, 1.0}):
-            walther = replace(cfg, scheme="walther", channel="analytic", theta1_err=err, phi=0.0, kappa=0.0,
-                              nth=0.0, pat=pat, init=f"fock:{cfg.nbar}")
+            walther = replace(cfg, scheme="walther", channel="analytic", theta1_err=err, theta2=0.0, phi=0.0,
+                              kappa=0.0, nth=0.0, pat=pat, init=f"fock:{cfg.nbar}")
             fid_01, fid_025 = _target_fidelities(walther, [k_01, k_025])
             rows.append(
                 {

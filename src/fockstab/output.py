@@ -274,14 +274,8 @@ def write_json(
     summary: dict[str, Any],
 ) -> None:
     payload = {"config": _config_echo(cfg), "records": records, "summary": summary}
-    json.dump(payload, stream, sort_keys=True, indent=1, default=_json_default)
+    json.dump(payload, stream, sort_keys=True, indent=1)
     stream.write("\n")
-
-
-def _json_default(obj: Any) -> Any:
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def record_as_json(record: RunRecord) -> dict[str, Any]:

@@ -244,10 +244,64 @@ def test_a_phase_with_the_walther_scheme_exits_2(argv, tmp_path, capsys):
     cfg_file.write_text(json.dumps({"phi": 1.0}))
     for given in (["--phi", "1"], ["--config", str(cfg_file)]):
         assert main([*argv, "--scheme", "walther", *given, "--out", str(out)]) == 2
-        assert "does not read phi with scheme = walther;" in capsys.readouterr().err
+        assert "scheme = walther has no middle segment, so theta2 and phi must be 0; got phi = 1.0" in (
+            capsys.readouterr().err)
         assert not out.exists()
+    with pytest.raises(ConfigError, match="scheme = walther"):
+        ExperimentConfig(scenario=argv[0], scheme="walther", phi=1.0).resolved()
     # without a phase the baseline runs
     assert main([*argv, "--scheme", "walther", "--out", str(out)]) == 0
+
+
+def test_a_middle_pulse_area_with_the_walther_scheme_exits_2(tmp_path, capsys):
+    # theta2 once passed, changing only the v column, as the Lyapunov weights
+    # of a symmetric pulse the run does not have
+    argv = ["converge", "--nbar", "2", "--dim", "12", "--steps", "3", "--scheme", "walther"]
+    cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
+    cfg_file.write_text(json.dumps({"theta2": 0.7}))
+    for given in (["--theta2", "0.7"], ["--config", str(cfg_file)]):
+        assert main([*argv, *given, "--out", str(out)]) == 2
+        assert "scheme = walther has no middle segment, so theta2 and phi must be 0; got theta2 = 0.7" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+    with pytest.raises(ConfigError, match="scheme = walther"):
+        ExperimentConfig(scenario="converge", scheme="walther", theta2=0.7).resolved()
+    # the pulse's own values pass, and theta2 resolves to 0
+    assert ExperimentConfig(scenario="converge", scheme="walther", theta2=0.0, phi=0.0).resolved().theta2 == 0.0
+    assert ExperimentConfig(scenario="converge", scheme="walther").resolved().theta2 == 0.0
+
+
+def test_the_walther_period_counts_no_middle_segment(tmp_path, capsys):
+    # the Walther pulse lasts 2*theta1/omega = 1.0e-5 s at nbar 3; the period
+    # check once added the middle segment of the symmetric pulse (1.18e-5 s)
+    out = tmp_path / "out.csv"
+    argv = ["converge", "--nbar", "3", "--scheme", "walther", "--steps", "5", "--out", str(out)]
+    assert main([*argv, "--ts", "1.1e-5"]) == 0
+    out.unlink()
+    assert main([*argv, "--ts", "0.99e-5"]) == 2
+    assert "interaction time 1.000e-05 s exceeds period 9.900e-06 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["--nbar", "1", "--dim", "6", "--phi", "0"], "dim <= 4*nbar+3"),
+    (["--nbar", "1", "--theta2", "0"], "theta2 = 0"),
+    (["--nbar", "1", "--theta2", repr(math.pi), "--phi", "0"], "resonant theta2 = 3.14159"),
+    (["--nbar", "2", "--dim", "12", "--scheme", "walther"], "theta2 = 0"),
+], ids=["small-dim", "theta2-0", "resonant-theta2", "walther"])
+def test_eta_without_a_certificate_exits_2(argv, cause, tmp_path, capsys):
+    # eta weighs only the Lyapunov certificate; where the run has none, its v
+    # column is NaN, and eta once passed with the same data rows as without it
+    cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
+    cfg_file.write_text(json.dumps({"eta": 0.3}))
+    for given in (["--eta", "0.3"], ["--config", str(cfg_file)]):
+        assert main(["converge", "--steps", "3", *argv, *given, "--out", str(out)]) == 2
+        assert f"does not read eta with {cause};" in capsys.readouterr().err
+        assert not out.exists()
+    # without eta the run writes v as NaN
+    assert main(["converge", "--steps", "3", *argv, "--out", str(out)]) == 0
+    lines = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert {row[lines[0].index("v")] for row in lines[1:]} == {"nan"}
 
 
 @pytest.mark.parametrize("scenario", ["robustness", "steady", "tune-phase"])

@@ -399,16 +399,18 @@ def test_record_rows_match_the_evolve_loop_over_random_physics(scheme, environme
     # the power stack against the loop it replaces, at every chunk edge of
     # the stack: seeded nbar 1-8, theta2, phi, theta1 error and p_at on the
     # numeric channel, complete to rounding as the dense replay needs; the
-    # first rows, normalized, against that replay
+    # first rows, normalized, against that replay. The Walther pulse has no
+    # middle segment, so its theta2 and phi are drawn and left unset
     rng = np.random.default_rng(14 + 2 * (scheme == "walther") + environment)
     chunk = kernels.RECORD_CHUNK
     for n_steps in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         nbar = int(rng.integers(1, 9))
+        middle = {"theta2": float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar),
+                  "phi": float(rng.uniform(0.0, 2.0 * math.pi))}
         cfg = ExperimentConfig(
             scenario="trajectory",
             nbar=nbar,
-            theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar),
-            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+            **(middle if scheme == "symmetric" else {}),
             theta1_err=float(rng.uniform(-0.03, 0.03)),
             pat=float(rng.uniform(0.05, 1.0)),
             kappa=float(rng.uniform(5.0, 20.0)) if environment else 0.0,
@@ -416,7 +418,7 @@ def test_record_rows_match_the_evolve_loop_over_random_physics(scheme, environme
             scheme=scheme,
             steps=max(n_steps, 1),
         ).resolved()
-        k = experiments.build_channel(cfg, experiments.reservoir_params(cfg, phi=cfg.phi))
+        k = experiments.build_channel(cfg, experiments.reservoir_params(cfg, phi=experiments.resolve_phi(cfg)[0]))
         g, e, m = bands(k)
         tp = experiments.thermal_params(cfg)
         cavity = (tp.gamma_minus, tp.gamma_plus, tp.p_at)
@@ -434,13 +436,15 @@ def test_record_rows_match_the_evolve_loop_over_random_physics(scheme, environme
 
 
 def random_step_matrix(scheme, environment, rng):
-    """The step matrix of a seeded numeric channel at dim 4-81, and its config."""
+    """The step matrix of a seeded numeric channel at dim 4-81, and its config;
+    the theta2 and phi drawn for a Walther pulse are left unset."""
     nbar = int(rng.integers(1, 9))
+    middle = {"theta2": float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar),
+              "phi": float(rng.uniform(0.0, 2.0 * math.pi))}
     cfg = ExperimentConfig(
         scenario="trajectory",
         nbar=nbar,
-        theta2=float(rng.uniform(0.05, 3.0)) / math.sqrt(nbar),
-        phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        **(middle if scheme == "symmetric" else {}),
         theta1_err=float(rng.uniform(-0.03, 0.03)),
         pat=float(rng.uniform(0.05, 1.0)),
         kappa=float(rng.uniform(5.0, 20.0)) if environment else 0.0,
@@ -448,7 +452,8 @@ def random_step_matrix(scheme, environment, rng):
         scheme=scheme,
         dim=int(rng.integers(max(4, nbar + 2), 82)),
     ).resolved()
-    g, e, m = bands(experiments.build_channel(cfg, experiments.reservoir_params(cfg, phi=cfg.phi)))
+    params = experiments.reservoir_params(cfg, phi=experiments.resolve_phi(cfg)[0])
+    g, e, m = bands(experiments.build_channel(cfg, params))
     tp = experiments.thermal_params(cfg)
     return kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at), (g, e, m, tp), cfg
 
