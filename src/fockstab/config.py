@@ -61,7 +61,8 @@ DECAY_SECONDS = (0.1, 0.25)
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's settings. scheme = walther is the pulse without its middle
-    segment, so its theta2 resolves to 0 and a theta2 or phi other than 0 is refused."""
+    segment, so its theta2 resolves to 0 and a theta2 other than 0 is refused;
+    so is a phi other than 0 at theta2 = 0, for either scheme."""
 
     scenario: str
     nbar: int = 3
@@ -134,9 +135,12 @@ class ExperimentConfig:
             raise ConfigError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        middle = ", ".join(f"{f} = {getattr(self, f)}" for f in ("theta2", "phi") if getattr(self, f))
-        if self.scheme == "walther" and middle:
-            raise ConfigError(f"scheme = walther has no middle segment, so theta2 and phi must be 0; got {middle}")
+        if self.scheme == "walther" and self.theta2:
+            raise ConfigError(
+                f"scheme = walther has no middle segment, so theta2 and phi must be 0; got theta2 = {self.theta2}"
+            )
+        if self.theta2 == 0.0 and self.phi:
+            raise ConfigError(f"theta2 = 0 has no middle segment, so phi must be 0; got phi = {self.phi}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         if self.nbars is not None and len(self.nbars) == 0:
@@ -196,25 +200,28 @@ def _has_type(value: Any, hint: Any) -> bool:
 
 
 def resolve_reads(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Resolve cfg, refusing every field its scenario does not read unless it
-    resolves to its default: such a value would be echoed with the output yet
-    change none of it."""
-    full = cfg.resolved()
+    """Resolve the fields cfg's scenario reads, refusing every other field
+    unless it is unset or equal to its resolved default: such a value would
+    be echoed with the output yet change none of it. Only the read fields
+    are validated."""
+    # resolved() refuses an unknown scenario
+    reads = SCENARIOS[cfg.scenario][1] | {"out", "fmt"} if cfg.scenario in SCENARIOS else set()
+    full = ExperimentConfig(cfg.scenario, **{f: getattr(cfg, f) for f in reads}).resolved()
     inert = {}  # read fields that another setting leaves without effect, with that setting
     if cfg.scenario == "steady" and full.nbar not in full.nbars:
         inert.update(dict.fromkeys(("nbar", "theta2", "dim"), "nbar not in nbars"))  # no sweep level
-    if "eta" in SCENARIOS[cfg.scenario][1] and (cause := uncertified(full)):
+    if "eta" in reads and (cause := uncertified(full)):
         inert["eta"] = cause  # it weighs only the certificate
     if full.kappa == 0.0:
         inert["nth"] = "kappa = 0"  # it scales only the rates of the absent environment
         if cfg.scenario == "tune-phase":
             # the settle then counts every atom, at p_at = 1
             inert.update(dict.fromkeys(("pat", "ts"), "kappa = 0"))
-    reads = (SCENARIOS[cfg.scenario][1] | {"out", "fmt"}) - inert.keys()
-    bare = ExperimentConfig(cfg.scenario, **{f: getattr(cfg, f) for f in reads}).resolved()
+    bare = ExperimentConfig(cfg.scenario, **{f: getattr(cfg, f) for f in reads - inert.keys()}).resolved()
     # an unread field is named only when set, not for the defaults it moves
-    unread = [f for f, spec in ExperimentConfig.__dataclass_fields__.items() if getattr(full, f) != getattr(bare, f)
-              and (f in inert or getattr(cfg, f) != spec.default)]
+    unread = [f for f, spec in ExperimentConfig.__dataclass_fields__.items()
+              if (getattr(full, f) != getattr(bare, f) if f in inert
+                  else f not in reads and getattr(cfg, f) not in (spec.default, getattr(full, f)))]
     if unread:
         groups = {}
         for f in unread:

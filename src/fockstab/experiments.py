@@ -16,8 +16,8 @@ applied to the initial populations (`kernels.record_rows`); only
 `--sample-atoms` runs, whose map changes from atom to atom, step the cycle
 one atom at a time. Tables that read a few rows of a long horizon read only
 those, from `np.linalg.matrix_power`: the Walther baselines of the steady
-and robustness tables (`_target_fidelities` on replaced configs) and the
-tuning objective's no-environment settle (`_settled`), the target
+and robustness tables (`_walther_fidelities`) and the tuning objective's
+no-environment settle (`_settled`), the target
 population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
 `kernels.evolve` is the oracle of both routes. Phase tuning builds, steps
 and solves its grid in stacks of at most SOLVE_ENTRIES // dim^2 phases, the
@@ -336,12 +336,17 @@ def run_record(cfg: ExperimentConfig) -> RunRecord:
 run_convergence = run_trajectory = ladder_check = run_record
 
 
-def _target_fidelities(cfg: ExperimentConfig, ks: Sequence[int]) -> list[float]:
-    """Target fidelity of the configured channel (phase cfg.phi, not tuned)
-    after each of the atom counts ks from the initial state, for tables that
-    read only those rows: (M^k d0)[nbar], with M^k from `np.linalg.matrix_power`."""
-    step = cycle_matrix(cfg, build_channel(cfg, reservoir_params(cfg, phi=cfg.phi)))
-    d0 = np.diag(initial_state(cfg)).real
+def _walther_fidelities(cfg: ExperimentConfig, ks: Sequence[int], **changes: Any) -> list[float]:
+    """Target fidelity of the resonant trapping baseline of Weidinger et al.
+    (PRL 82, 3795, 1999) after each of the atom counts ks, for tables that
+    read only those rows: (M^k d0)[nbar], with M^k from `np.linalg.matrix_power`.
+
+    The baseline is the analytic Walther channel, theta2 = phi = 0, at cfg
+    with the fields of changes replaced (its theta1 error, its initial state
+    and the environment it sees)."""
+    walther = replace(cfg, scheme="walther", channel="analytic", theta2=0.0, phi=0.0, **changes)
+    step = cycle_matrix(walther, build_channel(walther, reservoir_params(walther)))
+    d0 = np.diag(initial_state(walther)).real
     return [float((np.linalg.matrix_power(step, k) @ d0)[cfg.nbar]) for k in ks]
 
 
@@ -405,17 +410,14 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         params = reservoir_params(sub, phi=phi)
         tp = thermal_params(sub)
 
-        fid_sim, gap = stationary_fidelity(sub, params)
+        # at the configured theta1 error, then at -/+2%
+        (fid_sim, gap), (fid_minus, _), (fid_plus, _) = (
+            stationary_fidelity(sub, reservoir_params(sub, phi=phi, theta1_err=err))
+            for err in (sub.theta1_err, -0.02, 0.02)
+        )
         x1 = steady_population_correction(params, tp)
         fid_reduced = float(stationary(build_reduced(params, tp, sub.dim).step_matrix())[0][nbar])
-
-        walther = replace(sub, scheme="walther", channel="analytic", theta1_err=0.0, theta2=0.0, phi=0.0, init="vacuum")
-        (fid_walther,) = _target_fidelities(walther, [int(WALTHER_SECONDS / sub.ts)])
-
-        errs = {}
-        for err in (-0.02, 0.02):
-            errs[err], _ = stationary_fidelity(sub, reservoir_params(sub, phi=phi, theta1_err=err))
-
+        (fid_walther,) = _walther_fidelities(sub, [int(WALTHER_SECONDS / sub.ts)], theta1_err=0.0, init="vacuum")
         rows.append(
             {
                 "nbar": nbar,
@@ -424,8 +426,8 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
                 "fid_perturbative": 1.0 + x1,
                 "fid_reduced": fid_reduced,
                 "fid_walther_4s": fid_walther,
-                "fid_theta1_minus2pct": errs[-0.02],
-                "fid_theta1_plus2pct": errs[0.02],
+                "fid_theta1_minus2pct": fid_minus,
+                "fid_theta1_plus2pct": fid_plus,
                 "x1": x1,
                 "spectral_gap": gap,
                 "phi_used": phi_info["phi_used"],
@@ -464,44 +466,31 @@ def run_robustness(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     at 0.1 s and 0.25 s for both the configured atom presence and certain
     presence. Symmetric rows: stationary fidelity under +/-2% theta1 error
     with the thermal environment. Phase rows: stationary fidelity when the
-    middle-segment phase is offset by +/-pi/8.
+    middle-segment phase is offset by +/-pi/8, at the configured theta1
+    error. theta2 = 0 is refused: that pulse has no middle segment whose
+    phase could act.
     """
+    if cfg.theta2 == 0.0:
+        raise ConfigError("the phase_offset rows need a middle segment; theta2 = 0 has none")
     rows: list[dict[str, Any]] = []
     k_01, k_025 = (int(seconds / cfg.ts) for seconds in DECAY_SECONDS)
     for err in (-0.02, 0.02):
         for pat in sorted({cfg.pat, 1.0}):
-            walther = replace(cfg, scheme="walther", channel="analytic", theta1_err=err, theta2=0.0, phi=0.0,
-                              kappa=0.0, nth=0.0, pat=pat, init=f"fock:{cfg.nbar}")
-            fid_01, fid_025 = _target_fidelities(walther, [k_01, k_025])
-            rows.append(
-                {
-                    "case": "walther_theta_err",
-                    "theta1_err": err,
-                    "p_at": pat,
-                    "fid_0p1s": fid_01,
-                    "fid_0p25s": fid_025,
-                }
-            )
+            fid_01, fid_025 = _walther_fidelities(cfg, [k_01, k_025], theta1_err=err, init=f"fock:{cfg.nbar}",
+                                                  kappa=0.0, nth=0.0, pat=pat)
+            rows.append({"case": "walther_theta_err", "theta1_err": err, "p_at": pat, "fid_0p1s": fid_01,
+                         "fid_0p25s": fid_025})
+
+    def stationary_rows(case: str, column: str, values: Sequence[float], fids: list[float]) -> list[dict[str, Any]]:
+        # fid_change is against the first value
+        return [{"case": case, column: value, "p_at": cfg.pat, "fid_steady": fid, "fid_change": fid - fids[0]}
+                for value, fid in zip(values, fids)]
 
     phi, _ = resolve_phi(cfg)
-    base_fid = None
-    for err in (0.0, -0.02, 0.02):
-        fid, _ = stationary_fidelity(cfg, reservoir_params(cfg, phi=phi, theta1_err=err))
-        if err == 0.0:
-            base_fid = fid
-        rows.append(
-            {"case": "symmetric_theta1_err", "theta1_err": err, "p_at": cfg.pat, "fid_steady": fid,
-             "fid_change": fid - base_fid}
-        )
-
+    errs = (0.0, -0.02, 0.02)
+    fids = [stationary_fidelity(cfg, reservoir_params(cfg, phi=phi, theta1_err=err))[0] for err in errs]
+    rows += stationary_rows("symmetric_theta1_err", "theta1_err", errs, fids)
     acfg = replace(cfg, channel="analytic")
-    base = None
-    for off in (0.0, -math.pi / 8.0, math.pi / 8.0):
-        fid, _ = stationary_fidelity(acfg, reservoir_params(acfg, phi=off))
-        if off == 0.0:
-            base = fid
-        rows.append(
-            {"case": "phase_offset", "phi_offset": off, "p_at": cfg.pat, "fid_steady": fid,
-             "fid_change": fid - base}
-        )
-    return rows
+    offsets = (0.0, -math.pi / 8.0, math.pi / 8.0)
+    fids = [stationary_fidelity(acfg, reservoir_params(acfg, phi=off))[0] for off in offsets]
+    return rows + stationary_rows("phase_offset", "phi_offset", offsets, fids)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ladder_top re-exported: the tests import both levels from here
-from .dynamics import ladder_top, window_top  # noqa: F401
+from .dynamics import window_top
 from .errors import ConfigError
 from .kraus import transition_rates, trapping_angles
 # re-exported: the acceptance suite imports it from here

@@ -239,15 +239,15 @@ def test_a_setting_of_an_absent_environment_exits_2(argv, field, value, tmp_path
 ], ids=["converge", "ladder"])
 def test_a_phase_with_the_walther_scheme_exits_2(argv, tmp_path, capsys):
     # the baseline pulse has no middle segment; phi once passed unread, and
-    # converge echoed it as phi_used with the same data rows at every phi
+    # converge echoed it as phi_used with the same data rows at every phi.
+    # Its theta2 resolves to 0, where no scheme reads a phase
     cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
     cfg_file.write_text(json.dumps({"phi": 1.0}))
     for given in (["--phi", "1"], ["--config", str(cfg_file)]):
         assert main([*argv, "--scheme", "walther", *given, "--out", str(out)]) == 2
-        assert "scheme = walther has no middle segment, so theta2 and phi must be 0; got phi = 1.0" in (
-            capsys.readouterr().err)
+        assert "theta2 = 0 has no middle segment, so phi must be 0; got phi = 1.0" in capsys.readouterr().err
         assert not out.exists()
-    with pytest.raises(ConfigError, match="scheme = walther"):
+    with pytest.raises(ConfigError, match="theta2 = 0 has no middle segment"):
         ExperimentConfig(scenario=argv[0], scheme="walther", phi=1.0).resolved()
     # without a phase the baseline runs
     assert main([*argv, "--scheme", "walther", "--out", str(out)]) == 0
@@ -269,6 +269,37 @@ def test_a_middle_pulse_area_with_the_walther_scheme_exits_2(tmp_path, capsys):
     # the pulse's own values pass, and theta2 resolves to 0
     assert ExperimentConfig(scenario="converge", scheme="walther", theta2=0.0, phi=0.0).resolved().theta2 == 0.0
     assert ExperimentConfig(scenario="converge", scheme="walther").resolved().theta2 == 0.0
+
+
+@pytest.mark.parametrize("channel", ["analytic", "numeric"])
+def test_a_phase_without_a_middle_segment_exits_2(channel, tmp_path, capsys):
+    # the analytic channel once acted on the phase of a pulse with no middle
+    # segment (step-3 fidelity 0.4929 at phi 0 and 0.3396 at phi 1), while
+    # the numeric channel refused it only when it built the propagator
+    argv = ["converge", "--nbar", "2", "--dim", "12", "--steps", "3", "--theta2", "0", "--channel", channel]
+    cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
+    cfg_file.write_text(json.dumps({"phi": 1.0}))
+    for given in (["--phi", "1"], ["--config", str(cfg_file)]):
+        assert main([*argv, *given, "--out", str(out)]) == 2
+        assert "theta2 = 0 has no middle segment, so phi must be 0; got phi = 1.0" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ConfigError, match="theta2 = 0 has no middle segment"):
+        ExperimentConfig(scenario="converge", theta2=0.0, phi=1.0, channel=channel).resolved()
+    # phi = 0 is the pulse's own phase
+    assert main([*argv, "--phi", "0", "--out", str(out)]) == 0
+
+
+def test_robustness_refuses_a_pulse_without_middle_segment(tmp_path, capsys):
+    # its phase_offset rows once read 0.3210 at offset 0 and 0.3072 at
+    # +/-pi/8 at nbar 2, a phase acting on a pulse that cannot hold one
+    cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
+    cfg_file.write_text(json.dumps({"theta2": 0.0}))
+    for given in (["--theta2", "0"], ["--config", str(cfg_file)]):
+        assert main(["robustness", "--nbar", "2", *given, "--out", str(out)]) == 2
+        assert "the phase_offset rows need a middle segment; theta2 = 0 has none" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ConfigError, match="theta2 = 0 has none"):
+        experiments.run_robustness(ExperimentConfig("robustness", nbar=2, theta2=0.0).resolved())
 
 
 def test_the_walther_period_counts_no_middle_segment(tmp_path, capsys):
@@ -347,6 +378,24 @@ def test_config_file_value_the_scenario_does_not_read_is_refused(tmp_path, capsy
     assert main(["robustness", "--config", str(cfg_file)]) == 2
     # eta equals its default, so only steps is named, and no other setting is its cause
     assert "does not read steps; leave them unset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["steady", "robustness"])
+@pytest.mark.parametrize("values, unread", [
+    ({"scheme": "walther", "theta2": 0.5}, "scheme"),
+    ({"seed": 3}, "seed"),
+    ({"steps": 0}, "steps"),
+    ({"init": "fock:99"}, "init"),
+], ids=["walther-theta2", "seed", "steps-0", "init-off-the-grid"])
+def test_an_unread_config_value_is_named_before_it_is_validated(scenario, values, unread, tmp_path, capsys):
+    # only the fields a scenario reads are validated; these once exited with
+    # the rule the unread value broke (the Walther message, "seed applies
+    # only with sample_atoms", "steps must be >= 1", "does not fit dim 36")
+    cfg_file, out = tmp_path / "c.json", tmp_path / "out.csv"
+    cfg_file.write_text(json.dumps(values))
+    assert main([scenario, "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert f"scenario {scenario!r} does not read {unread}; leave them unset" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

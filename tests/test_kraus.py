@@ -8,6 +8,7 @@ from fockstab.dynamics import (
     LadderPropagator,
     composite_propagator,
     ladder_members,
+    ladder_top,
     make_params,
     trapping_theta1,
 )
@@ -22,7 +23,7 @@ from fockstab.kraus import (
     transition_rates,
     walther_kraus,
 )
-from fockstab.lyapunov import ladder_top, window_top
+from fockstab.lyapunov import window_top
 from fockstab.oracle import (
     annihilation,
     apply_map,

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fockstab.dynamics import make_params
+from fockstab.dynamics import ladder_top, make_params
 from fockstab.errors import ConfigError
 from fockstab.fock import fock_density, random_density, uniform_density
 from fockstab.kraus import analytic_kraus
-from fockstab.lyapunov import build_weights, ladder_top, validate_theta2, window_top
+from fockstab.lyapunov import build_weights, validate_theta2, window_top
 from fockstab.oracle import apply_map, evaluate_v, lyapunov_decrement
 
 

@@ -66,12 +66,16 @@ TABLE_GOLDENS = [("steady_nbars1-2.csv", ["steady", "--nbars", "1,2"]),
 # the answer-only powers, as the binary-power kernel that numpy's
 # `matrix_power` replaced wrote them: the no-environment tuning, whose
 # 1,200-atom settle sets its grid rows and answer lines, and the robustness
-# decay rows beside its tuned stationary rows
+# decay rows beside its tuned stationary rows; and the analytic robustness
+# table, untuned, where p_at = 1 leaves one decay row per theta1 error
 POWER_GOLDENS = [("tune_phase_nbar2.csv", ["tune-phase", "--nbar", "2"]),
-                 ("robustness_nbar2.csv", ["robustness", "--nbar", "2"])]
+                 ("robustness_nbar2.csv", ["robustness", "--nbar", "2"]),
+                 ("robustness_nbar1_analytic_pat1.csv",
+                  ["robustness", "--nbar", "1", "--channel", "analytic", "--pat", "1"])]
 GOLDEN_RUNS = pytest.mark.parametrize("name, argv", [*RECORD_GOLDENS, TUNE_GOLDEN, *TABLE_GOLDENS, *POWER_GOLDENS],
                                       ids=["trajectory", "converge", "ladder", "converge-walther", "tune-phase",
-                                           "steady", "sweep-theta2", "tune-phase-settle", "robustness"])
+                                           "steady", "sweep-theta2", "tune-phase-settle", "robustness",
+                                           "robustness-analytic"])
 RECORD_GOLDEN_RUNS = pytest.mark.parametrize("name, argv", RECORD_GOLDENS,
                                              ids=["trajectory", "converge", "ladder", "converge-walther"])
 
