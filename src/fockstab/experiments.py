@@ -19,19 +19,26 @@ those, from `np.linalg.matrix_power`: the Walther baselines of the steady
 and robustness tables (`_walther_fidelities`) and the tuning objective's
 no-environment settle (`_settled`), the target
 population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
-`kernels.evolve` is the oracle of both routes. Phase tuning builds, steps
-and solves its grid in stacks of at most SOLVE_ENTRIES // dim^2 phases, the
-even-numbered ones on the calling thread and the odd-numbered ones on a
-helper thread started for that call (`_settled`).
+`kernels.evolve` is the oracle of both routes.
 
-Every stationary quantity is one solve for the Perron vector of a cycle
-matrix (`thermal.stationary`): `cycle_matrix` for a channel, so the
-answer is the fixed point of exactly the map `kernels.evolve` iterates, and
-`ReducedDynamics.step_matrix` for the trapping-rate model. Each solve reports
-its spectral gap. Renormalized iteration (`steady_fidelity`,
-`kernels.evolve_to_fixed_point`) and `oracle.steady_state` are independent
-oracles for tests, `fockstab validate` and the benchmark's checks; no
-runner reaches them.
+Phase tuning (`tune_phase`) builds, steps and solves its 64-phase grid in
+stacks of at most SOLVE_ENTRIES // dim^2 phases, the even-numbered ones on
+the calling thread and the odd-numbered ones on a helper thread started for
+that call (`_settled`). Its golden section then builds one channel per
+phase on the calling thread. With an environment it ranks those phases by
+`thermal.banded_stationary`, an O(dim) elimination, and by
+`thermal.stationary` on the same matrix wherever that refuses; the reported
+fidelity is one `stationary` solve at the chosen phase. Without one, each
+phase is its own `_settled` settle.
+
+Every stationary quantity the program writes is one solve for the Perron
+vector of a cycle matrix (`thermal.stationary`): `cycle_matrix` for a
+channel, so the answer is the fixed point of exactly the map
+`kernels.evolve` iterates, and `ReducedDynamics.step_matrix` for the
+trapping-rate model. Each solve reports its spectral gap. Renormalized
+iteration (`steady_fidelity`, `kernels.evolve_to_fixed_point`) and
+`oracle.steady_state` are independent oracles for tests, `fockstab
+validate` and the benchmark's checks; no runner reaches them.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .errors import ConfigError, NumericalValidityError
 from .fock import diagonal_density, fock_density, uniform_density
 from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, walther_kraus
 from .lyapunov import build_weights, validate_theta2
-from .thermal import ThermalParams, build_reduced, stationary, steady_population_correction
+from .thermal import ThermalParams, banded_stationary, build_reduced, stationary, steady_population_correction
 
 PHI_GRID_POINTS = 64
 # matrix entries per stack of `_settled`, bounding its channel builds, step
@@ -199,8 +206,7 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
     and the first error raised, is that of a phase-by-phase run.
     """
     params = reservoir_params(cfg)
-    tp = thermal_params(cfg)
-    settle = tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
+    settle = _no_environment(cfg)
     # the settle sends an atom through every cycle
     cycle_cfg = replace(cfg, pat=1.0) if settle else cfg
 
@@ -246,6 +252,24 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
     return rows
 
 
+def _no_environment(cfg: ExperimentConfig) -> bool:
+    """Whether the configured environment neither loses nor gains photons,
+    so the tuning objective is the settle rather than a stationary solve."""
+    tp = thermal_params(cfg)
+    return tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
+
+
+def _ranked_fidelity(cfg: ExperimentConfig, params: ReservoirParams) -> float:
+    """Stationary target fidelity of one channel, for ranking phases only:
+    `banded_stationary`'s where it accepts its vector, else `stationary`'s
+    on the same matrix."""
+    step = cycle_matrix(cfg, build_channel(cfg, params))
+    populations = banded_stationary(step)
+    if populations is None:
+        populations, _ = stationary(step)
+    return float(populations[cfg.nbar])
+
+
 def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]]]:
     """Grid-plus-golden-section search of the middle-segment phase.
 
@@ -254,9 +278,17 @@ def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]
     then refines around the best grid point to 1e-3 rad. Ties break to the
     smallest phi; a landscape flat to 1e-6 returns phi = 0. Each grid row
     holds phi and the fidelity, plus the spectral gap of the stationary
-    solve when there is an environment. The whole grid is one `_settled`
-    call, the golden section one phase at a time. theta2 = 0 is refused:
-    that pulse has no middle segment whose phase could act.
+    solve when there is an environment. theta2 = 0 is refused: that pulse
+    has no middle segment whose phase could act.
+
+    The whole grid is one `_settled` call, and its rows and gaps are
+    `stationary`'s. The golden section's 13 phases build one channel each.
+    With an environment they are ranked by `_ranked_fidelity`, which
+    accepts a `banded_stationary` vector only where it is `stationary`'s
+    to rounding, and the fidelity returned is one `stationary` solve at the
+    chosen phase, so answer and comparison with the best grid row have the
+    bits of a golden section ranked by `stationary` alone. Without one,
+    every golden phase is a `_settled` settle.
     """
     if cfg.theta2 == 0.0:
         raise ConfigError("phase tuning needs a middle segment; theta2 = 0 has none")
@@ -269,7 +301,12 @@ def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]
     best = int(np.argmax(fids))
     step = 2.0 * math.pi / PHI_GRID_POINTS
     lo, hi = grid[best] - step, grid[best] + step
-    phi_opt, fid_opt = _golden_max(lambda p: _settled(cfg, [p])[0]["fidelity"], lo, hi, xatol=1e-3)
+    if _no_environment(cfg):
+        phi_opt, fid_opt = _golden_max(lambda p: _settled(cfg, [p])[0]["fidelity"], lo, hi, xatol=1e-3)
+    else:
+        params = reservoir_params(cfg)
+        phi_opt, _ = _golden_max(lambda p: _ranked_fidelity(cfg, replace(params, phi=p)), lo, hi, xatol=1e-3)
+        fid_opt, _ = stationary_fidelity(cfg, replace(params, phi=phi_opt))
     if fids[best] >= fid_opt:
         phi_opt, fid_opt = grid[best], fids[best]
     return phi_opt % (2.0 * math.pi), fid_opt, table

@@ -1,14 +1,15 @@
 """The rows of `fockstab validate`: the core identities, re-checked on the
 running numpy.
 
-`rows` returns one (name, ok, detail) row per check, seventeen in all.
+`rows` returns one (name, ok, detail) row per check, eighteen in all.
 The first fourteen pin the production route of almost every module to the
 dense operator route of `oracle`, or to the atom-by-atom loops
 `kernels.evolve` and `kernels.evolve_to_fixed_point`, at seeded random
 points. `power_rows` pins the answer-only rows, `np.linalg.matrix_power`
 rows, to the recorded ones of `kernels.record_rows`, `stationary_stack` a
-stacked stationary solve to its per-matrix solves, and the last,
-`record_format`, pins the run-CSV formatter to `'%.12g' % x`. This module
+stacked stationary solve to its per-matrix solves, `banded_stationary` the
+GTH elimination to `stationary` on the reflecting chain it answers, and the
+last, `record_format`, pins the run-CSV formatter to `'%.12g' % x`. This module
 is the one production caller of `oracle`, and it imports `experiments` and
 `kernels` itself, so `oracle` stays a leaf.
 The CLI imports it only for `validate`.
@@ -27,7 +28,7 @@ from .dynamics import composite_propagator, default_dim, make_params, trapping_t
 from .fock import fock_density, random_density
 from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, ladder_defects
 from .lyapunov import build_weights
-from .thermal import build_reduced, cavity_thermal, reduced_from_channel, stationary
+from .thermal import banded_stationary, build_reduced, cavity_thermal, reduced_from_channel, stationary
 
 
 def rows() -> list[tuple[str, bool, str]]:
@@ -197,6 +198,22 @@ def rows() -> list[tuple[str, bool, str]]:
     singles = [stationary(item) for item in stack]
     same = all(np.array_equal(r, r1) and gap == gap1 for r, gap, (r1, gap1) in zip(populations, gaps, singles))
     checks.append(("stationary_stack", same, f"nbar {nt}, {len(phis)} phases, smallest gap {gaps.min():.2e}"))
+
+    # GTH elimination against the eigvals route on the chain it answers,
+    # the reflecting completion of a cavity step matrix near the nominal
+    # phase
+    nq = int(rng.integers(1, 9))
+    pq = make_params(
+        nq,
+        theta2=0.75 * math.pi / math.sqrt(nq),
+        theta1=trapping_theta1(nq) * (1.0 + float(rng.uniform(-0.03, 0.03))),
+        phi=float(rng.uniform(-0.3, 0.3)),
+    )
+    step = kernels.step_matrix(*bands(extract_kraus(composite_propagator(pq, default_dim(nq)))), *rates)
+    reflecting = step + np.diag(1.0 - step.sum(axis=0))
+    v = banded_stationary(reflecting)
+    gdev = math.inf if v is None else float(np.abs(v - stationary(reflecting)[0]).sum())
+    checks.append(("banded_stationary", gdev <= 1e-12, f"nbar {nq}, 1-norm dev {gdev:.2e}"))
 
     checks.append(record_format_check())
     return checks

@@ -393,7 +393,7 @@ VALIDATE_ROWS = [
     "shift_identity", "analytic_completeness", "numeric_completeness", "analytic_fixed_point",
     "lyapunov_identity", "banded_channel_kernel", "thermal_kernel", "reduced_vs_full_steady",
     "population_engine", "block_propagator", "ladder_extraction", "stationary_solver", "population_powers",
-    "step_matrix", "power_rows", "stationary_stack", "record_format",
+    "step_matrix", "power_rows", "stationary_stack", "banded_stationary", "record_format",
 ]
 
 
@@ -751,6 +751,7 @@ def phase_by_phase(cfg, phis):
 
 
 CAVITY_CFG = {"kappa": 10.0, "nth": 0.05, "pat": 0.3}
+CAVITY_ARGV = ["--kappa", "10", "--nth", "0.05", "--pat", "0.3"]
 
 
 @pytest.mark.parametrize("phases", [1, 2, 17])
@@ -861,11 +862,13 @@ def test_a_lapack_error_re_solves_the_stack_one_phase_at_a_time(monkeypatch):
 
 def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
     # the 64 grid phases run as stacks of SOLVE_ENTRIES // dim^2 phases, all
-    # 64 at nbar 2 (dim 27) and 8 at nbar 8 (dim 81), then the golden
-    # section's 13 phases (2 + 11 steps of (sqrt(5) - 1)/2 narrow
-    # 2 * 2pi/64 to 1e-3) one each, for the channel builds and for the
-    # stationary solves alike; phase by phase would make 77 calls of each.
-    # The stacks of one grid have one size, so the order in which the two
+    # 64 at nbar 2 (dim 27) and 8 at nbar 8 (dim 81), for the channel builds
+    # and for the stationary solves alike; phase by phase would make 64
+    # calls of each. The golden section's 13 phases (2 + 11 steps of
+    # (sqrt(5) - 1)/2 narrow 2 * 2pi/64 to 1e-3) build one channel each,
+    # without a phase stack, and `banded_stationary` answers all of them
+    # here; the chosen phase is then built once more and solved once. The
+    # stacks of one grid have one size, so the order in which the two
     # threads call does not show. The nbar-2 golden-section result is
     # checked on stderr, as the phase-by-phase run printed it, and in the
     # CSV's metadata lines
@@ -877,7 +880,7 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
         return build(params, field_dim, phis)
 
     def counted_solve(m):
-        solved.append(len(m))
+        solved.append(len(m) if m.ndim == 3 else None)
         return solve(m)
 
     monkeypatch.setattr(ex, "composite_propagator", counted)
@@ -888,10 +891,116 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
         argv = ["tune-phase", "--nbar", str(nbar), "--kappa", "10", "--nth", "0.05", "--pat", "0.3",
                 "--out", str(tmp_path / f"t{nbar}.csv")]
         assert main(argv) == 0
-        assert sizes == solved == grid + [1] * 13
+        assert sizes == grid + [None] * 14
+        assert solved == grid + [None]
     assert "phi_opt: 5.905913 rad  fidelity: 0.970298" in capsys.readouterr().err
     lines = (tmp_path / "t2.csv").read_text().splitlines()
     assert lines[2:4] == ["# phi_opt: 5.90591284661", "# fidelity: 0.970297828117"]
+
+
+def stationary_golden_section(cfg):
+    """`tune_phase`'s answer with every golden-section phase ranked by its own
+    `_settled` call: the answer that ranking by `banded_stationary` must
+    reproduce bit for bit."""
+    grid = [2.0 * math.pi * i / ex.PHI_GRID_POINTS for i in range(ex.PHI_GRID_POINTS)]
+    fids = [row["fidelity"] for row in ex._settled(cfg, grid)]
+    if max(fids) - min(fids) < 1e-6:
+        return 0.0, fids[0]
+    best = int(np.argmax(fids))
+    step = 2.0 * math.pi / ex.PHI_GRID_POINTS
+    phi_opt, fid_opt = ex._golden_max(lambda p: ex._settled(cfg, [p])[0]["fidelity"],
+                                      grid[best] - step, grid[best] + step, xatol=1e-3)
+    if fids[best] >= fid_opt:
+        phi_opt, fid_opt = grid[best], fids[best]
+    return phi_opt % (2.0 * math.pi), fid_opt
+
+
+def tuning_answer(tune, cfg):
+    """(phi_opt, fidelity) of tune(cfg), or the type and message it raises."""
+    try:
+        return tune(cfg)[:2]
+    except Exception as exc:  # compared, not hidden: both routes must raise alike
+        return type(exc), str(exc)
+
+
+# the seed-11 `phase_scan` and `robustness` tunings of perfbench
+SEED11_TUNINGS = [
+    ["tune-phase", "--nbar", "1", "--theta2", "2.3546984497438026", *CAVITY_ARGV],
+    ["tune-phase", "--nbar", "4", "--theta2", "1.1773492248719013", *CAVITY_ARGV],
+    ["tune-phase", "--nbar", "8", "--theta2", "0.8325116207316468", *CAVITY_ARGV],
+    ["robustness", "--nbar", "3", "--theta2", "1.359485783819979"],
+]
+# metastable golden phases (gaps 3e-9 to 9e-9) whose reflecting vectors pass
+# the residual test alone but rank the phases otherwise than `stationary`
+METASTABLE_TUNINGS = [
+    ["tune-phase", "--nbar", "4", "--kappa", "14.880631263823672", "--nth", "0.0977929396441481",
+     "--pat", "0.6183900454357718", "--theta1-err", "0.02886410310293879"],
+    ["tune-phase", "--nbar", "4", "--kappa", "20.32037155156217", "--nth", "0.0715499854180885",
+     "--pat", "0.931594409902618", "--theta1-err", "0.02596251673178046"],
+]
+
+
+def test_the_golden_section_answer_is_that_of_stationary_ranking():
+    # random cavities on every axis, nbar 1-6 and a +/-3 % theta1 error, then
+    # the benchmark's seed-11 tunings and two metastable ones: phi_opt and
+    # the fidelity are bit for bit those of the golden section that ranks
+    # every phase by `stationary`, and a draw whose tuning raises raises the
+    # same error either way
+    rng = np.random.default_rng(67)
+    configs = [
+        resolved(scenario="tune-phase", nbar=int(rng.integers(1, 7)), kappa=float(rng.uniform(1.0, 30.0)),
+                 nth=float(rng.uniform(0.0, 0.2)), pat=float(rng.uniform(0.1, 1.0)),
+                 theta1_err=float(rng.uniform(-0.03, 0.03)))
+        for _ in range(32)
+    ]
+    configs += [config_from_args(build_parser().parse_args(argv)) for argv in SEED11_TUNINGS + METASTABLE_TUNINGS]
+    for i, cfg in enumerate(configs):
+        assert tuning_answer(ex.tune_phase, cfg) == tuning_answer(stationary_golden_section, cfg), i
+
+
+def test_a_tuning_whose_golden_phases_all_fall_back_keeps_its_answer(monkeypatch):
+    # every golden-section phase of this tuning is refused by
+    # `banded_stationary` and solved by `stationary` on the same matrix
+    argv = ["tune-phase", "--nbar", "2", "--kappa", "10", "--nth", "0.05", "--pat", "0.3", "--theta1-err", "-0.02"]
+    cfg = config_from_args(build_parser().parse_args(argv))
+    want = stationary_golden_section(cfg)
+    answers, banded = [], ex.banded_stationary
+
+    def recorded(m):
+        answers.append(banded(m))
+        return answers[-1]
+
+    monkeypatch.setattr(ex, "banded_stationary", recorded)
+    assert ex.tune_phase(cfg)[:2] == want
+    assert len(answers) == 13 and all(v is None for v in answers)
+
+
+def test_golden_phases_that_banded_answers_call_no_eigvals(monkeypatch):
+    # the nbar-8 cavity tuning: one eigvals per grid stack and one for the
+    # chosen phase, none for the 13 golden phases that banded_stationary
+    # answers. banded_stationary sees those 13 single matrices only, never
+    # a grid stack, and nothing of a tuning without an environment
+    cfg = nbar8_cavity()
+    shapes, seen, answered = [], [], []
+    eigvals, banded = np.linalg.eigvals, ex.banded_stationary
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    def recorded(m):
+        seen.append(m.shape)
+        answered.append(banded(m))
+        return answered[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    monkeypatch.setattr(ex, "banded_stationary", recorded)
+    ex.tune_phase(cfg)
+    assert shapes == [(8, cfg.dim, cfg.dim)] * 8 + [(1, cfg.dim, cfg.dim)]
+    assert seen == [(cfg.dim, cfg.dim)] * 13 and all(v is not None for v in answered)
+    seen.clear()
+    ex.tune_phase(resolved(scenario="tune-phase", nbar=2))
+    assert seen == []
 
 
 def test_a_solve_in_one_stack_fails_before_the_build_of_the_next(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,6 +19,7 @@ from fockstab.oracle import apply_map, decoherence_step, dense_thermal, reservoi
 from fockstab.thermal import (
     STATIONARY_GAP_TOL,
     ThermalParams,
+    banded_stationary,
     build_reduced,
     cavity_thermal,
     reduced_from_channel,
@@ -315,6 +317,79 @@ def test_stationary_refuses_a_vector_one_inverse_step_leaves_unconverged(monkeyp
     monkeypatch.setattr(thermal, "STATIONARY_MAX_STEPS", 1)
     assert main(TUNE_AT_SMALL_GAP) == 3
     assert "eigenvector residual" in capsys.readouterr().err
+
+
+def random_cavity_step(rng, phi_low, phi_high):
+    """Step matrix of a numeric channel at nbar 1-8 with a +/-3 % theta1
+    error, a phase drawn in [phi_low, phi_high) and a cavity drawn on every
+    axis (1/kappa 33-1000 ms, n_th 0-0.2, p_at 0.1-1)."""
+    nbar = int(rng.integers(1, 9))
+    params = make_params(
+        nbar,
+        theta2=0.75 * math.pi / math.sqrt(nbar),
+        theta1=(1.0 + float(rng.uniform(-0.03, 0.03))) * trapping_theta1(nbar),
+        phi=float(rng.uniform(phi_low, phi_high)),
+    )
+    tp = ThermalParams(kappa=float(rng.uniform(1.0, 30.0)), n_th=float(rng.uniform(0.0, 0.2)), Ts=60e-6,
+                       p_at=float(rng.uniform(0.1, 1.0)))
+    g, e, m = bands(extract_kraus(composite_propagator(params, default_dim(nbar))))
+    return kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at)
+
+
+def test_banded_stationary_is_the_reflecting_chains_vector_over_random_physics():
+    # near the nominal phase every reflecting completion is well separated:
+    # GTH answers it on every draw, as the eigvals route does
+    rng = np.random.default_rng(47)
+    for draw in range(24):
+        step = random_cavity_step(rng, -0.3, 0.3)
+        reflecting = step + np.diag(1.0 - step.sum(axis=0))
+        v = banded_stationary(reflecting)
+        assert v is not None, draw
+        r, _ = stationary(reflecting)
+        assert np.abs(v - r).sum() <= 1e-12, draw
+
+
+def test_banded_stationary_accepts_only_the_leaky_chains_vector():
+    # over the whole phase circle many chains are metastable, and their
+    # reflecting vector differs from the leaky one far above rounding; every
+    # vector accepted is stationary's, and a chain stationary refuses is
+    # refused here too
+    rng = np.random.default_rng(53)
+    accepted = refused = 0
+    for draw in range(40):
+        step = random_cavity_step(rng, 0.0, 2.0 * math.pi)
+        v = banded_stationary(step)
+        try:
+            r, _ = stationary(step)
+        except AmbiguousSteadyStateError:
+            assert v is None, draw
+            continue
+        if v is None:
+            refused += 1
+        else:
+            accepted += 1
+            assert np.abs(v - r).sum() <= 1e-12, draw
+    assert accepted >= 5 and refused >= 5
+
+
+def test_banded_stationary_refuses_without_a_warning():
+    # with no flow from levels 5 and up to levels below 5, level 5 has no
+    # downward flow left once the levels above it are eliminated; a
+    # negative entry leaves the subtraction-free domain. Neither raises
+    # nor warns
+    rng = np.random.default_rng(59)
+    step = random_cavity_step(rng, -0.3, 0.3)
+    assert banded_stationary(step) is not None
+    stuck = step.copy()
+    for below, above in ((4, 5), (3, 5), (4, 6)):
+        stuck[above, above] += stuck[below, above]
+        stuck[below, above] = 0.0
+    negative = step.copy()
+    negative[7, 6] = -negative[7, 6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert banded_stationary(stuck) is None
+        assert banded_stationary(negative) is None
 
 
 def test_steady_fidelity_degrades_with_coupling():
