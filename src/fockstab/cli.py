@@ -121,11 +121,12 @@ def run(cfg: ExperimentConfig) -> int:
         return 0
 
     if cfg.scenario == "tune-phase":
-        phi_opt, fid, table = experiments.tune_phase(cfg)
-        answer = {"phi_opt": phi_opt, "fidelity": fid}
-        summary = {**answer, "ill_conditioned": experiments.ill_conditioned(table)}
-        output.emit_rows(cfg, table, summary=summary, answer=answer)
-        print(f"phi_opt: {phi_opt:.6f} rad  fidelity: {fid:.6f}", file=sys.stderr)
+        tuning = experiments.tune_phase(cfg)
+        answer = {"phi_opt": tuning.phi_opt, "fidelity": tuning.fidelity}
+        # the golden section's answer counts as a row of its own
+        ill = experiments.ill_conditioned([*tuning.table, {"spectral_gap": tuning.answer_gap}])
+        output.emit_rows(cfg, tuning.table, summary={**answer, "ill_conditioned": ill}, answer=answer)
+        print(f"phi_opt: {tuning.phi_opt:.6f} rad  fidelity: {tuning.fidelity:.6f}", file=sys.stderr)
         return 0
 
     if cfg.scenario == "sweep-theta2":

@@ -21,15 +21,27 @@ no-environment settle (`_settled`), the target
 population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
 `kernels.evolve` is the oracle of both routes.
 
-Phase tuning (`tune_phase`) builds, steps and solves its 64-phase grid in
-stacks of at most SOLVE_ENTRIES // dim^2 phases, the even-numbered ones on
-the calling thread and the odd-numbered ones on a helper thread started for
-that call (`_settled`). Its golden section then builds one channel per
-phase on the calling thread. With an environment it ranks those phases by
-`thermal.banded_stationary`, an O(dim) elimination, and by
-`thermal.stationary` on the same matrix wherever that refuses; the reported
-fidelity is one `stationary` solve at the chosen phase. Without one, each
-phase is its own `_settled` settle.
+Phase tuning (`tune_phase`) builds, steps and solves its 64-phase grid
+in stacks of at most SOLVE_ENTRIES // dim^2 phases, the even-numbered ones
+on the calling thread and the odd-numbered ones on a helper thread started
+for that call (`_settled`). Its golden section then builds one channel per
+phase on the calling thread. With an environment the stationary solves take
+three routes, by what they serve:
+- a written grid (`tune-phase`): `thermal.stationary`, whose gaps the table
+  carries;
+- an unwritten grid (the tuning of `steady`, `robustness` and the record
+  runs): `thermal.shifted_stationary`, with no `eigvals`, then
+  `stationary` for the phases it refuses and the few whose bits decide
+  the answer. On a 2-core host with one BLAS thread (best of 15), the
+  shifted solve of a grid stack of 40 at dim 36 took 2.8 ms against
+  10.5 ms for `stationary`, of 8 at dim 81 1.9 against 15.5 ms, and of 64
+  at dim 18, whose chains leak enough to slow the shifted iteration, 3.7
+  against 4.3 ms;
+- the golden section: `thermal.banded_stationary`, an O(dim) elimination
+  of one matrix, with `stationary` on the same matrix wherever that
+  refuses; the reported fidelity is one `stationary` solve of the chosen
+  phase's kept step matrix.
+Without an environment, every phase is a `_settled` settle.
 
 Every stationary quantity the program writes is one solve for the Perron
 vector of a cycle matrix (`thermal.stationary`): `cycle_matrix` for a
@@ -48,6 +60,7 @@ import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -59,7 +72,14 @@ from .errors import ConfigError, NumericalValidityError
 from .fock import diagonal_density, fock_density, uniform_density
 from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, walther_kraus
 from .lyapunov import build_weights, validate_theta2
-from .thermal import ThermalParams, banded_stationary, build_reduced, stationary, steady_population_correction
+from .thermal import (
+    ThermalParams,
+    banded_stationary,
+    build_reduced,
+    shifted_stationary,
+    stationary,
+    steady_population_correction,
+)
 
 PHI_GRID_POINTS = 64
 # matrix entries per stack of `_settled`, bounding its channel builds, step
@@ -76,6 +96,14 @@ TUNE_SETTLE_STEPS = 1200
 # spectral gaps below this (where `oracle.steady_state` refuses) are
 # counted as ill-conditioned in the run summaries
 ILL_CONDITIONED_GAP = 1e-7
+# a tuning landscape whose fidelities span less than this answers phi = 0
+TUNE_FLAT = 1e-6
+# an unwritten tuning grid re-solves with `stationary` every phase whose
+# `shifted_stationary` fidelity lies within this of the grid's maximum (and
+# of its minimum, where the flatness test is in doubt). Accepted vectors
+# lay within 2.4e-11 of `stationary`'s (1-norm) over the random physics
+# tried, and no grid tried had a second phase this close to its maximum
+TUNE_RANK_MARGIN = 1e-6
 
 
 @dataclass
@@ -167,12 +195,15 @@ def _v_series(cfg: ExperimentConfig, diag: np.ndarray) -> np.ndarray:
 
 
 def resolve_phi(cfg: ExperimentConfig) -> tuple[float, dict[str, Any]]:
-    """The middle-segment phase to run with: explicit, tuned (numeric channel, theta2 > 0), or nominal 0."""
+    """The middle-segment phase to run with: explicit, tuned (numeric channel, theta2 > 0), or nominal 0.
+
+    No output writes the tuning grid of a run that resolves its phase, so
+    it is `tune_phase`'s unwritten route."""
     if cfg.phi is not None:
         return cfg.phi, {"phi_used": cfg.phi, "phi_tuned": False}
     if cfg.channel == "numeric" and cfg.theta2 > 0.0:
-        phi_opt, fid, _ = tune_phase(cfg)
-        return phi_opt, {"phi_used": phi_opt, "phi_tuned": True, "phi_tune_fidelity": fid}
+        tuning = tune_phase(cfg, written=False)
+        return tuning.phi_opt, {"phi_used": tuning.phi_opt, "phi_tuned": True, "phi_tune_fidelity": tuning.fidelity}
     return 0.0, {"phi_used": 0.0, "phi_tuned": False}
 
 
@@ -188,15 +219,19 @@ def ill_conditioned(rows: list[dict[str, Any]]) -> int:
     return sum(1 for r in rows if r.get("spectral_gap", math.inf) < ILL_CONDITIONED_GAP)
 
 
-def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, float]]:
+def _settled(cfg: ExperimentConfig, phis: Sequence[float], written: bool = True) -> list[dict[str, float]]:
     """Long-run target fidelity of the configured channel at each phase of phis.
 
     Without an environment this is the fidelity after a fixed settle of
     TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
     of the step matrix. With one, it is the stationary fidelity, reported
-    together with its spectral gap. The phases run as stacks of at most
+    together with its spectral gap: `stationary`'s where the rows are
+    written. Rows that no output writes take `shifted_stationary`, with no
+    `eigvals`, and carry the fidelity alone; the phases it refuses are
+    solved by `stationary` and keep their gaps, so what they raise is
+    raised as in the written route. The phases run as stacks of at most
     SOLVE_ENTRIES // dim^2, each one `build_channel`, one `cycle_matrix` and
-    then one `stationary` call or one stacked `np.linalg.matrix_power`. With
+    then that solve or one stacked `np.linalg.matrix_power`. With
     more than one stack, a helper thread solves stacks 1, 3, 5, ... while
     the caller solves stacks 0, 2, 4, ...; numpy releases the GIL in the
     stacked LAPACK calls, so the two overlap. The caller joins the
@@ -215,6 +250,17 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
         if settle:
             fids = np.linalg.matrix_power(matrices, TUNE_SETTLE_STEPS)[:, cfg.nbar, cfg.nbar]
             return [{"fidelity": float(fid)} for fid in fids]
+        if written:
+            return stationary_rows(matrices)
+        populations, accepted = shifted_stationary(matrices)
+        rows: list[dict[str, float]] = [{"fidelity": float(r[cfg.nbar])} for r in populations]
+        refused = np.flatnonzero(~accepted)
+        if refused.size:
+            for i, row in zip(refused, stationary_rows(matrices[refused])):
+                rows[i] = row
+        return rows
+
+    def stationary_rows(matrices: np.ndarray) -> list[dict[str, float]]:
         populations, gaps = stationary(matrices)
         return [{"fidelity": float(r[cfg.nbar]), "spectral_gap": float(gap)} for r, gap in zip(populations, gaps)]
 
@@ -244,7 +290,7 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float]) -> list[dict[str, flo
         if isinstance(outcome, ValueError) and len(stack) > 1:
             # one phase at a time, so the error raised is the first one a
             # phase-by-phase run meets, a solve of an earlier phase included
-            rows += [row for phi in stack for row in _settled(cfg, [phi])]
+            rows += [row for phi in stack for row in _settled(cfg, [phi], written)]
         elif isinstance(outcome, Exception):
             raise outcome
         else:
@@ -259,68 +305,113 @@ def _no_environment(cfg: ExperimentConfig) -> bool:
     return tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
 
 
-def _ranked_fidelity(cfg: ExperimentConfig, params: ReservoirParams) -> float:
-    """Stationary target fidelity of one channel, for ranking phases only:
-    `banded_stationary`'s where it accepts its vector, else `stationary`'s
-    on the same matrix."""
+def _ranked(cfg: ExperimentConfig, params: ReservoirParams) -> tuple[float, np.ndarray]:
+    """Stationary target fidelity of one channel, for ranking phases only, and
+    its step matrix: `banded_stationary`'s fidelity where it accepts its
+    vector, else `stationary`'s on the same matrix."""
     step = cycle_matrix(cfg, build_channel(cfg, params))
     populations = banded_stationary(step)
     if populations is None:
         populations, _ = stationary(step)
-    return float(populations[cfg.nbar])
+    return float(populations[cfg.nbar]), step
 
 
-def tune_phase(cfg: ExperimentConfig) -> tuple[float, float, list[dict[str, Any]]]:
+class PhaseTuning(tuple):
+    """A tuning's answer: the tuple (phi_opt, fidelity, table) of the tuned
+    phase, its long-run target fidelity and the grid rows, which holds one
+    field beyond its items, as `os.stat_result` does: answer_gap, the
+    spectral gap of the `stationary` solve at the golden section's answer
+    (inf where no such solve was made)."""
+
+    phi_opt = property(itemgetter(0))
+    fidelity = property(itemgetter(1))
+    table = property(itemgetter(2))
+    answer_gap: float
+
+    def __new__(cls, phi_opt: float, fidelity: float, table: list[dict[str, Any]], answer_gap: float = math.inf):
+        tuning = super().__new__(cls, (phi_opt, fidelity, table))
+        tuning.answer_gap = answer_gap
+        return tuning
+
+
+def tune_phase(cfg: ExperimentConfig, written: bool = True) -> PhaseTuning:
     """Grid-plus-golden-section search of the middle-segment phase.
 
     Maximizes the long-run target fidelity (stationary fidelity when an
     environment is configured) over phi in [0, 2pi) at resolution 2pi/64,
     then refines around the best grid point to 1e-3 rad. Ties break to the
-    smallest phi; a landscape flat to 1e-6 returns phi = 0. Each grid row
+    smallest phi; a landscape flat to TUNE_FLAT returns phi = 0. Each grid row
     holds phi and the fidelity, plus the spectral gap of the stationary
     solve when there is an environment. theta2 = 0 is refused: that pulse
     has no middle segment whose phase could act.
 
-    The whole grid is one `_settled` call, and its rows and gaps are
-    `stationary`'s. The golden section's 13 phases build one channel each.
-    With an environment they are ranked by `_ranked_fidelity`, which
-    accepts a `banded_stationary` vector only where it is `stationary`'s
-    to rounding, and the fidelity returned is one `stationary` solve at the
-    chosen phase, so answer and comparison with the best grid row have the
-    bits of a golden section ranked by `stationary` alone. Without one,
-    every golden phase is a `_settled` settle.
+    The whole grid is one `_settled` call. With an environment, its solves
+    take one of two routes, by whether the caller writes the grid rows.
+    Written, the rows and gaps are `stationary`'s. Unwritten, they are
+    `shifted_stationary`'s, and only the phases whose bits the steps below
+    read are solved again by `stationary`, in one more `_settled` call: the
+    phases within TUNE_RANK_MARGIN of the maximum, among which is the
+    argmax; and, where the fidelities span less than TUNE_FLAT plus twice
+    that margin, the phases within it of the minimum, which the flatness
+    test reads, and phase 0, which a flat landscape answers. So
+    phi_opt and its fidelity have the bits of the written route, and the
+    unwritten rows are what the ranking read, not a table.
+
+    The golden section's 13 phases build one channel each. With an
+    environment they are ranked by `_ranked`, which accepts a
+    `banded_stationary` vector only where it is `stationary`'s to rounding;
+    the step matrices of the two bracketing phases are kept, and the
+    fidelity returned is one `stationary` solve of the chosen one, so
+    answer and comparison with the best grid row have the bits of a golden
+    section ranked by `stationary` alone. That solve's gap is the
+    answer_gap. Without an environment, every golden phase is a `_settled`
+    settle.
     """
     if cfg.theta2 == 0.0:
         raise ConfigError("phase tuning needs a middle segment; theta2 = 0 has none")
     grid = [2.0 * math.pi * i / PHI_GRID_POINTS for i in range(PHI_GRID_POINTS)]
-    table = [{"phi": p, **row} for p, row in zip(grid, _settled(cfg, grid))]
-    fids = [r["fidelity"] for r in table]
-    if max(fids) - min(fids) < 1e-6:
-        fid0 = fids[0]
-        return 0.0, fid0, table
+    settle = _no_environment(cfg)
+    rows = _settled(cfg, grid, written)
+    fids = [row["fidelity"] for row in rows]
+    if not (written or settle):
+        top, bottom = max(fids), min(fids)
+        doubt = top - bottom < TUNE_FLAT + 2.0 * TUNE_RANK_MARGIN
+        deciding = [i for i, (fid, row) in enumerate(zip(fids, rows)) if "spectral_gap" not in row and (
+            fid >= top - TUNE_RANK_MARGIN or (doubt and (i == 0 or fid <= bottom + TUNE_RANK_MARGIN)))]
+        for i, row in zip(deciding, _settled(cfg, [grid[i] for i in deciding])):
+            rows[i], fids[i] = row, row["fidelity"]
+    table = [{"phi": p, **row} for p, row in zip(grid, rows)]
+    if max(fids) - min(fids) < TUNE_FLAT:
+        return PhaseTuning(0.0, fids[0], table)
     best = int(np.argmax(fids))
     step = 2.0 * math.pi / PHI_GRID_POINTS
     lo, hi = grid[best] - step, grid[best] + step
-    if _no_environment(cfg):
+    answer_gap = math.inf
+    if settle:
         phi_opt, fid_opt = _golden_max(lambda p: _settled(cfg, [p])[0]["fidelity"], lo, hi, xatol=1e-3)
     else:
         params = reservoir_params(cfg)
-        phi_opt, _ = _golden_max(lambda p: _ranked_fidelity(cfg, replace(params, phi=p)), lo, hi, xatol=1e-3)
-        fid_opt, _ = stationary_fidelity(cfg, replace(params, phi=phi_opt))
+        phi_opt, (_, chosen) = _golden_max(lambda p: _ranked(cfg, replace(params, phi=p)), lo, hi, xatol=1e-3,
+                                           key=lambda ranked: ranked[0])
+        populations, answer_gap = stationary(chosen)
+        fid_opt = float(populations[cfg.nbar])
     if fids[best] >= fid_opt:
         phi_opt, fid_opt = grid[best], fids[best]
-    return phi_opt % (2.0 * math.pi), fid_opt, table
+    return PhaseTuning(phi_opt % (2.0 * math.pi), fid_opt, table, answer_gap)
 
 
-def _golden_max(fn, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Deterministic golden-section maximization on [lo, hi]."""
+def _golden_max(fn, lo: float, hi: float, xatol: float, key=None) -> tuple[float, Any]:
+    """Deterministic golden-section maximization on [lo, hi]: the better
+    bracketing point and fn's value there. fn's values are compared by
+    key(value), or as they are; only the two bracketing values are kept."""
+    rank = key or (lambda value: value)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     while b - a > xatol:
-        if fc >= fd:
+        if rank(fc) >= rank(fd):
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = fn(c)
@@ -328,7 +419,7 @@ def _golden_max(fn, lo: float, hi: float, xatol: float) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
+    return (c, fc) if rank(fc) >= rank(fd) else (d, fd)
 
 
 def run_record(cfg: ExperimentConfig) -> RunRecord:

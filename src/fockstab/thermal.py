@@ -21,9 +21,11 @@ defect).
 forms A and B from them; `build_reduced` takes the rates of the trapping
 ladder, `reduced_from_channel` reads them off a channel.
 `stationary` solves for the Perron vector of a cycle matrix from its
-spectrum; `banded_stationary` is the O(dim) elimination that phase tuning
-ranks its golden-section phases by, accepted only where it gives
-`stationary`'s vector to rounding.
+spectrum. Two solves rank tuning phases, each accepted only where it gives
+`stationary`'s vector to rounding: `shifted_stationary`, a stacked inverse
+iteration without the spectrum, for the grids no output writes, and
+`banded_stationary`, an O(dim) elimination of one matrix, for the golden
+section.
 """
 
 from __future__ import annotations
@@ -182,7 +184,8 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     iteration converges to; in a run shorter than about 1/(1 - lam1) atoms
     it is the one an experiment sees. The gap lam1 - max|lam_other| sets how
     fast that iteration forgets its start; it is returned so callers can
-    flag slowly mixing chains. `banded_stationary` answers the reflecting
+    flag slowly mixing chains. `shifted_stationary` answers the same leaky
+    chain without the spectrum. `banded_stationary` answers the reflecting
     chain instead, which keeps the escaping population on the top levels,
     so its vector is accepted only under this solve's residual test against
     the leaky m, together with a bound on the change that would turn it
@@ -222,29 +225,12 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     # delta + gap from sigma, so each step shrinks the error by
     # delta / (delta + gap): about 1e-3 in general, and at least a half even
     # at the gap floor, where delta is the floor; 64 halvings take any start
-    # below double rounding, hence the step cap. The inverse is formed once,
-    # as numpy keeps no reusable LU factorization.
+    # below double rounding, hence the step cap.
     r = np.full((items, n), 1.0 / n)
     if live.size:
         sigma = lam1[live] + np.maximum(STATIONARY_SHIFT * gaps[live], STATIONARY_GAP_TOL)
-        # sigma I - m in one buffer, as 0 - m with sigma added on the
-        # diagonal: the same numbers as sigma * I - m
-        solve = np.subtract(0.0, ms if live.size == items else ms[live])
-        solve[:, np.arange(n), np.arange(n)] += sigma[:, None]
-        solve = np.linalg.inv(solve)
-        step_tol = STATIONARY_ULPS * np.finfo(np.float64).eps
-        # every live item takes each step; one that settles keeps the vector
-        # of the step that settled it
-        vectors, going = r[live], np.ones(live.size, dtype=bool)
-        for _ in range(STATIONARY_MAX_STEPS):
-            nxt = (solve @ vectors[..., None])[..., 0]
-            nxt /= nxt.sum(axis=-1, keepdims=True)
-            settled = np.abs(nxt - vectors).max(axis=-1) <= step_tol
-            vectors[going] = nxt[going]
-            going &= ~settled
-            if not going.any():
-                break
-        r[live] = vectors
+        solve = _shifted_inverse(ms if live.size == items else ms[live], sigma)
+        r[live] = _inverse_iteration(solve, r[live][..., None])[0][..., 0]
     # the items below the gap floor keep the uniform start, which is never read
     residual, bounds = _residual(ms, r)
     residuals = np.abs(residual).sum(axis=-1)
@@ -264,6 +250,91 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     if m.ndim == 2:
         return r[0], float(gaps[0])
     return r, gaps
+
+
+def shifted_stationary(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary populations of each matrix of an (s, n, n) stack without
+    its spectrum, and whether each item's vector is accepted as `stationary`'s.
+
+    The Perron root of a nonnegative matrix is at most its largest column
+    sum (Seneta, Non-negative Matrices and Markov Chains, 1981), so shifted
+    to sigma = that sum lifted by `_residual`'s rounding bound, sigma I - m
+    stays an M-matrix, with an entrywise nonnegative inverse, and inverse
+    iteration there gives m's own Perron vector (Stewart 1994, ch. 2): the
+    leaky chain's, as `stationary` does, with no `eigvals`. One `inv` per
+    stack, then `stationary`'s masked loop, from two starts, the uniform
+    vector and a linear ramp, which weight the levels differently. The shift
+    sits delta = sigma - lam1 above the Perron root, about the share
+    1 - lam1 that escapes per atom plus the lift, so each step shrinks the
+    error by delta / (delta + gap): fast wherever the gap exceeds delta,
+    slower for the leakiest chains (nbar 1 and 2).
+
+    An item is accepted only if its step settled, with both starts at one
+    vector, which two closed classes do not give; if its last step shrank the
+    one before by at least half, so the tail left is below the step
+    tolerance, and the contraction q it measures certifies a gap
+    lift * (1 / q - 1) above STATIONARY_GAP_TOL; if the vector is
+    nonnegative; and if it passes `_residual`'s bound against m. Anything
+    else, a chain below the gap floor or a stall among them, is refused,
+    without raising or warning; a refused item is `stationary`'s to solve.
+    The accepted vectors are not `stationary`'s bit for bit, only to
+    rounding, so what must keep its bits is solved by `stationary`.
+    """
+    n = ms.shape[-1]
+    column_sum = np.abs(ms).sum(axis=-2).max(axis=-1)
+    lift = STATIONARY_ULPS * n * np.finfo(np.float64).eps * column_sum
+    starts = np.empty((ms.shape[0], n, 2))
+    starts[..., 0] = 1.0 / n
+    starts[..., 1] = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
+    vectors, settled, contraction = _inverse_iteration(_shifted_inverse(ms, column_sum + lift), starts)
+    r = vectors[..., 0]
+    residual, bounds = _residual(ms, r)
+    # q < lift / (lift + floor) is lift * (1 / q - 1) > floor, written to
+    # fail on NaN
+    accepted = (settled & (contraction <= 0.5) & (contraction < lift / (lift + STATIONARY_GAP_TOL))
+                & (r.min(axis=-1) >= 0.0) & (np.abs(residual).sum(axis=-1) <= bounds))
+    return r, accepted
+
+
+def _shifted_inverse(ms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(sigma I - m)^-1 for each item of a stack and its own shift, formed
+    once, as numpy keeps no reusable LU factorization."""
+    # sigma I - m in one buffer, as 0 - m with sigma added on the diagonal:
+    # the same numbers as sigma * I - m
+    n = ms.shape[-1]
+    solve = np.subtract(0.0, ms)
+    solve[:, np.arange(n), np.arange(n)] += sigma[:, None]
+    return np.linalg.inv(solve)
+
+
+def _inverse_iteration(solve: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse iteration with the inverses solve (s, n, n) from the starts
+    vectors (s, n, k), each start renormalized to sum 1 after each step.
+
+    Every item takes each step until the last has settled or
+    STATIONARY_MAX_STEPS have passed. An item settles at the first step
+    that moves none of its starts by more than STATIONARY_ULPS ulp and
+    leaves them within that of each other, and keeps the vectors of that
+    step. Returns the vectors, whether each item settled, and its
+    contraction: its last step's move over the move of the step before
+    (0 where the first step settled it).
+    """
+    step_tol = STATIONARY_ULPS * np.finfo(np.float64).eps
+    going = np.ones(len(vectors), dtype=bool)
+    last, before = np.full(len(vectors), np.inf), np.full(len(vectors), np.inf)
+    for _ in range(STATIONARY_MAX_STEPS):
+        nxt = solve @ vectors
+        nxt /= nxt.sum(axis=-2, keepdims=True)
+        move = np.abs(nxt - vectors).max(axis=(-2, -1))
+        spread = (nxt.max(axis=-1) - nxt.min(axis=-1)).max(axis=-1)
+        vectors[going] = nxt[going]
+        before[going], last[going] = last[going], move[going]
+        going &= ~((move <= step_tol) & (spread <= step_tol))
+        if not going.any():
+            break
+    # a start already in place moves 0 twice; the 0 / 0 is NaN, never certified
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return vectors, ~going, last / before
 
 
 def _residual(ms: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -414,6 +414,22 @@ def test_importing_the_cli_does_not_load_the_validate_rows(src_env):
     assert proc.stdout.split() == ["False"]
 
 
+def test_timed_runs_import_neither_numpy_ma_nor_scipy(tmp_path, src_env):
+    # np.unique and np.union1d import numpy.ma on first use, 10-30 ms in a
+    # fresh process, and scipy is a test dependency only; a tuning that
+    # ranks its grid without eigvals and a steady table load neither
+    out = str(tmp_path / "out.csv")
+    argvs = [["robustness", "--out", out], ["steady", "--nbars", "3", "--out", out],
+             ["tune-phase", "--nbar", "2", *CAVITY_ARGV, "--out", out]]
+    code = ("import json, sys; from fockstab.cli import main; "
+            f"codes = [main(argv) for argv in {argvs!r}]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' "
+            "or m == 'numpy.ma' or m.startswith('numpy.ma.'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -867,7 +883,7 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
     # calls of each. The golden section's 13 phases (2 + 11 steps of
     # (sqrt(5) - 1)/2 narrow 2 * 2pi/64 to 1e-3) build one channel each,
     # without a phase stack, and `banded_stationary` answers all of them
-    # here; the chosen phase is then built once more and solved once. The
+    # here; the chosen phase's kept step matrix is then solved once. The
     # stacks of one grid have one size, so the order in which the two
     # threads call does not show. The nbar-2 golden-section result is
     # checked on stderr, as the phase-by-phase run printed it, and in the
@@ -891,7 +907,7 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
         argv = ["tune-phase", "--nbar", str(nbar), "--kappa", "10", "--nth", "0.05", "--pat", "0.3",
                 "--out", str(tmp_path / f"t{nbar}.csv")]
         assert main(argv) == 0
-        assert sizes == grid + [None] * 14
+        assert sizes == grid + [None] * 13
         assert solved == grid + [None]
     assert "phi_opt: 5.905913 rad  fidelity: 0.970298" in capsys.readouterr().err
     lines = (tmp_path / "t2.csv").read_text().splitlines()
@@ -930,6 +946,9 @@ SEED11_TUNINGS = [
     ["tune-phase", "--nbar", "8", "--theta2", "0.8325116207316468", *CAVITY_ARGV],
     ["robustness", "--nbar", "3", "--theta2", "1.359485783819979"],
 ]
+# a tuning whose answer is its best grid row, which the golden section does
+# not beat
+GRID_ANSWER_TUNING = ["tune-phase", "--nbar", "2", "--theta2", "0.03", *CAVITY_ARGV]
 # metastable golden phases (gaps 3e-9 to 9e-9) whose reflecting vectors pass
 # the residual test alone but rank the phases otherwise than `stationary`
 METASTABLE_TUNINGS = [
@@ -940,12 +959,10 @@ METASTABLE_TUNINGS = [
 ]
 
 
-def test_the_golden_section_answer_is_that_of_stationary_ranking():
-    # random cavities on every axis, nbar 1-6 and a +/-3 % theta1 error, then
-    # the benchmark's seed-11 tunings and two metastable ones: phi_opt and
-    # the fidelity are bit for bit those of the golden section that ranks
-    # every phase by `stationary`, and a draw whose tuning raises raises the
-    # same error either way
+def answer_check_tunings():
+    """Random cavities on every axis, nbar 1-6 and a +/-3 % theta1 error,
+    then the benchmark's seed-11 tunings, two metastable ones and one that
+    answers a grid row."""
     rng = np.random.default_rng(67)
     configs = [
         resolved(scenario="tune-phase", nbar=int(rng.integers(1, 7)), kappa=float(rng.uniform(1.0, 30.0)),
@@ -953,9 +970,73 @@ def test_the_golden_section_answer_is_that_of_stationary_ranking():
                  theta1_err=float(rng.uniform(-0.03, 0.03)))
         for _ in range(32)
     ]
-    configs += [config_from_args(build_parser().parse_args(argv)) for argv in SEED11_TUNINGS + METASTABLE_TUNINGS]
-    for i, cfg in enumerate(configs):
+    return configs + [config_from_args(build_parser().parse_args(argv))
+                      for argv in SEED11_TUNINGS + METASTABLE_TUNINGS + [GRID_ANSWER_TUNING]]
+
+
+def test_the_golden_section_answer_is_that_of_stationary_ranking():
+    # phi_opt and the fidelity are bit for bit those of the golden section
+    # that ranks every phase by `stationary`, and a draw whose tuning raises
+    # raises the same error either way
+    for i, cfg in enumerate(answer_check_tunings()):
         assert tuning_answer(ex.tune_phase, cfg) == tuning_answer(stationary_golden_section, cfg), i
+
+
+def test_unwritten_grid_answer_is_that_of_stationary_ranking():
+    # the same tunings as a run that resolves its phase: the grid ranked by
+    # `shifted_stationary` with the deciding phases solved again still gives
+    # the answer of `stationary` alone, bit for bit, or raises alike
+    def resolved_phase(cfg):
+        phi, info = ex.resolve_phi(cfg)
+        return phi, info["phi_tune_fidelity"]
+
+    for i, cfg in enumerate(answer_check_tunings()):
+        assert tuning_answer(resolved_phase, cfg) == tuning_answer(stationary_golden_section, cfg), i
+
+
+def test_a_flat_unwritten_grid_answers_stationarys_phase_0(monkeypatch):
+    # with every landscape read as flat, the answer is phase 0's fidelity,
+    # which the unwritten grid solves again with `stationary`
+    monkeypatch.setattr(ex, "TUNE_FLAT", 2.0)
+    cfg = resolved(scenario="robustness")
+    phi, info = ex.resolve_phi(cfg)
+    assert (phi, info["phi_tune_fidelity"]) == (0.0, ex._settled(cfg, [0.0])[0]["fidelity"])
+
+
+def test_an_unwritten_grid_calls_eigvals_only_for_the_phases_that_decide(monkeypatch):
+    # the default robustness tuning (dim 36): `shifted_stationary` answers
+    # its two grid stacks, and `stationary` solves again only the grid's
+    # argmax, in one call, then the golden section's answer
+    cfg = resolved(scenario="robustness")
+    eigvals, shifted = np.linalg.eigvals, ex.shifted_stationary
+    shapes, stacks = [], []
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    def recorded(m):
+        stacks.append(len(m))
+        return shifted(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    monkeypatch.setattr(ex, "shifted_stationary", recorded)
+    ex.resolve_phi(cfg)
+    assert sorted(stacks) == [24, 40]
+    assert shapes == [(1, cfg.dim, cfg.dim)] * 2
+
+
+def test_a_metastable_answer_counts_as_ill_conditioned(tmp_path):
+    # the golden section's answer, off the grid, comes from a chain with gap
+    # 7.4e-9: it is counted with the grid rows below ILL_CONDITIONED_GAP
+    out = tmp_path / "tune.json"
+    assert main([*METASTABLE_TUNINGS[0], "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    tuning = ex.tune_phase(config_from_args(build_parser().parse_args(METASTABLE_TUNINGS[0])))
+    assert 1e-9 < tuning.answer_gap < ex.ILL_CONDITIONED_GAP
+    assert doc["summary"]["phi_opt"] == tuning.phi_opt not in [r["phi"] for r in doc["records"]]
+    ill = sum(r["spectral_gap"] < ex.ILL_CONDITIONED_GAP for r in doc["records"])
+    assert doc["summary"]["ill_conditioned"] == ill + 1
 
 
 def test_a_tuning_whose_golden_phases_all_fall_back_keeps_its_answer(monkeypatch):

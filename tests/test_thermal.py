@@ -23,6 +23,7 @@ from fockstab.thermal import (
     build_reduced,
     cavity_thermal,
     reduced_from_channel,
+    shifted_stationary,
     stationary,
     steady_population_correction,
 )
@@ -390,6 +391,79 @@ def test_banded_stationary_refuses_without_a_warning():
         warnings.simplefilter("error")
         assert banded_stationary(stuck) is None
         assert banded_stationary(negative) is None
+
+
+def test_shifted_stationary_is_stationarys_vector_over_random_physics():
+    # over the whole phase circle: every vector accepted is stationary's to
+    # 1e-12, or to eps / gap where the Perron vector's condition lifts the
+    # rounding of both solves above that (draw 27, gap 9.5e-10: they differ
+    # by 2.1e-11, and lie 1.5e-11 and 5.2e-12 from a 50-digit Perron
+    # vector); a chain stationary refuses is refused here too
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(71)
+    accepted = 0
+    for draw in range(48):
+        step = random_cavity_step(rng, 0.0, 2.0 * math.pi)
+        (v,), (ok,) = shifted_stationary(step[None])
+        try:
+            r, gap = stationary(step)
+        except AmbiguousSteadyStateError:
+            assert not ok, draw
+            continue
+        if ok:
+            accepted += 1
+            assert np.abs(v - r).sum() <= max(1e-12, eps / gap), draw
+    assert accepted >= 40
+
+
+@pytest.mark.parametrize("contraction, accepted", [(0.45, True), (0.55, False)])
+def test_shifted_stationary_accepts_only_steps_that_halve_the_error(contraction, accepted):
+    # a two-level chain of eigenvalues 0.9 < 0.91 beside 18 leaky levels: the
+    # shift lands b = 0.01 * c / (1 - c) above the Perron root, so each step
+    # shrinks the error by c; both settle within the step cap, and only the
+    # chain whose last step more than halved the one before leaves a tail
+    # below the step tolerance
+    m = np.diag(np.full(20, 0.5))
+    m[:2, :2] = [[0.9, 0.01 * contraction / (1.0 - contraction)], [0.0, 0.91]]
+    (v,), (ok,) = shifted_stationary(m[None])
+    assert ok == accepted
+    assert np.abs(v - stationary(m)[0]).sum() <= 1e-13
+
+
+def nbar8_gap_floor_steps(phases):
+    """Step matrices of grid phases of the nbar-8 cavity tuning at a 2 %
+    theta1 error whose phases 46 and 47 fall below the gap floor."""
+    from fockstab import experiments as ex
+    from fockstab.config import ExperimentConfig
+
+    cfg = ExperimentConfig("tune-phase", nbar=8, theta2=0.8330405509046935, kappa=10.0, nth=0.05, pat=0.3,
+                           theta1_err=0.02).resolved()
+    phis = [2.0 * math.pi * p / ex.PHI_GRID_POINTS for p in phases]
+    return ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg), phis=phis))
+
+
+def test_shifted_stationary_refuses_without_a_warning():
+    # two closed classes, copies of one chain, which the shifted inverse
+    # amplifies alike, so each start keeps its own mixture of the two and
+    # settles there; the two grid phases below the gap floor, which stall;
+    # a negative entry, whose vector goes negative. stationary raises on
+    # each; here they are refused, with no warning. The grid's phase 0 in
+    # the same stack is accepted
+    two_classes = np.zeros((4, 4))
+    two_classes[:2, :2] = two_classes[2:, 2:] = [[0.9, 0.2], [0.1, 0.8]]
+    floor = nbar8_gap_floor_steps([0, 46, 47])
+    negative = random_cavity_step(np.random.default_rng(59), -0.3, 0.3)
+    assert shifted_stationary(negative[None])[1].all()
+    negative[7, 6] = -negative[7, 6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack, want in ((two_classes[None], [False]), (floor, [True, False, False]), (negative[None], [False])):
+            _, accepted = shifted_stationary(stack)
+            assert accepted.tolist() == want
+            for m, ok in zip(stack, want):
+                if not ok:
+                    with pytest.raises(AmbiguousSteadyStateError):
+                        stationary(m)
 
 
 def test_steady_fidelity_degrades_with_coupling():
