@@ -26,21 +26,16 @@ in stacks of at most SOLVE_ENTRIES // dim^2 phases, the even-numbered ones
 on the calling thread and the odd-numbered ones on a helper thread started
 for that call (`_settled`). Its golden section then builds one channel per
 phase on the calling thread. With an environment the stationary solves take
-three routes, by what they serve:
+two routes, by what they serve:
 - a written grid (`tune-phase`): `thermal.stationary`, whose gaps the table
   carries;
-- an unwritten grid (the tuning of `steady`, `robustness` and the record
-  runs): `thermal.shifted_stationary`, with no `eigvals`, then
-  `stationary` for the phases it refuses and the few whose bits decide
-  the answer. On a 2-core host with one BLAS thread (best of 15), the
-  shifted solve of a grid stack of 40 at dim 36 took 2.8 ms against
-  10.5 ms for `stationary`, of 8 at dim 81 1.9 against 15.5 ms, and of 64
-  at dim 18, whose chains leak enough to slow the shifted iteration, 3.7
-  against 4.3 ms;
-- the golden section: `thermal.banded_stationary`, an O(dim) elimination
-  of one matrix, with `stationary` on the same matrix wherever that
-  refuses; the reported fidelity is one `stationary` solve of the chosen
-  phase's kept step matrix.
+- every phase that only ranks, of an unwritten grid (the tuning of
+  `steady`, `robustness` and the record runs) or of a golden section:
+  `_ranking_rows`, that is `thermal.shifted_stationary`, with no `eigvals`,
+  then `stationary` for the phases it refuses. An unwritten grid then
+  solves again by `stationary` the few phases whose bits decide the
+  answer, and the golden section's reported fidelity is one `stationary`
+  solve of the chosen phase's kept step matrix.
 Without an environment, every phase is a `_settled` settle.
 
 Every stationary quantity the program writes is one solve for the Perron
@@ -74,7 +69,6 @@ from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, walther_kraus
 from .lyapunov import build_weights, validate_theta2
 from .thermal import (
     ThermalParams,
-    banded_stationary,
     build_reduced,
     shifted_stationary,
     stationary,
@@ -226,7 +220,7 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float], written: bool = True)
     TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
     of the step matrix. With one, it is the stationary fidelity, reported
     together with its spectral gap: `stationary`'s where the rows are
-    written. Rows that no output writes take `shifted_stationary`, with no
+    written. Rows that no output writes are `_ranking_rows`, with no
     `eigvals`, and carry the fidelity alone; the phases it refuses are
     solved by `stationary` and keep their gaps, so what they raise is
     raised as in the written route. The phases run as stacks of at most
@@ -250,19 +244,7 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float], written: bool = True)
         if settle:
             fids = np.linalg.matrix_power(matrices, TUNE_SETTLE_STEPS)[:, cfg.nbar, cfg.nbar]
             return [{"fidelity": float(fid)} for fid in fids]
-        if written:
-            return stationary_rows(matrices)
-        populations, accepted = shifted_stationary(matrices)
-        rows: list[dict[str, float]] = [{"fidelity": float(r[cfg.nbar])} for r in populations]
-        refused = np.flatnonzero(~accepted)
-        if refused.size:
-            for i, row in zip(refused, stationary_rows(matrices[refused])):
-                rows[i] = row
-        return rows
-
-    def stationary_rows(matrices: np.ndarray) -> list[dict[str, float]]:
-        populations, gaps = stationary(matrices)
-        return [{"fidelity": float(r[cfg.nbar]), "spectral_gap": float(gap)} for r, gap in zip(populations, gaps)]
+        return (_stationary_rows if written else _ranking_rows)(matrices, cfg.nbar)
 
     chunk = max(1, SOLVE_ENTRIES // cfg.dim**2)
     stacks = [phis[start:start + chunk] for start in range(0, len(phis), chunk)]
@@ -305,15 +287,35 @@ def _no_environment(cfg: ExperimentConfig) -> bool:
     return tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
 
 
+def _stationary_rows(matrices: np.ndarray, nbar: int) -> list[dict[str, float]]:
+    """`stationary`'s target fidelity at nbar and spectral gap for each matrix
+    of an (s, n, n) stack."""
+    populations, gaps = stationary(matrices)
+    return [{"fidelity": float(r[nbar]), "spectral_gap": float(gap)} for r, gap in zip(populations, gaps)]
+
+
+def _ranking_rows(matrices: np.ndarray, nbar: int) -> list[dict[str, float]]:
+    """Target fidelity at nbar of each matrix of an (s, n, n) stack, for
+    ranking phases only: `shifted_stationary`'s, with no `eigvals`, where it
+    accepts the vector, and a `_stationary_rows` row, gap included, for each
+    matrix it refuses, so what a refused matrix raises is raised as by
+    `stationary`."""
+    populations, accepted = shifted_stationary(matrices)
+    rows: list[dict[str, float]] = [{"fidelity": float(r[nbar])} for r in populations]
+    refused = np.flatnonzero(~accepted)
+    if refused.size:
+        for i, row in zip(refused, _stationary_rows(matrices[refused], nbar)):
+            rows[i] = row
+    return rows
+
+
 def _ranked(cfg: ExperimentConfig, params: ReservoirParams) -> tuple[float, np.ndarray]:
     """Stationary target fidelity of one channel, for ranking phases only, and
-    its step matrix: `banded_stationary`'s fidelity where it accepts its
-    vector, else `stationary`'s on the same matrix."""
+    its step matrix: the `_ranking_rows` fidelity of that matrix as a stack of
+    one."""
     step = cycle_matrix(cfg, build_channel(cfg, params))
-    populations = banded_stationary(step)
-    if populations is None:
-        populations, _ = stationary(step)
-    return float(populations[cfg.nbar]), step
+    (row,) = _ranking_rows(step[None], cfg.nbar)
+    return row["fidelity"], step
 
 
 class PhaseTuning(tuple):
@@ -358,12 +360,12 @@ def tune_phase(cfg: ExperimentConfig, written: bool = True) -> PhaseTuning:
     unwritten rows are what the ranking read, not a table.
 
     The golden section's 13 phases build one channel each. With an
-    environment they are ranked by `_ranked`, which accepts a
-    `banded_stationary` vector only where it is `stationary`'s to rounding;
-    the step matrices of the two bracketing phases are kept, and the
-    fidelity returned is one `stationary` solve of the chosen one, so
-    answer and comparison with the best grid row have the bits of a golden
-    section ranked by `stationary` alone. That solve's gap is the
+    environment they are ranked by `_ranked`, as an unwritten grid is, by
+    `shifted_stationary` with `stationary` for each phase it refuses, in
+    either route; the step matrices of the two bracketing phases are kept,
+    and the fidelity returned is one `stationary` solve of the chosen one,
+    so answer and comparison with the best grid row have the bits of a
+    golden section ranked by `stationary` alone. That solve's gap is the
     answer_gap. Without an environment, every golden phase is a `_settled`
     settle.
     """

@@ -21,16 +21,14 @@ defect).
 forms A and B from them; `build_reduced` takes the rates of the trapping
 ladder, `reduced_from_channel` reads them off a channel.
 `stationary` solves for the Perron vector of a cycle matrix from its
-spectrum. Two solves rank tuning phases, each accepted only where it gives
-`stationary`'s vector to rounding: `shifted_stationary`, a stacked inverse
-iteration without the spectrum, for the grids no output writes, and
-`banded_stationary`, an O(dim) elimination of one matrix, for the golden
-section.
+spectrum. `shifted_stationary`, a stacked inverse iteration without the
+spectrum, ranks tuning phases that no output writes, the grid phases and
+the golden-section phases alike, and is accepted only where it gives
+`stationary`'s vector to rounding.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -185,11 +183,7 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     it is the one an experiment sees. The gap lam1 - max|lam_other| sets how
     fast that iteration forgets its start; it is returned so callers can
     flag slowly mixing chains. `shifted_stationary` answers the same leaky
-    chain without the spectrum. `banded_stationary` answers the reflecting
-    chain instead, which keeps the escaping population on the top levels,
-    so its vector is accepted only under this solve's residual test against
-    the leaky m, together with a bound on the change that would turn it
-    into m's vector.
+    chain without the spectrum.
 
     The spectrum alone (`np.linalg.eigvals`) gives lam1 and the gap; the
     vector comes from inverse iteration shifted just above lam1, started from
@@ -350,75 +344,6 @@ def _residual(ms: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rayleigh = mr.sum(axis=-1, keepdims=True) / r.sum(axis=-1, keepdims=True)
     bounds = STATIONARY_ULPS * ms.shape[-1] * np.finfo(np.float64).eps * np.abs(ms).sum(axis=-2).max(axis=-1)
     return mr - rayleigh * r, bounds
-
-
-def banded_stationary(m: np.ndarray) -> np.ndarray | None:
-    """Stationary populations of one pentadiagonal cycle matrix m by
-    Grassmann-Taksar-Heyman elimination, or None where they might not be
-    `stationary`'s to rounding.
-
-    GTH (Oper. Res. 33, 1107, 1985) censors the chain one level at a time
-    from the top: eliminating level k reroutes every path through k, and
-    the flow out of k is the sum of its downward entries, not 1 - m[k, k].
-    It reads only the four off-diagonals, in pure-Python floats, and keeps
-    the band. With nonnegative entries it adds and multiplies only, so every
-    entry keeps a small relative error (O'Cinneide, Numer. Math. 65, 109,
-    1993); a negative entry refuses.
-
-    Reading no diagonal, it answers the reflecting chain m + diag(1 - 1^T m),
-    which keeps on the top levels the population that the leaky m loses
-    through them. Its vector is returned only if it passes `stationary`'s
-    residual test against m itself, and if the first-order change that turns
-    it into m's Perron vector, the residual carried through the same
-    elimination, is within that test's bound as well. The residual alone
-    would pass reflecting vectors of metastable chains, whose small gap
-    turns a rounding-level residual into a change far above rounding.
-    Otherwise, and where a level has no downward flow to eliminate it by,
-    the answer is None, with no warning. None means: ask `stationary`.
-    """
-    n = m.shape[-1]
-    # down1[k - 1] = m[k - 1, k] and down2[k - 2] = m[k - 2, k] carry level
-    # k down by one and two; up1[k] = m[k + 1, k] and up2[k] = m[k + 2, k] up
-    down1, down2, up1, up2 = (np.diagonal(m, offset).tolist() for offset in (1, 2, -1, -2))
-    if min(down1 + down2 + up1 + up2, default=0.0) < 0.0:
-        return None
-    out = [1.0] * n
-    for k in range(n - 1, 0, -1):
-        out[k] = down1[k - 1] + (down2[k - 2] if k >= 2 else 0.0)
-        if not out[k] > 0.0:
-            return None
-        if k >= 2:
-            # the paths k - 1 -> k -> k - 2 and k - 2 -> k -> k - 1
-            down1[k - 2] += down2[k - 2] * up1[k - 1] / out[k]
-            up1[k - 2] += down1[k - 1] * up2[k - 2] / out[k]
-
-    def solve(source: list[float], first: float) -> list[float]:
-        # (I - chain) x = source, with x[0] = first: level k of its censored
-        # chain sends out[k] x[k] down and receives the flow from below plus
-        # source[k], as the elimination left it
-        x = [first] * n
-        for k in range(1, n):
-            x[k] = (source[k] + x[k - 1] * up1[k - 1] + (x[k - 2] * up2[k - 2] if k >= 2 else 0.0)) / out[k]
-        return x
-
-    pi = solve([0.0] * n, 1.0)
-    total = sum(pi)
-    if not total < math.inf:
-        return None
-    r = np.array(pi) / total
-    residual, bound = _residual(m, r)
-    if not np.abs(residual).sum() <= bound:
-        return None
-    # the residual sums to zero; its rows meet the elimination as the
-    # eliminated levels' paths do, and the change keeps the sum of r
-    source = residual.tolist()
-    for k in range(n - 1, 0, -1):
-        source[k - 1] += down1[k - 1] * source[k] / out[k]
-        if k >= 2:
-            source[k - 2] += down2[k - 2] * source[k] / out[k]
-    change = np.array(solve(source, 0.0))
-    change -= change.sum() * r
-    return r if np.abs(change).sum() <= bound else None
 
 
 def steady_population_correction(

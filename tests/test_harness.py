@@ -393,7 +393,7 @@ VALIDATE_ROWS = [
     "shift_identity", "analytic_completeness", "numeric_completeness", "analytic_fixed_point",
     "lyapunov_identity", "banded_channel_kernel", "thermal_kernel", "reduced_vs_full_steady",
     "population_engine", "block_propagator", "ladder_extraction", "stationary_solver", "population_powers",
-    "step_matrix", "power_rows", "stationary_stack", "banded_stationary", "record_format",
+    "step_matrix", "power_rows", "stationary_stack", "shifted_stationary", "record_format",
 ]
 
 
@@ -882,7 +882,7 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
     # and for the stationary solves alike; phase by phase would make 64
     # calls of each. The golden section's 13 phases (2 + 11 steps of
     # (sqrt(5) - 1)/2 narrow 2 * 2pi/64 to 1e-3) build one channel each,
-    # without a phase stack, and `banded_stationary` answers all of them
+    # without a phase stack, and `shifted_stationary` answers all of them
     # here; the chosen phase's kept step matrix is then solved once. The
     # stacks of one grid have one size, so the order in which the two
     # threads call does not show. The nbar-2 golden-section result is
@@ -916,7 +916,7 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
 
 def stationary_golden_section(cfg):
     """`tune_phase`'s answer with every golden-section phase ranked by its own
-    `_settled` call: the answer that ranking by `banded_stationary` must
+    `_settled` call: the answer that ranking by `shifted_stationary` must
     reproduce bit for bit."""
     grid = [2.0 * math.pi * i / ex.PHI_GRID_POINTS for i in range(ex.PHI_GRID_POINTS)]
     fids = [row["fidelity"] for row in ex._settled(cfg, grid)]
@@ -949,8 +949,8 @@ SEED11_TUNINGS = [
 # a tuning whose answer is its best grid row, which the golden section does
 # not beat
 GRID_ANSWER_TUNING = ["tune-phase", "--nbar", "2", "--theta2", "0.03", *CAVITY_ARGV]
-# metastable golden phases (gaps 3e-9 to 9e-9) whose reflecting vectors pass
-# the residual test alone but rank the phases otherwise than `stationary`
+# metastable golden phases (gaps 3e-9 to 9e-9), where a vector that passes
+# the residual test can still rank the phases otherwise than `stationary`
 METASTABLE_TUNINGS = [
     ["tune-phase", "--nbar", "4", "--kappa", "14.880631263823672", "--nth", "0.0977929396441481",
      "--pat", "0.6183900454357718", "--theta1-err", "0.02886410310293879"],
@@ -1005,8 +1005,9 @@ def test_a_flat_unwritten_grid_answers_stationarys_phase_0(monkeypatch):
 
 def test_an_unwritten_grid_calls_eigvals_only_for_the_phases_that_decide(monkeypatch):
     # the default robustness tuning (dim 36): `shifted_stationary` answers
-    # its two grid stacks, and `stationary` solves again only the grid's
-    # argmax, in one call, then the golden section's answer
+    # its two grid stacks and the golden section's 13 phases, each a stack
+    # of one, and `stationary` solves again only the grid's argmax, in one
+    # call, then the golden section's answer
     cfg = resolved(scenario="robustness")
     eigvals, shifted = np.linalg.eigvals, ex.shifted_stationary
     shapes, stacks = [], []
@@ -1022,7 +1023,7 @@ def test_an_unwritten_grid_calls_eigvals_only_for_the_phases_that_decide(monkeyp
     monkeypatch.setattr(np.linalg, "eigvals", spy)
     monkeypatch.setattr(ex, "shifted_stationary", recorded)
     ex.resolve_phi(cfg)
-    assert sorted(stacks) == [24, 40]
+    assert sorted(stacks[:2]) == [24, 40] and stacks[2:] == [1] * 13
     assert shapes == [(1, cfg.dim, cfg.dim)] * 2
 
 
@@ -1040,45 +1041,55 @@ def test_a_metastable_answer_counts_as_ill_conditioned(tmp_path):
 
 
 def test_a_tuning_whose_golden_phases_all_fall_back_keeps_its_answer(monkeypatch):
-    # every golden-section phase of this tuning is refused by
-    # `banded_stationary` and solved by `stationary` on the same matrix
+    # no golden phase of the draws tried is refused by `shifted_stationary`,
+    # so it is made to refuse every stack of one: `stationary` then solves
+    # each of the 13 golden phases as a stack of one, and the chosen phase's
+    # kept step matrix once more, and the answer keeps its bits
     argv = ["tune-phase", "--nbar", "2", "--kappa", "10", "--nth", "0.05", "--pat", "0.3", "--theta1-err", "-0.02"]
     cfg = config_from_args(build_parser().parse_args(argv))
     want = stationary_golden_section(cfg)
-    answers, banded = [], ex.banded_stationary
+    shifted, solve = ex.shifted_stationary, ex.stationary
+    singles = []
 
-    def recorded(m):
-        answers.append(banded(m))
-        return answers[-1]
+    def refusing(ms):
+        populations, accepted = shifted(ms)
+        return populations, accepted & (len(ms) > 1)
 
-    monkeypatch.setattr(ex, "banded_stationary", recorded)
+    def counted(m):
+        if m.ndim == 2 or len(m) == 1:
+            singles.append(m.shape)
+        return solve(m)
+
+    monkeypatch.setattr(ex, "shifted_stationary", refusing)
+    monkeypatch.setattr(ex, "stationary", counted)
     assert ex.tune_phase(cfg)[:2] == want
-    assert len(answers) == 13 and all(v is None for v in answers)
+    assert singles == [(1, cfg.dim, cfg.dim)] * 13 + [(cfg.dim, cfg.dim)]
 
 
-def test_golden_phases_that_banded_answers_call_no_eigvals(monkeypatch):
+def test_golden_phases_that_shifted_answers_call_no_eigvals(monkeypatch):
     # the nbar-8 cavity tuning: one eigvals per grid stack and one for the
-    # chosen phase, none for the 13 golden phases that banded_stationary
-    # answers. banded_stationary sees those 13 single matrices only, never
-    # a grid stack, and nothing of a tuning without an environment
+    # chosen phase, none for the 13 golden phases that shifted_stationary
+    # answers. shifted_stationary sees those 13 as stacks of one, never a
+    # written grid stack, and nothing of a tuning without an environment
     cfg = nbar8_cavity()
     shapes, seen, answered = [], [], []
-    eigvals, banded = np.linalg.eigvals, ex.banded_stationary
+    eigvals, shifted = np.linalg.eigvals, ex.shifted_stationary
 
     def spy(a):
         shapes.append(a.shape)
         return eigvals(a)
 
-    def recorded(m):
-        seen.append(m.shape)
-        answered.append(banded(m))
-        return answered[-1]
+    def recorded(ms):
+        seen.append(ms.shape)
+        populations, accepted = shifted(ms)
+        answered.extend(accepted)
+        return populations, accepted
 
     monkeypatch.setattr(np.linalg, "eigvals", spy)
-    monkeypatch.setattr(ex, "banded_stationary", recorded)
+    monkeypatch.setattr(ex, "shifted_stationary", recorded)
     ex.tune_phase(cfg)
     assert shapes == [(8, cfg.dim, cfg.dim)] * 8 + [(1, cfg.dim, cfg.dim)]
-    assert seen == [(cfg.dim, cfg.dim)] * 13 and all(v is not None for v in answered)
+    assert seen == [(1, cfg.dim, cfg.dim)] * 13 and len(answered) == 13 and all(answered)
     seen.clear()
     ex.tune_phase(resolved(scenario="tune-phase", nbar=2))
     assert seen == []

@@ -19,7 +19,6 @@ from fockstab.oracle import apply_map, decoherence_step, dense_thermal, reservoi
 from fockstab.thermal import (
     STATIONARY_GAP_TOL,
     ThermalParams,
-    banded_stationary,
     build_reduced,
     cavity_thermal,
     reduced_from_channel,
@@ -335,62 +334,6 @@ def random_cavity_step(rng, phi_low, phi_high):
                        p_at=float(rng.uniform(0.1, 1.0)))
     g, e, m = bands(extract_kraus(composite_propagator(params, default_dim(nbar))))
     return kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at)
-
-
-def test_banded_stationary_is_the_reflecting_chains_vector_over_random_physics():
-    # near the nominal phase every reflecting completion is well separated:
-    # GTH answers it on every draw, as the eigvals route does
-    rng = np.random.default_rng(47)
-    for draw in range(24):
-        step = random_cavity_step(rng, -0.3, 0.3)
-        reflecting = step + np.diag(1.0 - step.sum(axis=0))
-        v = banded_stationary(reflecting)
-        assert v is not None, draw
-        r, _ = stationary(reflecting)
-        assert np.abs(v - r).sum() <= 1e-12, draw
-
-
-def test_banded_stationary_accepts_only_the_leaky_chains_vector():
-    # over the whole phase circle many chains are metastable, and their
-    # reflecting vector differs from the leaky one far above rounding; every
-    # vector accepted is stationary's, and a chain stationary refuses is
-    # refused here too
-    rng = np.random.default_rng(53)
-    accepted = refused = 0
-    for draw in range(40):
-        step = random_cavity_step(rng, 0.0, 2.0 * math.pi)
-        v = banded_stationary(step)
-        try:
-            r, _ = stationary(step)
-        except AmbiguousSteadyStateError:
-            assert v is None, draw
-            continue
-        if v is None:
-            refused += 1
-        else:
-            accepted += 1
-            assert np.abs(v - r).sum() <= 1e-12, draw
-    assert accepted >= 5 and refused >= 5
-
-
-def test_banded_stationary_refuses_without_a_warning():
-    # with no flow from levels 5 and up to levels below 5, level 5 has no
-    # downward flow left once the levels above it are eliminated; a
-    # negative entry leaves the subtraction-free domain. Neither raises
-    # nor warns
-    rng = np.random.default_rng(59)
-    step = random_cavity_step(rng, -0.3, 0.3)
-    assert banded_stationary(step) is not None
-    stuck = step.copy()
-    for below, above in ((4, 5), (3, 5), (4, 6)):
-        stuck[above, above] += stuck[below, above]
-        stuck[below, above] = 0.0
-    negative = step.copy()
-    negative[7, 6] = -negative[7, 6]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert banded_stationary(stuck) is None
-        assert banded_stationary(negative) is None
 
 
 def test_shifted_stationary_is_stationarys_vector_over_random_physics():
