@@ -7,11 +7,11 @@ joint Hamiltonian built here is block-diagonal over those triples (pairs or
 singletons at the truncation edges). `composite_propagator` works on the
 stacked (dim, 3, 3) triples directly, one Hermitian eigendecomposition per
 distinct pulse segment (the two outer segments share one), and returns them
-as a `LadderPropagator`; given several phases it stacks their triples too,
-one (phases, dim, 3, 3) stack per segment. The dense route
-(`oracle.build_hjc`, `oracle.propagate`, compared through
-`LadderPropagator.dense`) is the reference that tests and `fockstab validate`
-pin it to.
+as a `LadderPropagator`; given several points (apart in phase and theta1)
+it stacks their triples too, one (points, dim, 3, 3) stack per segment. The
+dense route (`oracle.build_hjc`, `oracle.propagate`, compared through
+`LadderPropagator.dense`) is the reference that tests and `fockstab
+validate` pin it to.
 
 The control u shifts the middle atomic level: u = -delta_g makes the (g, e)
 transition resonant, u = +delta_m makes (e, m) resonant. One reservoir cycle
@@ -156,16 +156,13 @@ def phase_delta_m(params: ReservoirParams, phi: float) -> float:
     return params.delta_m + mismatch / t_s
 
 
-def control_schedule(
-    params: ReservoirParams, delta_m: float | np.ndarray | None = None
-) -> tuple[tuple[float, float | np.ndarray], ...]:
+def control_schedule(params: ReservoirParams, delta_m: float | None = None) -> tuple[tuple[float, float], ...]:
     """The three-segment Stark control as (duration, u) segments in time order:
     u = (-delta_g, +delta_m, -delta_g).
 
     Outer segments last (T - t_s)/2 = theta1/omega each, the middle one t_s.
-    delta_m defaults to params.delta_m; an array of phase-adjusted values
-    gives the middle segment one control per phase. theta2 = 0 degenerates
-    to the single resonant segment of the plain trapping scheme.
+    delta_m defaults to params.delta_m. theta2 = 0 degenerates to the single
+    resonant segment of the plain trapping scheme.
     """
     outer = params.theta1 / params.omega
     if params.theta2 == 0.0:
@@ -191,8 +188,8 @@ def ladder_hamiltonians(
     exactly 0) and |g,dim> (its coupling is set to 0), stay in the stack as
     decoupled placeholders at their bare energies. The singletons |g,0> and
     |m,dim-1> are not included. delta_m defaults to params.delta_m; when u
-    or delta_m is an array with one value per phase, the stack gains that
-    leading phase axis.
+    or delta_m is an array with one value per stacked point, the stack gains
+    that leading axis.
     """
     if field_dim < params.nbar + 2:
         raise ConfigError(f"field_dim {field_dim} too small for nbar {params.nbar}")
@@ -201,7 +198,7 @@ def ladder_hamiltonians(
     up = 0.5j * params.omega * root[1:]  # <g,n+1| H |e,n>
     up[-1] = 0.0
     down = 0.5j * params.omega * root[:-1]  # <e,n| H |m,n-1>
-    # delta_m - u carries the phase axis of either; the bare energies get a
+    # delta_m - u carries the point axis of either; the bare energies get a
     # trailing level axis to broadcast over the levels
     bare_m = np.asarray((params.delta_m if delta_m is None else delta_m) - u)
     h = np.zeros(bare_m.shape + (d, 3, 3), dtype=np.complex128)
@@ -243,8 +240,8 @@ class LadderPropagator:
     operator cannot hold weight off the ladder. `dense()` gives the
     (3*dim, 3*dim) matrix to compare with the dense route of `oracle`.
 
-    A stack of propagators, one per phase, has blocks of shape
-    (phases, dim, 3, 3) and singleton phases of shape (phases,); `dense()`
+    A stack of propagators, one per point, has blocks of shape
+    (points, dim, 3, 3) and singleton phases of shape (points,); `dense()`
     takes a single propagator.
     """
 
@@ -270,10 +267,16 @@ class LadderPropagator:
         return u
 
 
+def check_points(params: ReservoirParams, points: Sequence[ReservoirParams]) -> None:
+    """Refuse stack points that differ from params in more than phi and theta1."""
+    if any({**vars(p), "phi": 0, "theta1": 0} != {**vars(params), "phi": 0, "theta1": 0} for p in points):
+        raise ConfigError("stacked points may differ from params only in phi and theta1")
+
+
 def composite_propagator(
     params: ReservoirParams,
     field_dim: int,
-    phis: Sequence[float] | None = None,
+    points: Sequence[ReservoirParams] | None = None,
 ) -> LadderPropagator:
     """Propagator of the full three-segment cycle, in time order.
 
@@ -285,25 +288,30 @@ def composite_propagator(
     singleton phase is the exponential of its accumulated bare-energy phase,
     both in time order.
 
-    Given phases phis, the result is a stack with one propagator per phase,
-    each as if params.phi were that phase: the adjusted delta_m becomes an
-    array over the phases, and every segment is one `eigh` call over all
-    phases and levels. Without phis the same loop runs on a scalar delta_m.
+    Given points (see `check_points`), the result is a stack with one
+    propagator per point, each equal bit for bit to its own call: delta_m,
+    the durations and the controls become arrays over the points, and each
+    segment is one `eigh` call over all points and levels.
     """
-    if phis is None:
+    if points is None:
         delta_m = phase_delta_m(params, params.phi)
+        schedule = control_schedule(params, delta_m)
     else:
-        delta_m = np.array([phase_delta_m(params, phi) for phi in phis])
+        check_points(params, points)
+        delta_m = np.array([phase_delta_m(p, p.phi) for p in points])
+        # per segment, the (duration, control) arrays over the points
+        schedule = [tuple(map(np.array, zip(*seg))) for seg in zip(*map(control_schedule, points, delta_m))]
     blocks = None
     angle_g = angle_m = np.zeros(np.shape(delta_m))
     segs = {}
-    for duration, u_val in control_schedule(params, delta_m):
+    for duration, u_val in schedule:
         # the two outer segments share (duration, control), so one
         # eigendecomposition serves both
-        key = (duration, np.asarray(u_val).tobytes())
+        key = (np.asarray(duration).tobytes(), np.asarray(u_val).tobytes())
         if key not in segs:
             w, v = np.linalg.eigh(ladder_hamiltonians(u_val, params, field_dim, delta_m))
-            segs[key] = (v * np.exp(-1j * w * duration)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+            # transposed, the points' axis is last, where each point's duration broadcasts
+            segs[key] = (v * np.exp((-1j * w.T * duration).T)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         seg = segs[key]
         blocks = seg if blocks is None else seg @ blocks
         angle_g = angle_g + (params.delta_g + u_val) * duration

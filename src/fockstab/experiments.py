@@ -17,35 +17,31 @@ applied to the initial populations (`kernels.record_rows`); only
 one atom at a time. Tables that read a few rows of a long horizon read only
 those, from `np.linalg.matrix_power`: the Walther baselines of the steady
 and robustness tables (`_walther_fidelities`) and the tuning objective's
-no-environment settle (`_settled`), the target
+no-environment settle (`_settle_rows`), the target
 population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
 `kernels.evolve` is the oracle of both routes.
 
-Phase tuning (`tune_phase`) builds, steps and solves its 64-phase grid
-in stacks of at most SOLVE_ENTRIES // dim^2 phases, the even-numbered ones
-on the calling thread and the odd-numbered ones on a helper thread started
-for that call (`_settled`). Its golden section then builds one channel per
-phase on the calling thread. With an environment the stationary solves take
-two routes, by what they serve:
-- a written grid (`tune-phase`): `thermal.stationary`, whose gaps the table
-  carries;
-- every phase that only ranks, of an unwritten grid (the tuning of
-  `steady`, `robustness` and the record runs) or of a golden section:
-  `_ranking_rows`, that is `thermal.shifted_stationary`, with no `eigvals`,
-  then `stationary` for the phases it refuses. An unwritten grid then
-  solves again by `stationary` the few phases whose bits decide the
-  answer, and the golden section's reported fidelity is one `stationary`
-  solve of the chosen phase's kept step matrix.
-Without an environment, every phase is a `_settled` settle.
+Points that differ only in phi and theta1 (`tune_phase`'s 64-phase grid,
+`steady`'s three theta1 errors, each of `robustness`'s two stationary row
+sets) are built, stepped and solved by one `_settled` call, in stacks of at
+most SOLVE_ENTRIES // dim^2, the odd-numbered ones on a helper thread
+started for that call. The caller picks each stack's solve: the settle
+without an environment, else `thermal.stationary` (`_stationary_rows`) for
+rows a table writes, or `_ranking_rows` for grid phases a tuning only ranks
+(`thermal.shifted_stationary`, no `eigvals`, then `stationary` for the
+phases it refuses). An unwritten grid solves again by `stationary` the few
+phases whose bits decide its answer. The golden section builds one channel
+per phase, ranks it by `_ranking_rows`, and reports one `stationary` solve
+of the chosen phase's kept step matrix.
 
-Every stationary quantity the program writes is one solve for the Perron
-vector of a cycle matrix (`thermal.stationary`): `cycle_matrix` for a
-channel, so the answer is the fixed point of exactly the map
+Every stationary quantity the program writes is a `thermal.stationary`
+solve for the Perron vector of a cycle matrix, with its spectral gap:
+`cycle_matrix` for a channel, the fixed point of exactly the map
 `kernels.evolve` iterates, and `ReducedDynamics.step_matrix` for the
-trapping-rate model. Each solve reports its spectral gap. Renormalized
-iteration (`steady_fidelity`, `kernels.evolve_to_fixed_point`) and
-`oracle.steady_state` are independent oracles for tests, `fockstab
-validate` and the benchmark's checks; no runner reaches them.
+trapping-rate model. Renormalized iteration (`steady_fidelity`,
+`kernels.evolve_to_fixed_point`) and `oracle.steady_state` are oracles for
+tests, `fockstab validate` and the benchmark's checks; no runner reaches
+them.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Any
@@ -62,7 +58,7 @@ import numpy as np
 
 from . import kernels
 from .config import DECAY_SECONDS, WALTHER_SECONDS, ExperimentConfig, default_theta2, parse_init, uncertified
-from .dynamics import ReservoirParams, composite_propagator, ladder_top, make_params, trapping_theta1
+from .dynamics import ReservoirParams, check_points, composite_propagator, ladder_top, make_params, trapping_theta1
 from .errors import ConfigError, NumericalValidityError
 from .fock import diagonal_density, fock_density, uniform_density
 from .kraus import KrausSet, analytic_kraus, bands, extract_kraus, walther_kraus
@@ -145,7 +141,7 @@ def cycle_matrix(cfg: ExperimentConfig, k: KrausSet | Sequence[KrausSet]) -> np.
 def build_channel(
     cfg: ExperimentConfig,
     params: ReservoirParams,
-    phis: Sequence[float] | None = None,
+    points: Sequence[ReservoirParams] | None = None,
 ) -> KrausSet | list[KrausSet]:
     """The channel of the configured pulse at the given parameters.
 
@@ -156,14 +152,15 @@ def build_channel(
     resonant two-level baseline with pulse area theta_r = 2 * theta1, or
     `analytic_kraus`.
 
-    Given phases phis, a list of channels, one per phase in place of
-    params.phi: the numeric channels come from one stacked propagator, the
-    analytic ones are built one by one.
+    Given points (see `dynamics.check_points`), a list of channels, one per
+    point, each equal to its own call: the numeric channels come from one
+    stacked `composite_propagator`, the analytic ones are built one by one.
     """
     if cfg.channel == "numeric":
-        return extract_kraus(composite_propagator(params, cfg.dim, phis))
-    if phis is not None:
-        return [build_channel(cfg, replace(params, phi=phi)) for phi in phis]
+        return extract_kraus(composite_propagator(params, cfg.dim, points))
+    if points is not None:
+        check_points(params, points)
+        return [build_channel(cfg, point) for point in points]
     if cfg.scheme == "walther":
         return walther_kraus(params.nbar, 2.0 * params.theta1, cfg.dim)
     return analytic_kraus(params, cfg.dim)
@@ -201,53 +198,35 @@ def resolve_phi(cfg: ExperimentConfig) -> tuple[float, dict[str, Any]]:
     return 0.0, {"phi_used": 0.0, "phi_tuned": False}
 
 
-def stationary_fidelity(cfg: ExperimentConfig, params: ReservoirParams) -> tuple[float, float]:
-    """Stationary target fidelity of the configured channel with the
-    environment, and the spectral gap of its cycle matrix."""
-    populations, gap = stationary(cycle_matrix(cfg, build_channel(cfg, params)))
-    return float(populations[cfg.nbar]), gap
-
-
 def ill_conditioned(rows: list[dict[str, Any]]) -> int:
     """How many table rows carry a spectral gap below ILL_CONDITIONED_GAP."""
     return sum(1 for r in rows if r.get("spectral_gap", math.inf) < ILL_CONDITIONED_GAP)
 
 
-def _settled(cfg: ExperimentConfig, phis: Sequence[float], written: bool = True) -> list[dict[str, float]]:
-    """Long-run target fidelity of the configured channel at each phase of phis.
+def _settled(cfg: ExperimentConfig, points: Sequence[ReservoirParams],
+             solve: Callable[[np.ndarray, int], list[dict[str, float]]]) -> list[dict[str, float]]:
+    """solve's rows for the cycle matrices of the configured channel at each
+    of points, parameters that differ from `reservoir_params(cfg)` only in
+    phi and theta1.
 
-    Without an environment this is the fidelity after a fixed settle of
-    TUNE_SETTLE_STEPS atoms from the target, the diagonal entry of that power
-    of the step matrix. With one, it is the stationary fidelity, reported
-    together with its spectral gap: `stationary`'s where the rows are
-    written. Rows that no output writes are `_ranking_rows`, with no
-    `eigvals`, and carry the fidelity alone; the phases it refuses are
-    solved by `stationary` and keep their gaps, so what they raise is
-    raised as in the written route. The phases run as stacks of at most
-    SOLVE_ENTRIES // dim^2, each one `build_channel`, one `cycle_matrix` and
-    then that solve or one stacked `np.linalg.matrix_power`. With
-    more than one stack, a helper thread solves stacks 1, 3, 5, ... while
-    the caller solves stacks 0, 2, 4, ...; numpy releases the GIL in the
-    stacked LAPACK calls, so the two overlap. The caller joins the
-    helper and reads the stacks in phase order: one whose build or solve
-    raised `ValueError` is replayed one phase at a time, and any other error,
-    met on either thread, is raised when its stack comes. So every number,
-    and the first error raised, is that of a phase-by-phase run.
+    The caller picks the solve of an (s, n, n) stack: `_stationary_rows`,
+    the fidelity and spectral gap the tables write; `_ranking_rows`, for
+    rows that only rank; or `_settle_rows`, the no-environment settle. The
+    points run as stacks of at most SOLVE_ENTRIES // dim^2, each one
+    `build_channel`, one `cycle_matrix` and one solve. With more than one
+    stack, a helper thread solves stacks 1, 3, 5, ... while the caller
+    solves stacks 0, 2, 4, ...; numpy releases the GIL in the stacked
+    LAPACK calls, so the two overlap. The caller joins the helper and reads
+    the stacks in point order: one whose build or solve raised `ValueError`
+    is replayed one point at a time, and any other error, met on either
+    thread, is raised when its stack comes. So every number, and the first
+    error raised, is that of a point-by-point run.
     """
-    params = reservoir_params(cfg)
-    settle = _no_environment(cfg)
-    # the settle sends an atom through every cycle
-    cycle_cfg = replace(cfg, pat=1.0) if settle else cfg
-
-    def solved(stack: Sequence[float]) -> list[dict[str, float]]:
-        matrices = cycle_matrix(cycle_cfg, build_channel(cfg, params, phis=stack))
-        if settle:
-            fids = np.linalg.matrix_power(matrices, TUNE_SETTLE_STEPS)[:, cfg.nbar, cfg.nbar]
-            return [{"fidelity": float(fid)} for fid in fids]
-        return (_stationary_rows if written else _ranking_rows)(matrices, cfg.nbar)
+    def solved(stack: Sequence[ReservoirParams]) -> list[dict[str, float]]:
+        return solve(cycle_matrix(cfg, build_channel(cfg, reservoir_params(cfg), stack)), cfg.nbar)
 
     chunk = max(1, SOLVE_ENTRIES // cfg.dim**2)
-    stacks = [phis[start:start + chunk] for start in range(0, len(phis), chunk)]
+    stacks = [points[start:start + chunk] for start in range(0, len(points), chunk)]
     outcomes: list[Any] = [None] * len(stacks)
 
     def run(first: int) -> None:
@@ -255,10 +234,10 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float], written: bool = True)
         for i in range(first, len(stacks), 2):
             try:
                 outcomes[i] = solved(stacks[i])
-            except Exception as exc:  # whatever it is, the caller raises it in phase order
+            except Exception as exc:  # whatever it is, the caller raises it in point order
                 outcomes[i] = exc
 
-    helper = threading.Thread(target=run, args=(1,), name="fockstab-phase-stacks") if len(stacks) > 1 else None
+    helper = threading.Thread(target=run, args=(1,), name="fockstab-point-stacks") if len(stacks) > 1 else None
     if helper is not None:
         helper.start()
     try:
@@ -270,9 +249,9 @@ def _settled(cfg: ExperimentConfig, phis: Sequence[float], written: bool = True)
     for stack, outcome in zip(stacks, outcomes):
         # np.linalg.LinAlgError is a ValueError
         if isinstance(outcome, ValueError) and len(stack) > 1:
-            # one phase at a time, so the error raised is the first one a
-            # phase-by-phase run meets, a solve of an earlier phase included
-            rows += [row for phi in stack for row in _settled(cfg, [phi], written)]
+            # one point at a time, so the error raised is the first one a
+            # point-by-point run meets, a solve of an earlier point included
+            rows += [row for point in stack for row in _settled(cfg, [point], solve)]
         elif isinstance(outcome, Exception):
             raise outcome
         else:
@@ -285,6 +264,13 @@ def _no_environment(cfg: ExperimentConfig) -> bool:
     so the tuning objective is the settle rather than a stationary solve."""
     tp = thermal_params(cfg)
     return tp.gamma_minus == 0.0 and tp.gamma_plus == 0.0
+
+
+def _settle_rows(matrices: np.ndarray, nbar: int) -> list[dict[str, float]]:
+    """Target fidelity at nbar of each matrix of an (s, n, n) stack after
+    TUNE_SETTLE_STEPS atoms from the target, by one stacked `matrix_power`."""
+    fids = np.linalg.matrix_power(matrices, TUNE_SETTLE_STEPS)[:, nbar, nbar]
+    return [{"fidelity": float(fid)} for fid in fids]
 
 
 def _stationary_rows(matrices: np.ndarray, nbar: int) -> list[dict[str, float]]:
@@ -373,14 +359,19 @@ def tune_phase(cfg: ExperimentConfig, written: bool = True) -> PhaseTuning:
         raise ConfigError("phase tuning needs a middle segment; theta2 = 0 has none")
     grid = [2.0 * math.pi * i / PHI_GRID_POINTS for i in range(PHI_GRID_POINTS)]
     settle = _no_environment(cfg)
-    rows = _settled(cfg, grid, written)
+    if settle:
+        # the settle sends an atom through every cycle
+        cfg = replace(cfg, pat=1.0)
+    params = reservoir_params(cfg)
+    points = [replace(params, phi=phi) for phi in grid]
+    rows = _settled(cfg, points, _settle_rows if settle else _stationary_rows if written else _ranking_rows)
     fids = [row["fidelity"] for row in rows]
     if not (written or settle):
         top, bottom = max(fids), min(fids)
         doubt = top - bottom < TUNE_FLAT + 2.0 * TUNE_RANK_MARGIN
         deciding = [i for i, (fid, row) in enumerate(zip(fids, rows)) if "spectral_gap" not in row and (
             fid >= top - TUNE_RANK_MARGIN or (doubt and (i == 0 or fid <= bottom + TUNE_RANK_MARGIN)))]
-        for i, row in zip(deciding, _settled(cfg, [grid[i] for i in deciding])):
+        for i, row in zip(deciding, _settled(cfg, [points[i] for i in deciding], _stationary_rows)):
             rows[i], fids[i] = row, row["fidelity"]
     table = [{"phi": p, **row} for p, row in zip(grid, rows)]
     if max(fids) - min(fids) < TUNE_FLAT:
@@ -390,9 +381,9 @@ def tune_phase(cfg: ExperimentConfig, written: bool = True) -> PhaseTuning:
     lo, hi = grid[best] - step, grid[best] + step
     answer_gap = math.inf
     if settle:
-        phi_opt, fid_opt = _golden_max(lambda p: _settled(cfg, [p])[0]["fidelity"], lo, hi, xatol=1e-3)
+        phi_opt, fid_opt = _golden_max(lambda p: _settled(cfg, [replace(params, phi=p)], _settle_rows)[0]["fidelity"],
+                                       lo, hi, xatol=1e-3)
     else:
-        params = reservoir_params(cfg)
         phi_opt, (_, chosen) = _golden_max(lambda p: _ranked(cfg, replace(params, phi=p)), lo, hi, xatol=1e-3,
                                            key=lambda ranked: ranked[0])
         populations, answer_gap = stationary(chosen)
@@ -505,8 +496,8 @@ def _sampled_evolution(g, e, m, rho0, tp: ThermalParams, steps: int, seed: int |
 def steady_fidelity(cfg: ExperimentConfig, params: ReservoirParams) -> tuple[float, int, np.ndarray]:
     """Full-map stationary fidelity via renormalized fixed-point iteration.
 
-    An oracle for `stationary_fidelity`, run by tests and the benchmark's
-    checks; no runner calls it.
+    An oracle for the fidelity of `_stationary_rows`, run by tests and the
+    benchmark's checks; no runner calls it.
     """
     k = build_channel(cfg, params)
     g, e, m = bands(k)
@@ -541,10 +532,8 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         tp = thermal_params(sub)
 
         # at the configured theta1 error, then at -/+2%
-        (fid_sim, gap), (fid_minus, _), (fid_plus, _) = (
-            stationary_fidelity(sub, reservoir_params(sub, phi=phi, theta1_err=err))
-            for err in (sub.theta1_err, -0.02, 0.02)
-        )
+        sim, minus, plus = _settled(sub, [reservoir_params(sub, phi=phi, theta1_err=err)
+                                          for err in (sub.theta1_err, -0.02, 0.02)], _stationary_rows)
         x1 = steady_population_correction(params, tp)
         fid_reduced = float(stationary(build_reduced(params, tp, sub.dim).step_matrix())[0][nbar])
         (fid_walther,) = _walther_fidelities(sub, [int(WALTHER_SECONDS / sub.ts)], theta1_err=0.0, init="vacuum")
@@ -552,14 +541,14 @@ def run_steady_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
             {
                 "nbar": nbar,
                 "theta2": theta2,
-                "fid_steady": fid_sim,
+                "fid_steady": sim["fidelity"],
                 "fid_perturbative": 1.0 + x1,
                 "fid_reduced": fid_reduced,
                 "fid_walther_4s": fid_walther,
-                "fid_theta1_minus2pct": fid_minus,
-                "fid_theta1_plus2pct": fid_plus,
+                "fid_theta1_minus2pct": minus["fidelity"],
+                "fid_theta1_plus2pct": plus["fidelity"],
                 "x1": x1,
-                "spectral_gap": gap,
+                "spectral_gap": sim["spectral_gap"],
                 "phi_used": phi_info["phi_used"],
             }
         )
@@ -611,16 +600,18 @@ def run_robustness(cfg: ExperimentConfig) -> list[dict[str, Any]]:
             rows.append({"case": "walther_theta_err", "theta1_err": err, "p_at": pat, "fid_0p1s": fid_01,
                          "fid_0p25s": fid_025})
 
-    def stationary_rows(case: str, column: str, values: Sequence[float], fids: list[float]) -> list[dict[str, Any]]:
-        # fid_change is against the first value
+    def stationary_rows(cfg: ExperimentConfig, case: str, column: str, values: Sequence[float],
+                        points: list[ReservoirParams]) -> list[dict[str, Any]]:
+        # one `_settled` call for the row set; fid_change is against the first value
+        fids = [row["fidelity"] for row in _settled(cfg, points, _stationary_rows)]
         return [{"case": case, column: value, "p_at": cfg.pat, "fid_steady": fid, "fid_change": fid - fids[0]}
                 for value, fid in zip(values, fids)]
 
     phi, _ = resolve_phi(cfg)
     errs = (0.0, -0.02, 0.02)
-    fids = [stationary_fidelity(cfg, reservoir_params(cfg, phi=phi, theta1_err=err))[0] for err in errs]
-    rows += stationary_rows("symmetric_theta1_err", "theta1_err", errs, fids)
+    rows += stationary_rows(cfg, "symmetric_theta1_err", "theta1_err", errs,
+                            [reservoir_params(cfg, phi=phi, theta1_err=err) for err in errs])
     acfg = replace(cfg, channel="analytic")
     offsets = (0.0, -math.pi / 8.0, math.pi / 8.0)
-    fids = [stationary_fidelity(acfg, reservoir_params(acfg, phi=off))[0] for off in offsets]
-    return rows + stationary_rows("phase_offset", "phi_offset", offsets, fids)
+    return rows + stationary_rows(acfg, "phase_offset", "phi_offset", offsets,
+                                  [reservoir_params(acfg, phi=off) for off in offsets])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -192,7 +193,7 @@ def rows() -> list[tuple[str, bool, str]]:
     nt = int(rng.integers(1, 9))
     pt = make_params(nt, theta2=0.75 * math.pi / math.sqrt(nt) * float(rng.uniform(0.98, 1.02)))
     phis = rng.uniform(0, 2 * math.pi, 4).tolist()
-    channels = extract_kraus(composite_propagator(pt, default_dim(nt), phis))
+    channels = extract_kraus(composite_propagator(pt, default_dim(nt), [replace(pt, phi=phi) for phi in phis]))
     stack = kernels.step_matrix(*(np.stack(band) for band in zip(*map(bands, channels))), *rates)
     populations, gaps = stationary(stack)
     singles = [stationary(item) for item in stack]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,18 +266,20 @@ def test_composite_rejects_too_small_field_dim():
         composite_propagator(p, 5)
 
 
-def every_segment_composite(params, field_dim, phis=None):
+def every_segment_composite(params, field_dim, points=None):
     """The segment loop of `composite_propagator` with one eigendecomposition
     per segment, the third included: (blocks, phase_g0, phase_m_top)."""
-    if phis is None:
+    if points is None:
         delta_m = phase_delta_m(params, params.phi)
+        schedule = control_schedule(params, delta_m)
     else:
-        delta_m = np.array([phase_delta_m(params, phi) for phi in phis])
+        delta_m = np.array([phase_delta_m(p, p.phi) for p in points])
+        schedule = [tuple(map(np.array, zip(*seg))) for seg in zip(*map(control_schedule, points, delta_m))]
     blocks = None
     angle_g = angle_m = np.zeros(np.shape(delta_m))
-    for duration, u_val in control_schedule(params, delta_m):
+    for duration, u_val in schedule:
         w, v = np.linalg.eigh(ladder_hamiltonians(u_val, params, field_dim, delta_m))
-        seg = (v * np.exp(-1j * w * duration)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        seg = (v * np.exp((-1j * w.T * duration).T)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         blocks = seg if blocks is None else seg @ blocks
         angle_g = angle_g + (params.delta_g + u_val) * duration
         angle_m = angle_m - (delta_m - u_val) * duration
@@ -304,19 +307,21 @@ def test_shared_outer_segment_is_bit_identical_to_diagonalizing_all_three():
         if draw % 2 == 1:
             phis = list(rng.uniform(0.0, 2 * math.pi, int(rng.integers(1, 17))))
         p = make_params(nbar, theta2, theta1=theta1, phi=0.0 if single else rng.uniform(0.0, 2 * math.pi))
-        lad = composite_propagator(p, d, phis)
-        ref = every_segment_composite(p, d, phis)
+        points = None if phis is None else [replace(p, phi=phi) for phi in phis]
+        lad = composite_propagator(p, d, points)
+        ref = every_segment_composite(p, d, points)
         assert same_bits(lad.blocks, ref[0]), draw
         assert same_bits(lad.phase_g0, ref[1]), draw
         assert same_bits(lad.phase_m_top, ref[2]), draw
     p = make_params(2, 0.0)
-    lad, ref = composite_propagator(p, 18, [0.0, 0.0]), every_segment_composite(p, 18, [0.0, 0.0])
+    lad, ref = composite_propagator(p, 18, [p, p]), every_segment_composite(p, 18, [p, p])
     assert all(same_bits(a, b) for a, b in zip((lad.blocks, lad.phase_g0, lad.phase_m_top), ref))
 
 
 @pytest.mark.parametrize("theta2, calls", [(0.8, 2), (0.0, 1)])
-@pytest.mark.parametrize("phis", [None, [0.1, 2.0, 4.5]], ids=["single", "stacked"])
-def test_one_eigendecomposition_per_distinct_segment(theta2, calls, phis, monkeypatch):
+@pytest.mark.parametrize("stack", [None, [(0.1, 1.0), (2.0, 0.98), (4.5, 1.02)]], ids=["single", "stacked"])
+def test_one_eigendecomposition_per_distinct_segment(theta2, calls, stack, monkeypatch):
+    # a stack of (phase, theta1 factor) points still shares one outer segment
     seen = []
     eigh = np.linalg.eigh
 
@@ -325,7 +330,8 @@ def test_one_eigendecomposition_per_distinct_segment(theta2, calls, phis, monkey
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    if theta2 == 0.0 and phis is not None:
-        phis = [0.0] * len(phis)
-    composite_propagator(make_params(3, theta2), 36, phis)
+    p = make_params(3, theta2)
+    points = None if stack is None else [
+        replace(p, phi=0.0 if theta2 == 0.0 else phi, theta1=p.theta1 * factor) for phi, factor in stack]
+    composite_propagator(p, 36, points)
     assert len(seen) == calls

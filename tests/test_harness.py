@@ -165,6 +165,32 @@ def test_robustness_phase_offset_small_effect():
         assert abs(r["fid_change"]) < 0.02
 
 
+def test_each_stationary_table_row_set_is_one_settled_call(monkeypatch):
+    # at an explicit phase nothing is tuned: steady's three theta1-error
+    # solves of each level, and each of robustness's two stationary row
+    # sets, are one `_settled` call of three points, solved by `stationary`
+    from fockstab.dynamics import trapping_theta1
+
+    settle, calls = ex._settled, []
+
+    def recorded(cfg, points, solve):
+        calls.append((cfg.channel, [(p.phi, p.theta1) for p in points], solve))
+        return settle(cfg, points, solve)
+
+    def expected(channel, nbar, phis, errs):
+        points = [(phi, (1.0 + err) * trapping_theta1(nbar)) for phi, err in zip(phis, errs)]
+        return channel, points, ex._stationary_rows
+
+    monkeypatch.setattr(ex, "_settled", recorded)
+    ex.run_steady_sweep(resolved(scenario="steady", nbars=(1, 2), phi=0.3, theta1_err=0.01))
+    ex.run_robustness(resolved(scenario="robustness", nbar=2, phi=0.3, theta1_err=0.01))
+    offsets = (0.0, -math.pi / 8.0, math.pi / 8.0)
+    assert calls == [expected("numeric", 1, [0.3] * 3, (0.01, -0.02, 0.02)),
+                     expected("numeric", 2, [0.3] * 3, (0.01, -0.02, 0.02)),
+                     expected("numeric", 2, [0.3] * 3, (0.0, -0.02, 0.02)),
+                     expected("analytic", 2, offsets, [0.01] * 3)]
+
+
 def test_robustness_walther_decay_rows_match_a_dense_replay_and_the_closed_form():
     # the +/-2 % analytic Walther channel leaks at the top level, so
     # oracle.apply_map refuses it; the decay rows run at kappa = 0, so a dense
@@ -276,13 +302,20 @@ def test_cli_flag_overrides_config_file(tmp_path):
     assert echoed["steps"] == 12 and echoed["nbar"] == 2
 
 
-def test_cli_exit_codes():
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["converge", "--nbar", "0"]) == 2
     assert main(["trajectory", "--kappa", "1e6", "--steps", "5"]) == 3
     assert main(["converge", "--config", "/nonexistent/path.json"]) == 2
     # without an environment the robustness chains keep two closed classes,
     # so their stationary fidelity is refused rather than made up
     assert main(["robustness", "--kappa", "0"]) == 3
+    # so are the steady table's stacked theta1-error rows: they keep
+    # `stationary`'s refusal and never fall into the tuning's settle
+    capsys.readouterr()
+    out = tmp_path / "steady.csv"
+    assert main(["steady", "--nbars", "2", "--nbar", "2", "--kappa", "0", "--out", str(out)]) == 3
+    assert "is not separated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -747,16 +780,16 @@ def test_sweep_theta2_answers_every_grid_point(nbar, ill, tmp_path):
     assert doc["summary"]["theta2_opt"] == doc["records"][int(np.argmax(fids))]["theta2"]
 
 
-def phase_by_phase(cfg, phis):
-    """The tuning objective built and solved one phase at a time."""
+def point_by_point(cfg, points):
+    """The tuning objective built and solved one point at a time."""
     from fockstab import kernels
     from fockstab.kraus import bands
     from fockstab.thermal import stationary
 
     rows = []
     tp = ex.thermal_params(cfg)
-    for phi in phis:
-        g, e, m = bands(ex.build_channel(cfg, ex.reservoir_params(cfg, phi=phi)))
+    for point in points:
+        g, e, m = bands(ex.build_channel(cfg, point))
         if cfg.kappa == 0.0:
             step = kernels.step_matrix(g, e, m, 0.0, 0.0, 1.0)
             rows.append({"fidelity": float(np.linalg.matrix_power(step, ex.TUNE_SETTLE_STEPS)[cfg.nbar, cfg.nbar])})
@@ -766,8 +799,30 @@ def phase_by_phase(cfg, phis):
     return rows
 
 
+def phase_by_phase(cfg, phis):
+    """`point_by_point` at the phases phis of cfg's pulse."""
+    return point_by_point(cfg, [ex.reservoir_params(cfg, phi=phi) for phi in phis])
+
+
+def settled_points(cfg, points):
+    """`_settled` at points with the config and solve of a written tuning
+    grid, as `tune_phase` picks them: the settle, whose cycle always holds
+    an atom, without an environment, and `_stationary_rows` with one."""
+    if ex._no_environment(cfg):
+        return ex._settled(replace(cfg, pat=1.0), points, ex._settle_rows)
+    return ex._settled(cfg, points, ex._stationary_rows)
+
+
+def settled(cfg, phis):
+    """`settled_points` at the phases phis of cfg's pulse."""
+    return settled_points(cfg, [ex.reservoir_params(cfg, phi=phi) for phi in phis])
+
+
 CAVITY_CFG = {"kappa": 10.0, "nth": 0.05, "pat": 0.3}
 CAVITY_ARGV = ["--kappa", "10", "--nth", "0.05", "--pat", "0.3"]
+# with the configurations listed before them, these cavity levels take the
+# stacked objective through every nbar 1-8 on both channels
+OBJECTIVE_LEVELS = [("numeric", n) for n in (2, 3, 5, 6, 7)] + [("analytic", n) for n in (1, 3, 4, 5, 6, 7, 8)]
 
 
 @pytest.mark.parametrize("phases", [1, 2, 17])
@@ -777,11 +832,17 @@ CAVITY_ARGV = ["--kappa", "10", "--nth", "0.05", "--pat", "0.3"]
     {"nbar": 8, "theta1_err": 0.03, "theta2": 0.5, **CAVITY_CFG},
     {"nbar": 2},
     {"nbar": 2, "channel": "analytic", **CAVITY_CFG},
-], ids=["nbar1", "nbar4-err", "nbar8-err-theta2", "no-environment", "analytic"])
+    *({"nbar": n, "channel": c, **CAVITY_CFG} for c, n in OBJECTIVE_LEVELS),
+], ids=["nbar1", "nbar4-err", "nbar8-err-theta2", "no-environment", "analytic",
+        *(f"{c}-nbar{n}" for c, n in OBJECTIVE_LEVELS)])
 def test_stacked_tuning_objective_equals_the_phase_by_phase_loop(kw, phases):
     cfg = resolved(scenario="tune-phase", **kw)
     phis = [2.0 * math.pi * i / phases + 0.1 for i in range(phases)]
-    assert ex._settled(cfg, phis) == phase_by_phase(cfg, phis)
+    assert settled(cfg, phis) == phase_by_phase(cfg, phis)
+    # the same phases, each at its own theta1 error within +/-3 %
+    errs = np.random.default_rng(cfg.nbar * 100 + phases).uniform(-0.03, 0.03, phases)
+    points = [ex.reservoir_params(cfg, phi=phi, theta1_err=float(err)) for phi, err in zip(phis, errs)]
+    assert settled_points(cfg, points) == point_by_point(cfg, points)
 
 
 def test_a_failing_phase_raises_the_error_the_phase_by_phase_loop_meets_first(monkeypatch):
@@ -803,7 +864,7 @@ def test_a_failing_phase_raises_the_error_the_phase_by_phase_loop_meets_first(mo
             run(cfg, phis)
         return type(info.value), str(info.value)
 
-    assert first_error(ex._settled) == first_error(phase_by_phase) == (
+    assert first_error(settled) == first_error(phase_by_phase) == (
         ValueError, f"propagator unitarity defect {defects[k]:.3e} exceeds {max(defects[:k]):.1e}")
 
     solve = thermal.stationary
@@ -818,7 +879,7 @@ def test_a_failing_phase_raises_the_error_the_phase_by_phase_loop_meets_first(mo
 
     monkeypatch.setattr(ex, "stationary", failing)
     monkeypatch.setattr(thermal, "stationary", failing)
-    for run in (ex._settled, phase_by_phase):
+    for run in (settled, phase_by_phase):
         assert first_error(run) == (AmbiguousSteadyStateError, "solve of phase 1 refused")
 
 
@@ -832,11 +893,11 @@ def test_a_stack_below_the_gap_floor_raises_the_message_of_its_first_failing_pha
     grid = [2.0 * math.pi * i / ex.PHI_GRID_POINTS for i in range(ex.PHI_GRID_POINTS)]
     for phis, gap in ((grid[45:48], "6.517e-14"), (grid[46:48], "6.517e-14"), ([grid[47], grid[46]], "5.584e-14")):
         with pytest.raises(AmbiguousSteadyStateError, match=f"spectral gap {gap}$") as stacked:
-            ex._settled(cfg, phis)
+            settled(cfg, phis)
         with pytest.raises(AmbiguousSteadyStateError) as looped:
             phase_by_phase(cfg, phis)
         assert str(stacked.value) == str(looped.value)
-        channels = ex.build_channel(cfg, ex.reservoir_params(cfg), phis=phis)
+        channels = ex.build_channel(cfg, ex.reservoir_params(cfg), [ex.reservoir_params(cfg, phi=phi) for phi in phis])
         with pytest.raises(AmbiguousSteadyStateError, match=f"spectral gap {gap}$"):
             stationary(ex.cycle_matrix(cfg, channels))
 
@@ -850,7 +911,8 @@ def test_stack_items_that_settle_at_different_steps_keep_their_own_vectors():
     cfg = resolved(scenario="tune-phase", nbar=8, theta2=0.8330405509046935, theta1_err=0.02, **CAVITY_CFG)
     grid = [2.0 * math.pi * i / ex.PHI_GRID_POINTS for i in range(ex.PHI_GRID_POINTS)]
     phis = [grid[i] for i in (0, 44, 45, 10, 48, 30)]
-    stack = ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg), phis=phis))
+    points = [ex.reservoir_params(cfg, phi=phi) for phi in phis]
+    stack = ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg), points))
     populations, gaps = stationary(stack)
     assert gaps.min() < 2e-13 and gaps.max() > 2e-3
     for item, r, gap in zip(stack, populations, gaps):
@@ -870,9 +932,9 @@ def test_a_lapack_error_re_solves_the_stack_one_phase_at_a_time(monkeypatch):
 
     cfg = resolved(scenario="tune-phase", nbar=2, **CAVITY_CFG)
     phis = [0.1, 1.1, 2.1]
-    want = ex._settled(cfg, phis)
+    want = settled(cfg, phis)
     monkeypatch.setattr(ex, "stationary", refuses_stacks)
-    assert ex._settled(cfg, phis) == want
+    assert settled(cfg, phis) == want
     assert sizes == [3, 1, 1, 1]
 
 
@@ -891,9 +953,9 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
     sizes, solved = [], []
     build, solve = ex.composite_propagator, ex.stationary
 
-    def counted(params, field_dim, phis=None):
-        sizes.append(None if phis is None else len(phis))
-        return build(params, field_dim, phis)
+    def counted(params, field_dim, points=None):
+        sizes.append(None if points is None else len(points))
+        return build(params, field_dim, points)
 
     def counted_solve(m):
         solved.append(len(m) if m.ndim == 3 else None)
@@ -919,12 +981,12 @@ def stationary_golden_section(cfg):
     `_settled` call: the answer that ranking by `shifted_stationary` must
     reproduce bit for bit."""
     grid = [2.0 * math.pi * i / ex.PHI_GRID_POINTS for i in range(ex.PHI_GRID_POINTS)]
-    fids = [row["fidelity"] for row in ex._settled(cfg, grid)]
+    fids = [row["fidelity"] for row in settled(cfg, grid)]
     if max(fids) - min(fids) < 1e-6:
         return 0.0, fids[0]
     best = int(np.argmax(fids))
     step = 2.0 * math.pi / ex.PHI_GRID_POINTS
-    phi_opt, fid_opt = ex._golden_max(lambda p: ex._settled(cfg, [p])[0]["fidelity"],
+    phi_opt, fid_opt = ex._golden_max(lambda p: settled(cfg, [p])[0]["fidelity"],
                                       grid[best] - step, grid[best] + step, xatol=1e-3)
     if fids[best] >= fid_opt:
         phi_opt, fid_opt = grid[best], fids[best]
@@ -1000,7 +1062,7 @@ def test_a_flat_unwritten_grid_answers_stationarys_phase_0(monkeypatch):
     monkeypatch.setattr(ex, "TUNE_FLAT", 2.0)
     cfg = resolved(scenario="robustness")
     phi, info = ex.resolve_phi(cfg)
-    assert (phi, info["phi_tune_fidelity"]) == (0.0, ex._settled(cfg, [0.0])[0]["fidelity"])
+    assert (phi, info["phi_tune_fidelity"]) == (0.0, settled(cfg, [0.0])[0]["fidelity"])
 
 
 def test_an_unwritten_grid_calls_eigvals_only_for_the_phases_that_decide(monkeypatch):
@@ -1110,10 +1172,10 @@ def test_a_solve_in_one_stack_fails_before_the_build_of_the_next(monkeypatch):
     refused = ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg, phi=phases[1])))
     build, solve = ex.composite_propagator, thermal.stationary
 
-    def failing_build(params, field_dim, phis=None):
-        if phases[chunk] in ([params.phi] if phis is None else phis):
+    def failing_build(params, field_dim, points=None):
+        if phases[chunk] in [p.phi for p in ([params] if points is None else points)]:
             raise ValueError(f"build of phase {chunk} refused")
-        return build(params, field_dim, phis)
+        return build(params, field_dim, points)
 
     def failing_solve(m):
         if any(np.array_equal(step, refused) for step in m.reshape(-1, *refused.shape)):
@@ -1123,7 +1185,7 @@ def test_a_solve_in_one_stack_fails_before_the_build_of_the_next(monkeypatch):
     monkeypatch.setattr(ex, "composite_propagator", failing_build)
     monkeypatch.setattr(ex, "stationary", failing_solve)
     monkeypatch.setattr(thermal, "stationary", failing_solve)
-    for run in (ex._settled, phase_by_phase):
+    for run in (settled, phase_by_phase):
         with pytest.raises(AmbiguousSteadyStateError, match="solve of phase 1 refused"):
             run(cfg, phases)
 
@@ -1173,7 +1235,7 @@ def test_the_threaded_grid_equals_the_phase_by_phase_loop(monkeypatch):
 
     monkeypatch.setattr(ex, "stationary", recorded)
     before = threading.active_count()
-    assert ex._settled(cfg, GRID) == phase_by_phase(cfg, GRID)
+    assert settled(cfg, GRID) == phase_by_phase(cfg, GRID)
     assert len(threads) == 2
     assert threading.active_count() == before
 
@@ -1190,7 +1252,7 @@ def test_each_stationary_stack_is_one_eigvals_and_one_inv_call(monkeypatch):
             return original(a)
 
         monkeypatch.setattr(np.linalg, name, spy)
-    ex._settled(cfg, GRID)
+    settled(cfg, GRID)
     assert calls["eigvals"] == calls["inv"] == [(8, cfg.dim, cfg.dim)] * 8
 
 
@@ -1204,7 +1266,7 @@ def test_a_failure_only_in_a_helper_stack_raises_its_error(monkeypatch):
                         refusing_solve(cfg, [9], lambda p: failed_on.append(threading.current_thread())))
     before = threading.active_count()
     with pytest.raises(AmbiguousSteadyStateError, match="^solve of phase 9 refused$"):
-        ex._settled(cfg, GRID)
+        settled(cfg, GRID)
     assert threading.active_count() == before
     assert failed_on and failed_on[0] is not threading.main_thread()
 
@@ -1229,7 +1291,7 @@ def test_failures_on_both_threads_raise_that_of_the_earlier_phase(monkeypatch, e
     monkeypatch.setattr(ex, "stationary", refusing_solve(cfg, [earlier, later], before_raise))
     before = threading.active_count()
     with pytest.raises(AmbiguousSteadyStateError, match=f"^solve of phase {earlier} refused$"):
-        ex._settled(cfg, GRID)
+        settled(cfg, GRID)
     assert later_failed.is_set()
     assert threading.active_count() == before
 
@@ -1249,7 +1311,7 @@ def test_any_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(ex, "stationary", helper_fails)
     before = threading.active_count()
     with pytest.raises(Refused, match="the helper refused"):
-        ex._settled(cfg, GRID)
+        settled(cfg, GRID)
     assert threading.active_count() == before
 
 
@@ -1274,7 +1336,7 @@ def test_the_helper_is_joined_before_an_error_of_the_caller_propagates(monkeypat
     monkeypatch.setattr(ex, "stationary", caller_interrupted)
     before = threading.active_count()
     with pytest.raises(Interrupted):
-        ex._settled(cfg, GRID)
+        settled(cfg, GRID)
     assert helper_stacks == [8] * 4
     assert threading.active_count() == before
 
@@ -1300,7 +1362,7 @@ def test_concurrent_tunings_under_a_short_switch_interval_keep_every_row():
     got = [None] * 3
 
     def tune(i):
-        got[i] = ex._settled(cfg, GRID)
+        got[i] = settled(cfg, GRID)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -14,10 +14,12 @@ from fockstab.errors import AmbiguousSteadyStateError
 from fockstab.fock import fock_density, random_density
 from fockstab.kraus import KrausSet, analytic_kraus, bands
 from fockstab.oracle import (
+    SQUARING_SPREAD,
     channel_step,
     dense_channel,
     dense_thermal,
     reservoir_step,
+    stationary_by_squaring,
     steady_state,
     thermal_step,
 )
@@ -301,6 +303,47 @@ def test_fixed_point_matches_reduced_steady_state_over_random_physics():
     assert (refused, converged) == (4, 19)
 
 
+def random_cavity_steps():
+    """The step matrices of the 20 draws of
+    `test_fixed_point_matches_reduced_steady_state_over_random_physics`,
+    drawn from its seed in its order."""
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        nbar = int(rng.integers(1, 7))
+        params = make_params(
+            nbar,
+            theta2=float(rng.uniform(0.5, 1.0)) * math.pi / math.sqrt(nbar),
+            theta1=(1.0 + float(rng.uniform(-0.03, 0.03))) * trapping_theta1(nbar),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        tp = ThermalParams(kappa=float(rng.uniform(5.0, 20.0)), n_th=float(rng.uniform(0.0, 0.1)), Ts=60e-6,
+                           p_at=float(rng.uniform(0.1, 1.0)))
+        yield kernels.step_matrix(*bands(analytic_kraus(params, 9 * (nbar + 1))), tp.gamma_minus, tp.gamma_plus,
+                                  tp.p_at)
+
+
+def test_stationary_matches_the_squaring_oracle_over_random_physics():
+    # every draw of the fixed-point test, draw 8 (nbar 6, gap 2.4e-7)
+    # included, where the iteration stops at its step cap and steady_state
+    # refuses, so that nothing else there pins the Perron solve. 2^60 atoms
+    # of squared powers agree with it to <= 3.6e-13 in 1-norm, their own
+    # rounding (a long-double squaring lies within 3.7e-14 of `stationary`)
+    gaps = []
+    for draw, m in enumerate(random_cavity_steps()):
+        r, gap = stationary(m)
+        v, spread = stationary_by_squaring(m)
+        assert spread <= SQUARING_SPREAD and np.abs(r - v).sum() <= 1e-12, draw
+        gaps.append(gap)
+    assert len(gaps) == 20 and 2e-7 < gaps[8] < 3e-7
+    # columns that never agree are refused: two closed classes, and a
+    # periodic chain whose powers alternate
+    two_classes = np.zeros((4, 4))
+    two_classes[:2, :2] = two_classes[2:, 2:] = [[0.9, 0.2], [0.1, 0.8]]
+    for m in (two_classes, np.array([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(AmbiguousSteadyStateError, match="columns of the squared powers spread by"):
+            stationary_by_squaring(m)
+
+
 def test_step_matrix_is_the_cycle_applied_to_unit_vectors(channel):
     # physical and random bands, dims 3-6 (no more levels than one comb
     # spacing) among them; bare channel, the cavity at p_at = 0.3 and random
@@ -352,28 +395,43 @@ def test_step_matrix_cycles_one_batch_of_five_combs(channel, monkeypatch):
     assert shapes == [(5, len(e)), (5, 3)]
 
 
-@pytest.fixture(scope="module")
-def cavity_stacks():
-    """Seeded numeric channels at the cavity (kappa 10, n_th 0.05, p_at 0.3),
-    three per level nbar 1-8: theta2 within 2 % of 3pi/(4 sqrt(nbar)) and
-    random phases. One (rates, stacked bands) pair per level."""
-    rng = np.random.default_rng(43)
+def stacked_cavity_channels(seed, channel="numeric", theta1_errors=False):
+    """Seeded channels at the cavity (kappa 10, n_th 0.05, p_at 0.3), three
+    per level nbar 1-8: theta2 within 2 % of 3pi/(4 sqrt(nbar)), random
+    phases and, with theta1_errors, each its own theta1 error within
+    +/-3 %. One (rates, stacked bands) pair per level."""
+    rng = np.random.default_rng(seed)
     stacks = []
     for nbar in range(1, 9):
         theta2 = 0.75 * math.pi / math.sqrt(nbar) * float(rng.uniform(0.98, 1.02))
         cfg = ExperimentConfig(scenario="tune-phase", nbar=nbar, theta2=theta2, kappa=10.0, nth=0.05,
-                               pat=0.3).resolved()
+                               pat=0.3, channel=channel).resolved()
         phis = rng.uniform(0.0, 2.0 * math.pi, 3).tolist()
-        channels = experiments.build_channel(cfg, experiments.reservoir_params(cfg), phis=phis)
+        errs = rng.uniform(-0.03, 0.03, 3).tolist() if theta1_errors else [0.0] * 3
+        points = [experiments.reservoir_params(cfg, phi=phi, theta1_err=err) for phi, err in zip(phis, errs)]
+        channels = experiments.build_channel(cfg, experiments.reservoir_params(cfg), points)
         tp = experiments.thermal_params(cfg)
         stacks.append(((tp.gamma_minus, tp.gamma_plus, tp.p_at), [np.stack(b) for b in zip(*map(bands, channels))]))
     return stacks
 
 
-def test_a_step_matrix_stack_holds_the_single_calls_in_values_and_strides(cavity_stacks):
-    # 24 channels; the layout is pinned as well because it sets the
-    # rounding of `matrix_power` and `record_rows`
-    for rates, (g, e, m) in cavity_stacks:
+@pytest.fixture(scope="module")
+def cavity_stacks():
+    """Numeric channels over phases: `stacked_cavity_channels` at seed 43."""
+    return stacked_cavity_channels(43)
+
+
+@pytest.fixture(scope="module")
+def point_stacks():
+    """Channels over phases and theta1 errors, numeric and analytic."""
+    return stacked_cavity_channels(44, "numeric", True) + stacked_cavity_channels(45, "analytic", True)
+
+
+def test_a_step_matrix_stack_holds_the_single_calls_in_values_and_strides(cavity_stacks, point_stacks):
+    # 24 channels over phases and 48 over phases and theta1 errors; the
+    # layout is pinned as well because it sets the rounding of
+    # `matrix_power` and `record_rows`
+    for rates, (g, e, m) in cavity_stacks + point_stacks:
         stack = kernels.step_matrix(g, e, m, *rates)
         dim = e.shape[-1]
         assert stack.shape == (3, dim, dim)

@@ -197,9 +197,12 @@ def test_extraction_ignores_placeholder_rows_and_columns():
 
 @pytest.mark.parametrize("phases", [1, 2, 17])
 def test_stacked_build_equals_single_builds_over_random_physics(phases):
-    # one propagator per phase from one stacked build: its blocks, singleton
-    # phases, bands and both defects are those of building each phase alone
+    # one propagator per point from one stacked build: its blocks, singleton
+    # phases, bands and both defects are those of building each point alone.
+    # The points differ in phase, and in a second stack also each in its own
+    # theta1 error within +/-3 %, so in their outer segments' durations
     rng = np.random.default_rng(1400 + phases)
+    errs = np.random.default_rng(1500 + phases)
     for nbar in range(1, 9):
         dim = 9 * (nbar + 1)
         p = make_params(
@@ -208,20 +211,48 @@ def test_stacked_build_equals_single_builds_over_random_physics(phases):
             theta1=trapping_theta1(nbar) * (1.0 + float(rng.uniform(-0.03, 0.03))),
         )
         phis = [float(phi) for phi in rng.uniform(0, 2 * math.pi, phases)]
-        stack = composite_propagator(p, dim, phis)
-        assert stack.blocks.shape == (phases, dim, 3, 3) and stack.dim == dim
-        unitarity, completeness = ladder_defects(stack)
-        channels = extract_kraus(stack)
-        assert len(channels) == phases
-        for i, phi in enumerate(phis):
-            single = composite_propagator(replace(p, phi=phi), dim)
-            assert np.array_equal(stack.blocks[i], single.blocks)
-            assert stack.phase_g0[i] == single.phase_g0 and stack.phase_m_top[i] == single.phase_m_top
-            assert ladder_defects(single) == (unitarity[i], completeness[i])
-            k = extract_kraus(single)
-            for got, want in zip(bands(channels[i]), bands(k)):
-                assert np.array_equal(got, want)
-            assert channels[i].completeness_defect == k.completeness_defect
+        phase_points = [replace(p, phi=phi) for phi in phis]
+        error_points = [replace(point, theta1=trapping_theta1(nbar) * (1.0 + float(err)))
+                        for point, err in zip(phase_points, errs.uniform(-0.03, 0.03, phases))]
+        for points in (phase_points, error_points):
+            check_stack_items(p, dim, points)
+
+
+def check_stack_items(p, dim, points):
+    """Assert that each item of the stacked build of points is its own build."""
+    stack = composite_propagator(p, dim, points)
+    assert stack.blocks.shape == (len(points), dim, 3, 3) and stack.dim == dim
+    unitarity, completeness = ladder_defects(stack)
+    channels = extract_kraus(stack)
+    assert len(channels) == len(points)
+    for i, point in enumerate(points):
+        single = composite_propagator(point, dim)
+        assert np.array_equal(stack.blocks[i], single.blocks)
+        assert stack.phase_g0[i] == single.phase_g0 and stack.phase_m_top[i] == single.phase_m_top
+        assert ladder_defects(single) == (unitarity[i], completeness[i])
+        k = extract_kraus(single)
+        for got, want in zip(bands(channels[i]), bands(k)):
+            assert np.array_equal(got, want)
+        assert channels[i].completeness_defect == k.completeness_defect
+
+
+def test_a_stack_refuses_points_that_differ_in_more_than_phi_and_theta1():
+    # a stacked build shares params' Hamiltonian and middle segment, so a
+    # point that would change either is refused, on either channel
+    from fockstab import experiments as ex
+    from fockstab.config import ExperimentConfig
+
+    p = make_params(3, theta2=0.8)
+    allowed = replace(p, phi=0.3, theta1=1.01 * p.theta1)
+    for other in (replace(p, theta2=0.81), replace(p, Ts=70e-6), replace(p, delta_m=1.01 * p.delta_m),
+                  make_params(3, theta2=0.8, omega=1.01 * p.omega), make_params(4, theta2=0.8)):
+        with pytest.raises(ConfigError, match="only in phi and theta1"):
+            composite_propagator(p, 45, [allowed, other])
+        for channel in ("numeric", "analytic"):
+            cfg = ExperimentConfig(scenario="tune-phase", nbar=3, theta2=0.8, channel=channel, dim=45).resolved()
+            with pytest.raises(ConfigError, match="only in phi and theta1"):
+                ex.build_channel(cfg, p, [allowed, other])
+    assert len(composite_propagator(p, 45, [allowed, p]).blocks) == 2
 
 
 def test_stacked_extraction_raises_the_first_failing_phase(monkeypatch):
@@ -238,7 +269,7 @@ def test_stacked_extraction_raises_the_first_failing_phase(monkeypatch):
     with pytest.raises(ValueError) as single:
         extract_kraus(composite_propagator(replace(p, phi=phis[k]), 36))
     with pytest.raises(ValueError) as stacked:
-        extract_kraus(composite_propagator(p, 36, phis))
+        extract_kraus(composite_propagator(p, 36, [replace(p, phi=phi) for phi in phis]))
     assert str(stacked.value) == str(single.value) == (
         f"propagator unitarity defect {defects[k]:.3e} exceeds {max(defects[:k]):.1e}"
     )

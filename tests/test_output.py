@@ -60,9 +60,12 @@ RECORD_GOLDENS = [
 TUNE_GOLDEN = ("tune_phase_nbar2_kappa10_nth0.05_pat0.3.csv",
                ["tune-phase", "--nbar", "2", "--kappa", "10", "--nth", "0.05", "--pat", "0.3"])
 # the tables the trapping-rate chain feeds: the steady table's fid_reduced
-# column and the theta2 sweep, answer line included
+# column and the theta2 sweep, answer line included; and a steady table
+# whose stacked theta1-error solves start at the configured error, not 0,
+# as the level-by-level solves wrote it
 TABLE_GOLDENS = [("steady_nbars1-2.csv", ["steady", "--nbars", "1,2"]),
-                 ("sweep_theta2_nbar2.csv", ["sweep-theta2", "--nbar", "2"])]
+                 ("sweep_theta2_nbar2.csv", ["sweep-theta2", "--nbar", "2"]),
+                 ("steady_nbar2_theta1err0.01.csv", ["steady", "--nbars", "2", "--nbar", "2", "--theta1-err", "0.01"])]
 # the answer-only powers, as the binary-power kernel that numpy's
 # `matrix_power` replaced wrote them: the no-environment tuning, whose
 # 1,200-atom settle sets its grid rows and answer lines, and the robustness
@@ -74,7 +77,8 @@ POWER_GOLDENS = [("tune_phase_nbar2.csv", ["tune-phase", "--nbar", "2"]),
                   ["robustness", "--nbar", "1", "--channel", "analytic", "--pat", "1"])]
 GOLDEN_RUNS = pytest.mark.parametrize("name, argv", [*RECORD_GOLDENS, TUNE_GOLDEN, *TABLE_GOLDENS, *POWER_GOLDENS],
                                       ids=["trajectory", "converge", "ladder", "converge-walther", "tune-phase",
-                                           "steady", "sweep-theta2", "tune-phase-settle", "robustness",
+                                           "steady", "sweep-theta2", "steady-theta1-err", "tune-phase-settle",
+                                           "robustness",
                                            "robustness-analytic"])
 RECORD_GOLDEN_RUNS = pytest.mark.parametrize("name, argv", RECORD_GOLDENS,
                                              ids=["trajectory", "converge", "ladder", "converge-walther"])

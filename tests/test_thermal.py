@@ -381,8 +381,8 @@ def nbar8_gap_floor_steps(phases):
 
     cfg = ExperimentConfig("tune-phase", nbar=8, theta2=0.8330405509046935, kappa=10.0, nth=0.05, pat=0.3,
                            theta1_err=0.02).resolved()
-    phis = [2.0 * math.pi * p / ex.PHI_GRID_POINTS for p in phases]
-    return ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg), phis=phis))
+    points = [ex.reservoir_params(cfg, phi=2.0 * math.pi * p / ex.PHI_GRID_POINTS) for p in phases]
+    return ex.cycle_matrix(cfg, ex.build_channel(cfg, ex.reservoir_params(cfg), points))
 
 
 def test_shifted_stationary_refuses_without_a_warning():
