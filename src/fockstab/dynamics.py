@@ -269,7 +269,7 @@ class LadderPropagator:
 
 def check_points(params: ReservoirParams, points: Sequence[ReservoirParams]) -> None:
     """Refuse stack points that differ from params in more than phi and theta1."""
-    if any({**vars(p), "phi": 0, "theta1": 0} != {**vars(params), "phi": 0, "theta1": 0} for p in points):
+    if any(vars(p) | {"phi": params.phi, "theta1": params.theta1} != vars(params) for p in points):
         raise ConfigError("stacked points may differ from params only in phi and theta1")
 
 
@@ -299,8 +299,9 @@ def composite_propagator(
     else:
         check_points(params, points)
         delta_m = np.array([phase_delta_m(p, p.phi) for p in points])
-        # per segment, the (duration, control) arrays over the points
-        schedule = [tuple(map(np.array, zip(*seg))) for seg in zip(*map(control_schedule, points, delta_m))]
+        per_point = list(map(control_schedule, points, delta_m))
+        # per segment, its durations and its controls as arrays over the points
+        schedule = [tuple(map(np.array, zip(*segment))) for segment in zip(*per_point)]
     blocks = None
     angle_g = angle_m = np.zeros(np.shape(delta_m))
     segs = {}

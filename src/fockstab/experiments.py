@@ -206,8 +206,8 @@ def ill_conditioned(rows: list[dict[str, Any]]) -> int:
 def _settled(cfg: ExperimentConfig, points: Sequence[ReservoirParams],
              solve: Callable[[np.ndarray, int], list[dict[str, float]]]) -> list[dict[str, float]]:
     """solve's rows for the cycle matrices of the configured channel at each
-    of points, parameters that differ from `reservoir_params(cfg)` only in
-    phi and theta1.
+    of points, parameters that differ from one another only in phi and
+    theta1.
 
     The caller picks the solve of an (s, n, n) stack: `_stationary_rows`,
     the fidelity and spectral gap the tables write; `_ranking_rows`, for
@@ -223,7 +223,7 @@ def _settled(cfg: ExperimentConfig, points: Sequence[ReservoirParams],
     error raised, is that of a point-by-point run.
     """
     def solved(stack: Sequence[ReservoirParams]) -> list[dict[str, float]]:
-        return solve(cycle_matrix(cfg, build_channel(cfg, reservoir_params(cfg), stack)), cfg.nbar)
+        return solve(cycle_matrix(cfg, build_channel(cfg, stack[0], stack)), cfg.nbar)
 
     chunk = max(1, SOLVE_ENTRIES // cfg.dim**2)
     stacks = [points[start:start + chunk] for start in range(0, len(points), chunk)]

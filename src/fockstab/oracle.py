@@ -28,8 +28,10 @@ DEVIATION_SKIPPED_TOP = 1
 ORACLE_GAP_TOL = 1e-10
 ORACLE_POWER_TOL = 1e-12
 SUPPORT_TOL = 1e-9
-# columns of the squared powers in `stationary_by_squaring` must agree this
-# well (1-norm); the 20 random cavity chains of the tests spread by <= 1e-15
+# `stationary_by_squaring` forms M^(2^SQUARINGS), far beyond any mixing time
+# the tables print; its columns must then agree to SQUARING_SPREAD (1-norm),
+# and the 20 random cavity chains of the tests spread by <= 1e-15
+SQUARINGS = 60
 SQUARING_SPREAD = 1e-12
 
 
@@ -358,25 +360,24 @@ def steady_state(rd, p_at: float) -> np.ndarray:
     return r
 
 
-def stationary_by_squaring(m: np.ndarray, squarings: int = 60) -> tuple[np.ndarray, float]:
+def stationary_by_squaring(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Perron vector of a nonnegative (n, n) step matrix m, from its powers,
     and the spread of their columns.
 
     P starts at m and steps P <- P.P / (largest column sum of P.P), so after
-    s squarings P is m^(2^s) scaled: 2^60 atoms by default, far beyond any
-    mixing time the tables print. Each column of P is then the population
-    after that many atoms from one Fock state, so for a chain with one
-    slowest-decaying class every column lies along the Perron vector. The
-    vector returned is P.d0 normalized, with d0 uniform, and the spread is
-    max_j |P[:, j] - v * (sum of P[:, j])|_1, the distance of P from that
-    rank-one form. Every factor is nonnegative, so no product subtracts and
-    each entry keeps a small relative error. A spread above SQUARING_SPREAD
-    (columns that still disagree: two closed classes, a periodic or
-    unconverged chain) is refused. It shares no code with
-    `thermal.stationary`, which the tests pin to it.
+    SQUARINGS squarings P is m^(2^SQUARINGS) scaled: 2^60 atoms. Each column
+    of P is then the population after that many atoms from one Fock state,
+    so for a chain with one slowest-decaying class every column lies along
+    the Perron vector. The vector returned is P.d0 normalized, with d0
+    uniform, and the spread is max_j |P[:, j] - v * (sum of P[:, j])|_1,
+    the distance of P from that rank-one form. Every factor is nonnegative,
+    so no product subtracts and each entry keeps a small relative error. A
+    spread above SQUARING_SPREAD (columns that still disagree: two closed
+    classes, a periodic or unconverged chain) is refused. It shares no code
+    with `thermal.stationary`, which the tests pin to it.
     """
     p = np.array(m, dtype=np.float64)
-    for _ in range(squarings):
+    for _ in range(SQUARINGS):
         p = p @ p
         p /= p.sum(axis=0).max()
     v = p.mean(axis=1)

@@ -274,7 +274,8 @@ def every_segment_composite(params, field_dim, points=None):
         schedule = control_schedule(params, delta_m)
     else:
         delta_m = np.array([phase_delta_m(p, p.phi) for p in points])
-        schedule = [tuple(map(np.array, zip(*seg))) for seg in zip(*map(control_schedule, points, delta_m))]
+        per_point = list(map(control_schedule, points, delta_m))
+        schedule = [tuple(map(np.array, zip(*segment))) for segment in zip(*per_point)]
     blocks = None
     angle_g = angle_m = np.zeros(np.shape(delta_m))
     for duration, u_val in schedule:
