@@ -23,16 +23,12 @@ population after TUNE_SETTLE_STEPS atoms. The atom-by-atom loop
 
 Points that differ only in phi and theta1 (`tune_phase`'s 64-phase grid,
 `steady`'s three theta1 errors, each of `robustness`'s two stationary row
-sets) are built, stepped and solved by one `_settled` call, in stacks of at
-most SOLVE_ENTRIES // dim^2, the odd-numbered ones on a helper thread
-started for that call. The caller picks each stack's solve: the settle
-without an environment, else `thermal.stationary` (`_stationary_rows`) for
-rows a table writes, or `_ranking_rows` for grid phases a tuning only ranks
-(`thermal.shifted_stationary`, no `eigvals`, then `stationary` for the
-phases it refuses). An unwritten grid solves again by `stationary` the few
-phases whose bits decide its answer. The golden section builds one channel
-per phase, ranks it by `_ranking_rows`, and reports one `stationary` solve
-of the chosen phase's kept step matrix.
+sets) are one `_settled` call: stacks of at most SOLVE_ENTRIES // dim^2
+points, each built as one stacked `KrausSet`, stepped and solved by the
+solve the caller picks (the settle, `_stationary_rows` or `_ranking_rows`),
+the odd-numbered stacks on a helper thread started for that call.
+`tune_phase`'s golden section builds one channel per phase and ranks it by
+the tuning's solve on its step matrix as a stack of one.
 
 Every stationary quantity the program writes is a `thermal.stationary`
 solve for the Perron vector of a cycle matrix, with its spectral gap:
@@ -88,6 +84,8 @@ TUNE_SETTLE_STEPS = 1200
 ILL_CONDITIONED_GAP = 1e-7
 # a tuning landscape whose fidelities span less than this answers phi = 0
 TUNE_FLAT = 1e-6
+# the golden section refines the best grid phase to this width (rad)
+GOLDEN_XATOL = 1e-3
 # an unwritten tuning grid re-solves with `stationary` every phase whose
 # `shifted_stationary` fidelity lies within this of the grid's maximum (and
 # of its minimum, where the flatness test is in doubt). Accepted vectors
@@ -130,19 +128,18 @@ def thermal_params(cfg: ExperimentConfig) -> ThermalParams:
     return tp
 
 
-def cycle_matrix(cfg: ExperimentConfig, k: KrausSet | Sequence[KrausSet]) -> np.ndarray:
+def cycle_matrix(cfg: ExperimentConfig, k: KrausSet) -> np.ndarray:
     """`kernels.step_matrix` of one cycle of channel k and the configured
-    environment; given a sequence of channels, their (s, dim, dim) stack."""
+    environment; for a stack of s channels, their (s, dim, dim) stack."""
     tp = thermal_params(cfg)
-    g, e, m = bands(k) if isinstance(k, KrausSet) else (np.stack(band) for band in zip(*map(bands, k)))
-    return kernels.step_matrix(g, e, m, tp.gamma_minus, tp.gamma_plus, tp.p_at)
+    return kernels.step_matrix(*bands(k), tp.gamma_minus, tp.gamma_plus, tp.p_at)
 
 
 def build_channel(
     cfg: ExperimentConfig,
     params: ReservoirParams,
     points: Sequence[ReservoirParams] | None = None,
-) -> KrausSet | list[KrausSet]:
+) -> KrausSet:
     """The channel of the configured pulse at the given parameters.
 
     The numeric channel is the three-segment cycle of the full three-level
@@ -152,15 +149,18 @@ def build_channel(
     resonant two-level baseline with pulse area theta_r = 2 * theta1, or
     `analytic_kraus`.
 
-    Given points (see `dynamics.check_points`), a list of channels, one per
-    point, each equal to its own call: the numeric channels come from one
-    stacked `composite_propagator`, the analytic ones are built one by one.
+    Given points (see `dynamics.check_points`), the stack of their channels,
+    row i equal to the call at point i: the numeric channels come from one
+    stacked `composite_propagator`, the analytic ones are built one by one
+    and stacked once.
     """
     if cfg.channel == "numeric":
         return extract_kraus(composite_propagator(params, cfg.dim, points))
     if points is not None:
         check_points(params, points)
-        return [build_channel(cfg, point) for point in points]
+        channels = [build_channel(cfg, point) for point in points]
+        return KrausSet(*(np.stack(band) for band in zip(*map(bands, channels))),
+                        np.array([k.completeness_defect for k in channels]))
     if cfg.scheme == "walther":
         return walther_kraus(params.nbar, 2.0 * params.theta1, cfg.dim)
     return analytic_kraus(params, cfg.dim)
@@ -213,14 +213,15 @@ def _settled(cfg: ExperimentConfig, points: Sequence[ReservoirParams],
     the fidelity and spectral gap the tables write; `_ranking_rows`, for
     rows that only rank; or `_settle_rows`, the no-environment settle. The
     points run as stacks of at most SOLVE_ENTRIES // dim^2, each one
-    `build_channel`, one `cycle_matrix` and one solve. With more than one
-    stack, a helper thread solves stacks 1, 3, 5, ... while the caller
-    solves stacks 0, 2, 4, ...; numpy releases the GIL in the stacked
-    LAPACK calls, so the two overlap. The caller joins the helper and reads
-    the stacks in point order: one whose build or solve raised `ValueError`
-    is replayed one point at a time, and any other error, met on either
-    thread, is raised when its stack comes. So every number, and the first
-    error raised, is that of a point-by-point run.
+    `build_channel` of one stacked `KrausSet`, one `cycle_matrix` and one
+    solve. With more than one stack, a helper thread solves stacks 1, 3,
+    5, ... while the caller solves stacks 0, 2, 4, ...; numpy releases the
+    GIL in the stacked LAPACK calls, so the two overlap. The caller joins
+    the helper and reads the stacks in point order: one whose build or
+    solve raised `ValueError` is replayed one point at a time, and any
+    other error, met on either thread, is raised when its stack comes. So
+    every number, and the first error raised, is that of a point-by-point
+    run.
     """
     def solved(stack: Sequence[ReservoirParams]) -> list[dict[str, float]]:
         return solve(cycle_matrix(cfg, build_channel(cfg, stack[0], stack)), cfg.nbar)
@@ -295,15 +296,6 @@ def _ranking_rows(matrices: np.ndarray, nbar: int) -> list[dict[str, float]]:
     return rows
 
 
-def _ranked(cfg: ExperimentConfig, params: ReservoirParams) -> tuple[float, np.ndarray]:
-    """Stationary target fidelity of one channel, for ranking phases only, and
-    its step matrix: the `_ranking_rows` fidelity of that matrix as a stack of
-    one."""
-    step = cycle_matrix(cfg, build_channel(cfg, params))
-    (row,) = _ranking_rows(step[None], cfg.nbar)
-    return row["fidelity"], step
-
-
 class PhaseTuning(tuple):
     """A tuning's answer: the tuple (phi_opt, fidelity, table) of the tuned
     phase, its long-run target fidelity and the grid rows, which holds one
@@ -327,7 +319,7 @@ def tune_phase(cfg: ExperimentConfig, written: bool = True) -> PhaseTuning:
 
     Maximizes the long-run target fidelity (stationary fidelity when an
     environment is configured) over phi in [0, 2pi) at resolution 2pi/64,
-    then refines around the best grid point to 1e-3 rad. Ties break to the
+    then refines around the best grid point to GOLDEN_XATOL. Ties break to the
     smallest phi; a landscape flat to TUNE_FLAT returns phi = 0. Each grid row
     holds phi and the fidelity, plus the spectral gap of the stationary
     solve when there is an environment. theta2 = 0 is refused: that pulse
@@ -345,15 +337,14 @@ def tune_phase(cfg: ExperimentConfig, written: bool = True) -> PhaseTuning:
     phi_opt and its fidelity have the bits of the written route, and the
     unwritten rows are what the ranking read, not a table.
 
-    The golden section's 13 phases build one channel each. With an
-    environment they are ranked by `_ranked`, as an unwritten grid is, by
-    `shifted_stationary` with `stationary` for each phase it refuses, in
-    either route; the step matrices of the two bracketing phases are kept,
-    and the fidelity returned is one `stationary` solve of the chosen one,
-    so answer and comparison with the best grid row have the bits of a
-    golden section ranked by `stationary` alone. That solve's gap is the
-    answer_gap. Without an environment, every golden phase is a `_settled`
-    settle.
+    The golden section's 13 phases build one channel each, with no point
+    stack, and are ranked by the tuning's solve on the step matrix as a
+    stack of one: the settle without an environment, else `_ranking_rows`,
+    as an unwritten grid is, in either route. The step matrices of the two
+    bracketing phases are kept. With an environment the fidelity returned
+    is one `stationary` solve of the chosen one, so answer and comparison
+    with the best grid row have the bits of a golden section ranked by
+    `stationary` alone, and that solve's gap is the answer_gap.
     """
     if cfg.theta2 == 0.0:
         raise ConfigError("phase tuning needs a middle segment; theta2 = 0 has none")
@@ -364,7 +355,8 @@ def tune_phase(cfg: ExperimentConfig, written: bool = True) -> PhaseTuning:
         cfg = replace(cfg, pat=1.0)
     params = reservoir_params(cfg)
     points = [replace(params, phi=phi) for phi in grid]
-    rows = _settled(cfg, points, _settle_rows if settle else _stationary_rows if written else _ranking_rows)
+    rank = _settle_rows if settle else _ranking_rows
+    rows = _settled(cfg, points, _stationary_rows if written and not settle else rank)
     fids = [row["fidelity"] for row in rows]
     if not (written or settle):
         top, bottom = max(fids), min(fids)
@@ -378,14 +370,15 @@ def tune_phase(cfg: ExperimentConfig, written: bool = True) -> PhaseTuning:
         return PhaseTuning(0.0, fids[0], table)
     best = int(np.argmax(fids))
     step = 2.0 * math.pi / PHI_GRID_POINTS
-    lo, hi = grid[best] - step, grid[best] + step
+
+    def ranked(phi: float) -> tuple[float, np.ndarray]:
+        matrix = cycle_matrix(cfg, build_channel(cfg, replace(params, phi=phi)))
+        (row,) = rank(matrix[None], cfg.nbar)
+        return row["fidelity"], matrix
+
+    phi_opt, (fid_opt, chosen) = _golden_max(ranked, grid[best] - step, grid[best] + step)
     answer_gap = math.inf
-    if settle:
-        phi_opt, fid_opt = _golden_max(lambda p: _settled(cfg, [replace(params, phi=p)], _settle_rows)[0]["fidelity"],
-                                       lo, hi, xatol=1e-3)
-    else:
-        phi_opt, (_, chosen) = _golden_max(lambda p: _ranked(cfg, replace(params, phi=p)), lo, hi, xatol=1e-3,
-                                           key=lambda ranked: ranked[0])
+    if not settle:
         populations, answer_gap = stationary(chosen)
         fid_opt = float(populations[cfg.nbar])
     if fids[best] >= fid_opt:
@@ -393,18 +386,17 @@ def tune_phase(cfg: ExperimentConfig, written: bool = True) -> PhaseTuning:
     return PhaseTuning(phi_opt % (2.0 * math.pi), fid_opt, table, answer_gap)
 
 
-def _golden_max(fn, lo: float, hi: float, xatol: float, key=None) -> tuple[float, Any]:
-    """Deterministic golden-section maximization on [lo, hi]: the better
-    bracketing point and fn's value there. fn's values are compared by
-    key(value), or as they are; only the two bracketing values are kept."""
-    rank = key or (lambda value: value)
+def _golden_max(fn, lo: float, hi: float) -> tuple[float, tuple[float, Any]]:
+    """Deterministic golden-section maximization on [lo, hi] to GOLDEN_XATOL of
+    fn, which returns (score, payload): the better bracketing point and fn's
+    value there, by score. Only the two bracketing values are kept."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > xatol:
-        if rank(fc) >= rank(fd):
+    while b - a > GOLDEN_XATOL:
+        if fc[0] >= fd[0]:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = fn(c)
@@ -412,7 +404,7 @@ def _golden_max(fn, lo: float, hi: float, xatol: float, key=None) -> tuple[float
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    return (c, fc) if rank(fc) >= rank(fd) else (d, fd)
+    return (c, fc) if fc[0] >= fd[0] else (d, fd)
 
 
 def run_record(cfg: ExperimentConfig) -> RunRecord:

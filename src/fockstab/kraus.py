@@ -7,7 +7,8 @@ M_m|psi>|m>. Every channel built here (the numeric cycle channel, its
 large-detuning closed form and the resonant two-level baseline) is one-band:
 M_g raises by one level, M_e is diagonal, M_m lowers by one level. A
 `KrausSet` stores only those bands, from the builders to the iteration
-kernels; the dense operators are built on demand for the reference route
+kernels, for one channel or for a stack of channels built over points; the
+dense operators of one channel are built on demand for the reference route
 (`oracle.apply_map`, `oracle.kraus_deviation` and the tests).
 """
 
@@ -43,6 +44,8 @@ class KrausSet:
     deliberately truncated or perturbed channels can still be built and
     studied; `oracle.apply_map` refuses defects above its COMPLETENESS_APPLY_TOL.
     Equality and hashing are by identity: array fields have no truth value.
+    A stack of s channels has bands of shape (s, dim), row i channel i,
+    defects of shape (s,) and no dense operators.
     """
 
     g: np.ndarray
@@ -56,19 +59,24 @@ class KrausSet:
 
     @property
     def dim(self) -> int:
-        return self.e.shape[0]
+        return self.e.shape[-1]
+
+    def _dense(self, band: np.ndarray, offset: int) -> np.ndarray:
+        if self.e.ndim != 1:
+            raise ConfigError(f"a stack of {len(self.e)} channels has no dense operators; index its bands")
+        return _read_only(np.diag(band, offset))
 
     @cached_property
     def m_g(self) -> np.ndarray:
-        return _read_only(np.diag(self.g[:-1], -1))
+        return self._dense(self.g[:-1], -1)
 
     @cached_property
     def m_e(self) -> np.ndarray:
-        return _read_only(np.diag(self.e))
+        return self._dense(self.e, 0)
 
     @cached_property
     def m_m(self) -> np.ndarray:
-        return _read_only(np.diag(self.m[1:], 1))
+        return self._dense(self.m[1:], 1)
 
     @staticmethod
     def from_operators(m_g: np.ndarray, m_e: np.ndarray, m_m: np.ndarray) -> "KrausSet":
@@ -114,7 +122,7 @@ def ladder_defects(u: LadderPropagator) -> tuple[np.ndarray, np.ndarray]:
     return unitarity, np.abs(gram[..., E, E] - 1.0).max(axis=-1)
 
 
-def extract_kraus(u: LadderPropagator) -> KrausSet | list[KrausSet]:
+def extract_kraus(u: LadderPropagator) -> KrausSet:
     """Read the field channel of an atom entering in |e> off a joint propagator.
 
     M_x[n', n] = <x, n'| U |e, n> is the E column of the ladder blocks:
@@ -122,22 +130,18 @@ def extract_kraus(u: LadderPropagator) -> KrausSet | list[KrausSet]:
     and m[0] zero because |g,dim> and |m,-1> are placeholders outside the
     truncation. Both defects come from `ladder_defects`; the dense formula on
     `u.dense()` and `KrausSet.from_operators` are their oracle. A stack of
-    propagators gives a list with one channel per phase; the phases are
-    checked in order, so the first one that fails raises.
+    propagators gives one stacked channel, whose row i is the channel of
+    propagator i; the unitarity defect raised is that of the first point
+    that fails, as building point by point would raise.
     """
     defect, completeness = ladder_defects(u)
+    failing = np.extract(defect > UNITARY_TOL, defect)
+    if failing.size:
+        raise ValueError(f"propagator unitarity defect {failing[0]:.3e} exceeds {UNITARY_TOL:.1e}")
     column = u.blocks[..., E].copy()
     column[..., -1, G] = 0.0
     column[..., 0, M] = 0.0
-    if column.ndim == 2:
-        return _checked_channel(defect, column, completeness)
-    return [_checked_channel(*phase) for phase in zip(defect, column, completeness)]
-
-
-def _checked_channel(defect: float, column: np.ndarray, completeness: float) -> KrausSet:
-    if defect > UNITARY_TOL:
-        raise ValueError(f"propagator unitarity defect {defect:.3e} exceeds {UNITARY_TOL:.1e}")
-    return KrausSet(*column.T, float(completeness))
+    return KrausSet(*np.moveaxis(column, -1, 0), completeness if column.ndim == 3 else float(completeness))
 
 
 def _alpha(theta1: float, n: np.ndarray | float) -> np.ndarray | float:
@@ -221,5 +225,5 @@ def transition_rates(nbar: int, theta2: float, n: int) -> tuple[float, float]:
 
 
 def bands(k: KrausSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stored bands (g, e, m) of a channel, with the conventions of `KrausSet`."""
+    """The stored bands (g, e, m) of a channel, or of a stack, with the conventions of `KrausSet`."""
     return k.g, k.e, k.m

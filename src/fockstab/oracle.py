@@ -216,6 +216,8 @@ def dense_channel(k, rho: np.ndarray) -> np.ndarray:
 
 def apply_map(k, rho: np.ndarray) -> np.ndarray:
     """One channel application rho -> sum_x M_x rho M_x^dag, sanitized."""
+    if k.e.ndim != 1:
+        raise ConfigError(f"apply_map takes one channel, not a stack of {len(k.e)}")
     if rho.shape != (k.dim, k.dim):
         raise ConfigError(f"state shape {rho.shape} does not match channel dim {k.dim}")
     if k.completeness_defect >= COMPLETENESS_APPLY_TOL:

@@ -194,7 +194,7 @@ def rows() -> list[tuple[str, bool, str]]:
     pt = make_params(nt, theta2=0.75 * math.pi / math.sqrt(nt) * float(rng.uniform(0.98, 1.02)))
     phis = rng.uniform(0, 2 * math.pi, 4).tolist()
     channels = extract_kraus(composite_propagator(pt, default_dim(nt), [replace(pt, phi=phi) for phi in phis]))
-    stack = kernels.step_matrix(*(np.stack(band) for band in zip(*map(bands, channels))), *rates)
+    stack = kernels.step_matrix(*bands(channels), *rates)
     populations, gaps = stationary(stack)
     singles = [stationary(item) for item in stack]
     same = all(np.array_equal(r, r1) and gap == gap1 for r, gap, (r1, gap1) in zip(populations, gaps, singles))

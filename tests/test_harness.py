@@ -974,6 +974,14 @@ def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):
     assert "phi_opt: 5.905913 rad  fidelity: 0.970298" in capsys.readouterr().err
     lines = (tmp_path / "t2.csv").read_text().splitlines()
     assert lines[2:4] == ["# phi_opt: 5.90591284661", "# fidelity: 0.970297828117"]
+    # without an environment the grid is one stack of settles, and so is
+    # none of the golden phases: each is a single build, settled as a stack
+    # of one, with no stationary solve anywhere
+    sizes.clear()
+    solved.clear()
+    assert main(["tune-phase", "--nbar", "2", "--out", str(tmp_path / "settle.csv")]) == 0
+    assert sizes == [64] + [None] * 13
+    assert solved == []
 
 
 def stationary_golden_section(cfg):
@@ -986,8 +994,8 @@ def stationary_golden_section(cfg):
         return 0.0, fids[0]
     best = int(np.argmax(fids))
     step = 2.0 * math.pi / ex.PHI_GRID_POINTS
-    phi_opt, fid_opt = ex._golden_max(lambda p: settled(cfg, [p])[0]["fidelity"],
-                                      grid[best] - step, grid[best] + step, xatol=1e-3)
+    phi_opt, (fid_opt, _) = ex._golden_max(lambda p: (settled(cfg, [p])[0]["fidelity"], None),
+                                           grid[best] - step, grid[best] + step)
     if fids[best] >= fid_opt:
         phi_opt, fid_opt = grid[best], fids[best]
     return phi_opt % (2.0 * math.pi), fid_opt

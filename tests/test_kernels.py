@@ -260,12 +260,11 @@ def test_fixed_point_matches_reduced_steady_state_over_random_physics():
     # axis, theta2 around the optimum 3pi/(4 sqrt(nbar)), any phase. Every
     # draw is answered by the Perron solve of the engine's step matrix, and
     # one engine cycle of the answer, renormalized, leaves it in place. It is
-    # pinned to the reduced chain wherever `steady_state` answers, and to
-    # renormalized iteration at tol 1e-12 wherever that converges: the
-    # stopping rule bounds the iteration's error only by about tol / gap, and
-    # broken trapping (theta1 error) leaves gaps down to 2e-7 per cycle
+    # pinned to the reduced chain wherever `steady_state` answers; every draw
+    # is pinned to the squaring oracle by
+    # `test_stationary_matches_the_squaring_oracle_over_random_physics`
     rng = np.random.default_rng(12)
-    refused = converged = 0
+    refused = 0
     for draw in range(20):
         nbar = int(rng.integers(1, 7))
         dim = 9 * (nbar + 1)
@@ -294,13 +293,8 @@ def test_fixed_point_matches_reduced_steady_state_over_random_physics():
             refused += 1
         else:
             assert np.abs(r - ref).max() < 1e-6, draw
-        out, _, delta = kernels.evolve_to_fixed_point(g, e, m, fock_density(nbar, dim), *cavity, tol=1e-12)
-        if delta < 1e-12:
-            converged += 1
-            assert np.abs(np.diag(out).real - r).max() <= 2e-12 / gap, draw
-    # the draws steady_state refuses are answered too; one of them (nbar 6,
-    # gap 2.4e-7) also exhausts the iteration's step cap
-    assert (refused, converged) == (4, 19)
+    # the draws steady_state refuses are answered too
+    assert refused == 4
 
 
 def random_cavity_steps():
@@ -411,7 +405,7 @@ def stacked_cavity_channels(seed, channel="numeric", theta1_errors=False):
         points = [experiments.reservoir_params(cfg, phi=phi, theta1_err=err) for phi, err in zip(phis, errs)]
         channels = experiments.build_channel(cfg, experiments.reservoir_params(cfg), points)
         tp = experiments.thermal_params(cfg)
-        stacks.append(((tp.gamma_minus, tp.gamma_plus, tp.p_at), [np.stack(b) for b in zip(*map(bands, channels))]))
+        stacks.append(((tp.gamma_minus, tp.gamma_plus, tp.p_at), bands(channels)))
     return stacks
 
 

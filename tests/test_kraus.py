@@ -224,16 +224,16 @@ def check_stack_items(p, dim, points):
     assert stack.blocks.shape == (len(points), dim, 3, 3) and stack.dim == dim
     unitarity, completeness = ladder_defects(stack)
     channels = extract_kraus(stack)
-    assert len(channels) == len(points)
+    assert channels.e.shape == (len(points), dim) and channels.completeness_defect.shape == (len(points),)
     for i, point in enumerate(points):
         single = composite_propagator(point, dim)
         assert np.array_equal(stack.blocks[i], single.blocks)
         assert stack.phase_g0[i] == single.phase_g0 and stack.phase_m_top[i] == single.phase_m_top
         assert ladder_defects(single) == (unitarity[i], completeness[i])
         k = extract_kraus(single)
-        for got, want in zip(bands(channels[i]), bands(k)):
-            assert np.array_equal(got, want)
-        assert channels[i].completeness_defect == k.completeness_defect
+        for got, want in zip(bands(channels), bands(k)):
+            assert np.array_equal(got[i], want)
+        assert channels.completeness_defect[i] == k.completeness_defect and type(k.completeness_defect) is float
 
 
 def test_a_stack_refuses_points_that_differ_in_more_than_phi_and_theta1():
@@ -266,6 +266,11 @@ def test_stacked_extraction_raises_the_first_failing_phase(monkeypatch):
     # the last phase whose defect exceeds every one before it
     k = max(i for i in range(1, 17) if defects[i] > max(defects[:i]))
     monkeypatch.setattr(kraus, "UNITARY_TOL", max(defects[:k]))
+    # the phases before it pass, and their stack holds each one's channel
+    passing = extract_kraus(composite_propagator(p, 36, [replace(p, phi=phi) for phi in phis[:k]]))
+    for i, phi in enumerate(phis[:k]):
+        for got, want in zip(bands(passing), bands(extract_kraus(composite_propagator(replace(p, phi=phi), 36)))):
+            assert np.array_equal(got[i], want)
     with pytest.raises(ValueError) as single:
         extract_kraus(composite_propagator(replace(p, phi=phis[k]), 36))
     with pytest.raises(ValueError) as stacked:
@@ -273,6 +278,32 @@ def test_stacked_extraction_raises_the_first_failing_phase(monkeypatch):
     assert str(stacked.value) == str(single.value) == (
         f"propagator unitarity defect {defects[k]:.3e} exceeds {max(defects[:k]):.1e}"
     )
+
+
+def test_a_channel_stack_refuses_dense_operators_and_apply_map():
+    # a stacked `KrausSet`, numeric from `extract_kraus` or analytic from
+    # `build_channel`, holds (s, dim) bands: its dense operators and a
+    # channel application are refused with a stated error rather than read
+    # off a diagonal of the band arrays. Each analytic row is its own build
+    from fockstab import experiments as ex
+    from fockstab.config import ExperimentConfig
+
+    cfg = ExperimentConfig(scenario="tune-phase", nbar=2, channel="analytic").resolved()
+    p = ex.reservoir_params(cfg)
+    points = [replace(p, phi=phi) for phi in (0.1, 1.1, 2.1)]
+    analytic = ex.build_channel(cfg, p, points)
+    for i, point in enumerate(points):
+        k = ex.build_channel(cfg, point)
+        for got, want in zip(bands(analytic), bands(k)):
+            assert np.array_equal(got[i], want)
+        assert analytic.completeness_defect[i] == k.completeness_defect
+    for stack in (extract_kraus(composite_propagator(p, cfg.dim, points)), analytic):
+        assert stack.dim == cfg.dim == 27 and stack.completeness_defect.shape == (3,)
+        for name in ("m_g", "m_e", "m_m"):
+            with pytest.raises(ConfigError, match="^a stack of 3 channels has no dense operators; index its bands$"):
+                getattr(stack, name)
+        with pytest.raises(ConfigError, match="^apply_map takes one channel, not a stack of 3$"):
+            apply_map(stack, fock_density(2, 27))
 
 
 def analytic_operators(p, dim):
