@@ -7,9 +7,10 @@ mirroring ExperimentConfig; explicit flags override file values, and a file
 value the scenario does not read must equal its default. validate prints
 the rows of `fockstab.validation`, which only that subcommand imports.
 Exit codes: 0 success, 2 configuration error (an unwritable --out among
-them), 3 numerical-validity error or a failed validate row. Importing this
-module sets OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS is set; outputs do not depend on it.
+them), 3 numerical-validity error (a LAPACK failure among them) or a
+failed validate row. Importing this module sets OPENBLAS_NUM_THREADS=1
+unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set;
+outputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from dataclasses import replace
 # numpy, the CLI asks for one thread unless the user chose a count.
 if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from numpy.linalg import LinAlgError
 
 from .config import CHANNELS, FORMATS, SCENARIOS, SCHEMES, ExperimentConfig, parse_nbars, resolve_reads
 from .errors import ConfigError, NumericalValidityError
@@ -163,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalValidityError as exc:
+    except (NumericalValidityError, LinAlgError) as exc:
         print(f"numerical-validity error: {exc}", file=sys.stderr)
         return 3
 

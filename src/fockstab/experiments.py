@@ -26,9 +26,11 @@ Points that differ only in phi and theta1 (`tune_phase`'s 64-phase grid,
 sets) are one `_settled` call: stacks of at most SOLVE_ENTRIES // dim^2
 points, each built as one stacked `KrausSet`, stepped and solved by the
 solve the caller picks (the settle, `_stationary_rows` or `_ranking_rows`),
-the odd-numbered stacks on a helper thread started for that call.
-`tune_phase`'s golden section builds one channel per phase and ranks it by
-the tuning's solve on its step matrix as a stack of one.
+the odd-numbered stacks on a helper thread started for that call. A
+stack is refused as a unit: the first failing stack in point order
+raises, and no stack is replayed point by point. `tune_phase`'s golden
+section builds one channel per phase and ranks it by the tuning's solve
+on its step matrix as a stack of one.
 
 Every stationary quantity the program writes is a `thermal.stationary`
 solve for the Perron vector of a cycle matrix, with its spectral gap:
@@ -217,14 +219,14 @@ def _settled(cfg: ExperimentConfig, points: Sequence[ReservoirParams],
     solve. With more than one stack, a helper thread solves stacks 1, 3,
     5, ... while the caller solves stacks 0, 2, 4, ...; numpy releases the
     GIL in the stacked LAPACK calls, so the two overlap. The caller joins
-    the helper and reads the stacks in point order: one whose build or
-    solve raised `ValueError` is replayed one point at a time, and any
-    other error, met on either thread, is raised when its stack comes. So
-    every number, and the first error raised, is that of a point-by-point
-    run.
+    the helper, then raises the error of the first stack in point order
+    that raised, on either thread, or else joins the rows: a stack is
+    refused as a unit, by its first failing check (`check_points` against
+    points[0], the build, the gap floor, sign, residual) at the first point
+    that fails it. Every number is that of a point-by-point run.
     """
     def solved(stack: Sequence[ReservoirParams]) -> list[dict[str, float]]:
-        return solve(cycle_matrix(cfg, build_channel(cfg, stack[0], stack)), cfg.nbar)
+        return solve(cycle_matrix(cfg, build_channel(cfg, points[0], stack)), cfg.nbar)
 
     chunk = max(1, SOLVE_ENTRIES // cfg.dim**2)
     stacks = [points[start:start + chunk] for start in range(0, len(points), chunk)]
@@ -246,18 +248,10 @@ def _settled(cfg: ExperimentConfig, points: Sequence[ReservoirParams],
     finally:
         if helper is not None:
             helper.join()
-    rows = []
-    for stack, outcome in zip(stacks, outcomes):
-        # np.linalg.LinAlgError is a ValueError
-        if isinstance(outcome, ValueError) and len(stack) > 1:
-            # one point at a time, so the error raised is the first one a
-            # point-by-point run meets, a solve of an earlier point included
-            rows += [row for point in stack for row in _settled(cfg, [point], solve)]
-        elif isinstance(outcome, Exception):
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
             raise outcome
-        else:
-            rows += outcome
-    return rows
+    return [row for outcome in outcomes for row in outcome]
 
 
 def _no_environment(cfg: ExperimentConfig) -> bool:

@@ -26,22 +26,23 @@ DEFAULT_ETA = 0.5
 THETA2_TOL = 1e-9
 
 
-def validate_theta2(theta2: float, nbar: int, tol: float = THETA2_TOL) -> bool:
-    """True iff theta2 > 0 avoids every resonance k*pi/sqrt(n), n = 1..4*nbar+3.
+def validate_theta2(theta2: float, nbar: int) -> bool:
+    """True iff theta2 > 0 avoids every resonance k*pi/sqrt(n), n = 1..4*nbar+3,
+    by more than THETA2_TOL.
 
     At a resonance some transition rate vanishes and the weight recurrence
     loses strict monotonicity.
     """
-    return theta2 > 0 and _offending_resonance(theta2, nbar, tol) is None
+    return theta2 > 0 and _offending_resonance(theta2, nbar) is None
 
 
-def _offending_resonance(theta2: float, nbar: int, tol: float) -> tuple[int, int] | None:
-    """The first (n, k) with k*pi/sqrt(n) within tol of theta2, n = 1..4*nbar+3, or None."""
+def _offending_resonance(theta2: float, nbar: int) -> tuple[int, int] | None:
+    """The first (n, k) with k*pi/sqrt(n) within THETA2_TOL of theta2, n = 1..4*nbar+3, or None."""
     top = window_top(nbar)
     kmax = math.ceil(theta2 * math.sqrt(top) / math.pi) + 1
     for n in range(1, top + 1):
         for k in range(1, kmax + 1):
-            if abs(theta2 - k * math.pi / math.sqrt(n)) < tol:
+            if abs(theta2 - k * math.pi / math.sqrt(n)) < THETA2_TOL:
                 return n, k
     return None
 
@@ -100,7 +101,7 @@ def build_weights(
         raise ConfigError(f"dim {dim} must exceed the plateau level {plateau}")
     if theta2 <= 0:
         raise ConfigError(f"theta2 must be positive for a certificate, got {theta2}")
-    resonance = _offending_resonance(theta2, nbar, THETA2_TOL)
+    resonance = _offending_resonance(theta2, nbar)
     if resonance is not None:
         raise ConfigError(
             f"theta2 = {theta2:.12g} is within {THETA2_TOL:.1e} of the resonance "

@@ -198,9 +198,11 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     Raises AmbiguousSteadyStateError when the gap is at rounding level (two
     closed classes, as in a channel without environment), when an entry is
     clearly negative, or when the residual |m v - rho v|_1 exceeds rounding,
-    where rho = sum(m v) / sum(v) is the Rayleigh quotient of v. In a stack
-    the first failing item raises, with the message of its own call; an item
-    below the gap floor stays out of `inv`.
+    where rho = sum(m v) / sum(v) is the Rayleigh quotient of v. A stack is
+    refused as a unit: the first item below the gap floor raises straight
+    after `eigvals`, before any `inv`; else the first item that fails the
+    sign or the residual check raises. Either way the message is that of
+    the item's own call.
     """
     ms = m[None] if m.ndim == 2 else m
     items, n = ms.shape[0], ms.shape[-1]
@@ -211,7 +213,13 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     others = np.abs(lam)
     others[every, top] = -np.inf
     gaps = lam1 - others.max(axis=-1)
-    live = np.flatnonzero(~(gaps < STATIONARY_GAP_TOL))
+    # written to fail on NaN as well
+    below = np.flatnonzero(~(gaps >= STATIONARY_GAP_TOL))
+    if below.size:
+        i = below[0]
+        raise AmbiguousSteadyStateError(
+            f"leading eigenvalue {lam1[i]:.15f} is not separated: spectral gap {gaps[i]:.3e}"
+        )
     # inverse iteration at sigma just above the Perron root, where
     # (sigma I - m)^-1 is entrywise positive, so a positive start stays
     # positive. The offset delta = sigma - lam1 stays well inside the gap and
@@ -220,21 +228,13 @@ def stationary(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     # delta / (delta + gap): about 1e-3 in general, and at least a half even
     # at the gap floor, where delta is the floor; 64 halvings take any start
     # below double rounding, hence the step cap.
-    r = np.full((items, n), 1.0 / n)
-    if live.size:
-        sigma = lam1[live] + np.maximum(STATIONARY_SHIFT * gaps[live], STATIONARY_GAP_TOL)
-        solve = _shifted_inverse(ms if live.size == items else ms[live], sigma)
-        r[live] = _inverse_iteration(solve, r[live][..., None])[0][..., 0]
-    # the items below the gap floor keep the uniform start, which is never read
+    sigma = lam1 + np.maximum(STATIONARY_SHIFT * gaps, STATIONARY_GAP_TOL)
+    start = np.full((items, n, 1), 1.0 / n)
+    r = _inverse_iteration(_shifted_inverse(ms, sigma), start)[0][..., 0]
     residual, bounds = _residual(ms, r)
     residuals = np.abs(residual).sum(axis=-1)
-    # in phase order, as one call per item would raise; the comparisons are
-    # written to fail on NaN as well
+    # in item order; the comparisons are written to fail on NaN as well
     for i in range(items):
-        if gaps[i] < STATIONARY_GAP_TOL:
-            raise AmbiguousSteadyStateError(
-                f"leading eigenvalue {lam1[i]:.15f} is not separated: spectral gap {gaps[i]:.3e}"
-            )
         if not r[i].min() >= -1e-10:
             raise AmbiguousSteadyStateError(f"stationary vector has negative entry {r[i].min():.3e}")
         if not residuals[i] <= bounds[i]:

@@ -6,6 +6,7 @@ refuse every unread option, flag value and config-file value, and check the
 other way round that every offered option changes the data rows.
 """
 
+import contextlib
 import json
 import math
 import re
@@ -410,6 +411,22 @@ def test_a_middle_pulse_too_short_to_last_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*argv, "--nbar", "2", "--theta2", "1e-320", "--out", str(out)]) == 2
     assert "schedule segments must have positive durations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, warns", [
+    (["converge", "--theta2", "1e-303", "--phi", "1"], False),
+    (["tune-phase", "--theta2", "1e-310"], True),
+    (["steady", "--nbars", "3", "--theta2", "1e-310"], True),
+], ids=["converge", "tune-phase", "steady"])
+def test_a_lapack_failure_exits_3(argv, warns, tmp_path, capsys):
+    # a middle pulse this short leaves `phase_delta_m` dividing the phase
+    # mismatch by a denormal duration, and `eigh` fails on what follows; a
+    # tuning meets inf - inf on the way
+    out = tmp_path / "out.csv"
+    with pytest.warns(RuntimeWarning, match="invalid value") if warns else contextlib.nullcontext():
+        assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical-validity error: Eigenvalues did not converge\n"
     assert not out.exists()
 
 

@@ -846,9 +846,10 @@ def test_stacked_tuning_objective_equals_the_phase_by_phase_loop(kw, phases):
 
 
 def test_a_failing_phase_raises_the_error_the_phase_by_phase_loop_meets_first(monkeypatch):
-    # phase k fails its build under a tightened unitarity tolerance; with
-    # and without an earlier phase j failing its stationary solve, the stack
-    # raises what the loop raises first
+    # phase k fails its build under a tightened unitarity tolerance, and the
+    # stack raises what the loop raises first. The stack is refused as a
+    # unit: with phase 1's stationary solve failing as well, it still raises
+    # phase k's build refusal, where the loop meets phase 1's solve first
     from fockstab import kraus, thermal
     from fockstab.errors import AmbiguousSteadyStateError
 
@@ -879,16 +880,25 @@ def test_a_failing_phase_raises_the_error_the_phase_by_phase_loop_meets_first(mo
 
     monkeypatch.setattr(ex, "stationary", failing)
     monkeypatch.setattr(thermal, "stationary", failing)
-    for run in (settled, phase_by_phase):
-        assert first_error(run) == (AmbiguousSteadyStateError, "solve of phase 1 refused")
+    assert first_error(phase_by_phase) == (AmbiguousSteadyStateError, "solve of phase 1 refused")
+    assert first_error(settled) == (
+        ValueError, f"propagator unitarity defect {defects[k]:.3e} exceeds {max(defects[:k]):.1e}")
 
 
-def test_a_stack_below_the_gap_floor_raises_the_message_of_its_first_failing_phase():
+def test_a_stack_below_the_gap_floor_raises_the_message_of_its_first_failing_phase(monkeypatch):
     # grid phases 46 and 47 of this nbar-8 tuning both fall below the gap
-    # floor; the stack raises what the phase-by-phase loop meets first
+    # floor; the stack raises what the phase-by-phase loop meets first, from
+    # its one `eigvals` call and before any `inv`
     from fockstab.errors import AmbiguousSteadyStateError
     from fockstab.thermal import stationary
 
+    calls = {"eigvals": 0, "inv": 0}
+    for name in calls:
+        def spy(a, original=getattr(np.linalg, name), name=name):
+            calls[name] += 1
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, name, spy)
     cfg = resolved(scenario="tune-phase", nbar=8, theta2=0.8330405509046935, theta1_err=0.02, **CAVITY_CFG)
     grid = [2.0 * math.pi * i / ex.PHI_GRID_POINTS for i in range(ex.PHI_GRID_POINTS)]
     for phis, gap in ((grid[45:48], "6.517e-14"), (grid[46:48], "6.517e-14"), ([grid[47], grid[46]], "5.584e-14")):
@@ -898,8 +908,26 @@ def test_a_stack_below_the_gap_floor_raises_the_message_of_its_first_failing_pha
             phase_by_phase(cfg, phis)
         assert str(stacked.value) == str(looped.value)
         channels = ex.build_channel(cfg, ex.reservoir_params(cfg), [ex.reservoir_params(cfg, phi=phi) for phi in phis])
+        matrices = ex.cycle_matrix(cfg, channels)
+        calls.update(eigvals=0, inv=0)
         with pytest.raises(AmbiguousSteadyStateError, match=f"spectral gap {gap}$"):
-            stationary(ex.cycle_matrix(cfg, channels))
+            stationary(matrices)
+        assert calls == {"eigvals": 1, "inv": 0}
+
+
+@pytest.mark.parametrize("channel", ["numeric", "analytic"])
+def test_settled_refuses_points_that_differ_in_more_than_phi_and_theta1(channel):
+    # a stack of two points that differ in theta2, and nine nbar-8 points
+    # (dim 81, stacks of 8) whose last, alone in the second stack, differs:
+    # each raises `check_points`' refusal instead of rows point by point
+    from fockstab.errors import ConfigError
+
+    for nbar, count in ((3, 2), (8, 9)):
+        cfg = resolved(scenario="tune-phase", nbar=nbar, channel=channel, **CAVITY_CFG)
+        points = [ex.reservoir_params(cfg, phi=0.1 * i) for i in range(count)]
+        points[-1] = replace(points[-1], theta2=1.1 * points[-1].theta2)
+        with pytest.raises(ConfigError, match="^stacked points may differ from params only in phi and theta1$"):
+            ex._settled(cfg, points, ex._stationary_rows)
 
 
 def test_stack_items_that_settle_at_different_steps_keep_their_own_vectors():
@@ -918,24 +946,6 @@ def test_stack_items_that_settle_at_different_steps_keep_their_own_vectors():
     for item, r, gap in zip(stack, populations, gaps):
         r1, gap1 = stationary(item)
         assert np.array_equal(r.view(np.int64), r1.view(np.int64)) and gap == gap1
-
-
-def test_a_lapack_error_re_solves_the_stack_one_phase_at_a_time(monkeypatch):
-    solve = ex.stationary
-    sizes = []
-
-    def refuses_stacks(m):
-        sizes.append(len(m))
-        if len(m) > 1:
-            raise np.linalg.LinAlgError("stacked solve refused")
-        return solve(m)
-
-    cfg = resolved(scenario="tune-phase", nbar=2, **CAVITY_CFG)
-    phis = [0.1, 1.1, 2.1]
-    want = settled(cfg, phis)
-    monkeypatch.setattr(ex, "stationary", refuses_stacks)
-    assert settled(cfg, phis) == want
-    assert sizes == [3, 1, 1, 1]
 
 
 def test_tune_phase_builds_the_grid_in_stacks(tmp_path, monkeypatch, capsys):

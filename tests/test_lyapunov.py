@@ -7,7 +7,7 @@ from fockstab.dynamics import ladder_top, make_params
 from fockstab.errors import ConfigError
 from fockstab.fock import fock_density, random_density, uniform_density
 from fockstab.kraus import analytic_kraus
-from fockstab.lyapunov import build_weights, validate_theta2, window_top
+from fockstab.lyapunov import THETA2_TOL, build_weights, validate_theta2, window_top
 from fockstab.oracle import apply_map, evaluate_v, lyapunov_decrement
 
 
@@ -18,17 +18,17 @@ def test_validate_theta2_exact_hits():
 
 
 def test_validate_theta2_exhaustive_scan_oracle():
-    # brute-force resonance scan agrees with the fast check
+    # brute-force resonance scan agrees with the fast check, at its tolerance
     for nbar in range(1, 9):
         theta2 = 1 / math.sqrt(nbar)
         top = 4 * nbar + 3
         hit = any(
-            abs(theta2 - k * math.pi / math.sqrt(n)) < 1e-6
+            abs(theta2 - k * math.pi / math.sqrt(n)) < THETA2_TOL
             for n in range(1, top + 1)
             for k in range(1, 40)
         )
         assert not hit
-        assert validate_theta2(theta2, nbar, tol=1e-6)
+        assert validate_theta2(theta2, nbar)
 
 
 def test_build_weights_rejects_resonance_naming_pair():
